@@ -20,6 +20,7 @@ from .errors import (
     InferenceFailureError,
     InternalConsistencyError,
     InvalidModulusError,
+    MalformedInputError,
     NoInverseError,
     NonInvertibleFactorError,
     NotTerminalError,

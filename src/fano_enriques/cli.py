@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .catalog import resolve_catalog, verify_fixtures
 from .enumeration import MAX_TORSION, enumerate_bt
-from .errors import EngineError
+from .errors import EngineError, OutOfRangeError
 from .exact import format_rational, parse_rational
 from .gradedrings import infer_presentation
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
@@ -114,6 +114,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise OutOfRangeError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _print_single(series: BigradedSeries, as_json: bool):
     if as_json:
         print(json.dumps(series.to_json()))
@@ -123,7 +129,8 @@ def _print_single(series: BigradedSeries, as_json: bool):
 
 def _cmd_hilbert(args) -> int:
     data = FanoData(parse_rational(args.k3), Basket.parse(args.basket))
-    _print_single(altinok_series(data, trunc=args.trunc), args.json)
+    trunc = _nonnegative("--trunc", args.trunc)
+    _print_single(altinok_series(data, trunc=trunc), args.json)
     return 0
 
 
@@ -131,7 +138,7 @@ def _cmd_bigraded(args) -> int:
     data = FanoEnriquesData(
         args.r, parse_rational(args.k3), Basket.parse(args.bt), Basket.parse(args.be)
     )
-    series = bigraded_series(data, trunc=args.trunc)
+    series = bigraded_series(data, trunc=_nonnegative("--trunc", args.trunc))
     if args.json:
         print(json.dumps({"data": data.to_json(), "series": series.to_json()}))
     else:
@@ -147,8 +154,9 @@ def _cmd_infer(args) -> int:
     else:
         with open(args.series) as handle:
             text = handle.read()
+    max_degree = _nonnegative("--max-degree", args.max_degree)
     series = BigradedSeries.from_json(json.loads(text))
-    presentation = infer_presentation(series, max_degree=args.max_degree)
+    presentation = infer_presentation(series, max_degree=max_degree)
     if args.json:
         print(json.dumps(presentation.to_json()))
     else:
@@ -172,12 +180,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    catalog = resolve_catalog(args.catalog, trunc=min(args.trunc, 20))
+    trunc = _nonnegative("--trunc", args.trunc)
+    max_degree = _nonnegative("--max-degree", args.max_degree)
+    catalog = resolve_catalog(args.catalog, trunc=min(trunc, 20))
     result = search(
         catalog,
         rs=[args.r] if args.r is not None else None,
-        trunc=args.trunc,
-        max_degree=args.max_degree,
+        trunc=trunc,
+        max_degree=max_degree,
         strict_chi=args.strict_r5,
     )
     if args.json:

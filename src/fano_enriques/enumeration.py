@@ -16,6 +16,14 @@ R1 bounds both the index of any entry and the number of entries, so a
 depth-first walk over nondecreasing item sequences with a running budget
 is exhaustive.  Candidates are reported up to rescaling of the torsion
 generator (sigma -> u*sigma multiplies every marking by u).
+
+The walk tests R4/R5 in Python ints, from per-entry delta cycles computed
+directly from the local kernel; check_restrictions evaluates the same
+conditions through the Fraction oracle torsion_delta_at, so the two are
+independent routes.  The plain census of each order is walked once per
+process and cached; the strict-R5 census is a filter over it, which is
+exact because strict R5 implies R5 and R4/R5 are invariant under
+sigma -> u*sigma and under reordering entries.
 """
 
 from __future__ import annotations
@@ -101,12 +109,25 @@ def _delta_cycle(r_q: int, a: int, lp: int) -> tuple[Rational, ...]:
 
 @lru_cache(maxsize=None)
 def _delta_cycle_scaled(r_q: int, a: int, lp: int) -> tuple[int, ...]:
-    """The same cycle as exact integers scaled by 12*r_q (always integral)."""
+    """Per-entry torsion delta over one period of n, scaled by 12*r_q.
+
+    Computed directly in integers, independently of the Fraction route
+    _delta_cycle.  With b = a^-1 mod r_q and [x] = x mod r_q,
+
+        12*r_q*delta(n) = (r_q - l')(r_q^2 - 1)
+                          - sum_{j=n+1}^{n+r_q-l'} 6*[bj]*(r_q - [bj]),
+
+    and the window sum slides along one period of n.
+    """
+    b = pow(a, -1, r_q)
+    kernel = [6 * ((b * j) % r_q) * (r_q - (b * j) % r_q) for j in range(r_q)]
+    head = (r_q - lp) * (r_q * r_q - 1)
+    width = r_q - lp
+    window = sum(kernel[1 : width + 1])
     out = []
-    for v in _delta_cycle(r_q, a, lp):
-        scaled = v * 12 * r_q
-        assert scaled.denominator == 1
-        out.append(scaled.numerator)
+    for n in range(r_q):
+        out.append(head - window)
+        window += kernel[(n + 1 + width) % r_q] - kernel[(n + 1) % r_q]
     return tuple(out)
 
 
@@ -231,6 +252,15 @@ def enumerate_bt(r: int, strict_chi: bool = False) -> list[BtCandidate]:
     """All admissible marked baskets for torsion order r, canonical and sorted."""
     if not 2 <= r <= MAX_TORSION:
         raise OutOfRangeError(f"torsion order {r} outside [2, {MAX_TORSION}]")
+    census = _census(r)
+    if strict_chi:
+        return [c for c in census if _passes_numeric(c.entries.entries, r, True)]
+    return list(census)
+
+
+@lru_cache(maxsize=None)
+def _census(r: int) -> tuple[BtCandidate, ...]:
+    """The plain-R5 census of order r, walked once per process."""
     items = _admissible_items(r)
     # budget arithmetic in integers: costs scaled by lcm(1..24)
     scale = lcm(*range(1, MAX_INDEX + 1))
@@ -255,14 +285,11 @@ def enumerate_bt(r: int, strict_chi: bool = False) -> list[BtCandidate]:
                 continue
             chosen.append(items[k])
             w = witness or is_witness[k]
-            if w and _passes_numeric(tuple(chosen), r, strict_chi):
+            if w and _passes_numeric(tuple(chosen), r, False):
                 canon = canonicalize(BtCandidate(r, Basket(tuple(chosen))))
                 found.add(canon.entries.entries)
             walk(k, n1, n2, w)
             chosen.pop()
 
     walk(0, 0, 0, False)
-    return sorted(
-        (BtCandidate(r, Basket(entries)) for entries in found),
-        key=lambda c: c.entries.entries,
-    )
+    return tuple(BtCandidate(r, Basket(entries)) for entries in sorted(found))

@@ -55,5 +55,9 @@ class OutOfRangeError(EngineError):
     """Parameter outside the finite range the theory bounds it to."""
 
 
+class MalformedInputError(EngineError, ValueError):
+    """Text or JSON that does not parse into the value it should hold."""
+
+
 class CatalogError(EngineError):
     """Catalog file missing, malformed, or failing validation."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction as Rational
 from math import gcd
 
-from .errors import InvalidModulusError, NoInverseError
+from .errors import InvalidModulusError, MalformedInputError, NoInverseError
 
 __all__ = [
     "Rational",
@@ -60,7 +60,10 @@ def is_integer(q: Rational) -> bool:
 
 def parse_rational(text: str) -> Rational:
     """Parse 'p/q' or 'p' into a Rational.  Whitespace around tokens is fine."""
-    return Rational(text.strip())
+    try:
+        return Rational(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInputError(f"not a finite rational number: {text!r}") from None
 
 
 def format_rational(q: Rational) -> str:

@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import (
     IncompatibleSeriesError,
+    MalformedInputError,
     NonInvertibleFactorError,
     UnnormalizedResidualError,
 )
@@ -267,8 +268,21 @@ class BigradedSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BigradedSeries":
-        rows = [[parse_rational(str(c)) for c in row] for row in obj["coeffs"]]
-        series = cls(obj["r"], rows)
+        if not isinstance(obj, dict):
+            raise MalformedInputError(
+                f"series JSON must be an object with fields r and coeffs, "
+                f"got {type(obj).__name__}"
+            )
+        for field in ("r", "coeffs"):
+            if field not in obj:
+                raise MalformedInputError(f"series JSON has no field {field!r}")
+        r, coeffs = obj["r"], obj["coeffs"]
+        if type(r) is not int:
+            raise MalformedInputError(f"series JSON field r must be an integer, got {r!r}")
+        if not isinstance(coeffs, list) or not all(isinstance(row, list) for row in coeffs):
+            raise MalformedInputError("series JSON field coeffs must be a list of rows")
+        rows = [[parse_rational(str(c)) for c in row] for row in coeffs]
+        series = cls(r, rows)
         if series.trunc != obj.get("trunc", series.trunc):
             raise IncompatibleSeriesError("declared truncation does not match rows")
         return series

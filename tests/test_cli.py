@@ -178,6 +178,56 @@ class TestVerifyFixtures:
         assert json.loads(out) == {"ok": True, "problems": []}
 
 
+class TestBadInput:
+    """Malformed values exit 1 with a typed error that names the input."""
+
+    @pytest.mark.parametrize("k3", ["nan", "inf", "1/0"])
+    def test_hilbert_non_finite_k3(self, capsys, k3):
+        code, _, err = run(capsys, "hilbert", "--k3", k3)
+        assert code == 1
+        assert err.startswith("fano-enriques hilbert: ")
+        assert repr(k3) in err
+
+    def test_infer_bare_list(self, capsys, tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps([["1", "4", "11"]]))
+        code, _, err = run(capsys, "infer", "--series", str(path))
+        assert code == 1
+        assert "series JSON must be an object" in err
+        assert "list" in err
+
+    def test_infer_object_without_r(self, capsys, tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"coeffs": [["1", "4", "11"]]}))
+        code, _, err = run(capsys, "infer", "--series", str(path))
+        assert code == 1
+        assert "no field 'r'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hilbert", "--k3", "4"),
+            ("bigraded", "--r", "5", "--k3", "1/2", "--bt", "1/10(1,3,7)_6, 2x1/5(1,2,3)_1"),
+            ("search", "--catalog", "covers_codim1.json", "--r", "5"),
+        ],
+        ids=["hilbert", "bigraded", "search"],
+    )
+    def test_negative_trunc(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--trunc", "-1")
+        assert code == 1
+        assert err.startswith(f"fano-enriques {argv[0]}: ")
+        assert "--trunc must be >= 0, got -1" in err
+
+    def test_search_negative_max_degree(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--catalog", "covers_codim1.json", "--r", "5",
+            "--max-degree", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--max-degree must be >= 0, got -1" in err
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         code, _, err = run(capsys)

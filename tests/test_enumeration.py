@@ -1,15 +1,20 @@
 """Tests for the admissible marked basket enumeration."""
 
+from math import gcd
+
 import pytest
 
 from fano_enriques.enumeration import (
+    MAX_INDEX,
     MAX_TORSION,
     BtCandidate,
+    _delta_cycle_scaled,
     canonicalize,
     check_restrictions,
     enumerate_bt,
 )
 from fano_enriques.errors import OutOfRangeError
+from fano_enriques.hilbert import torsion_delta_at
 from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType
 
 
@@ -132,3 +137,40 @@ class TestEnumerateBt:
     def test_results_sorted(self):
         got = enumerate_bt(5)
         assert got == sorted(got, key=lambda c: c.entries.entries)
+
+
+class TestDeltaCycleScaled:
+    def test_integer_route_matches_fraction_oracle(self):
+        # every terminal type 1/r_Q(1, a, r_Q - a) with r_Q <= 24 and every
+        # nonzero effective marking l'
+        keys = 0
+        for r_q in range(2, MAX_INDEX + 1):
+            for a in range(1, r_q // 2 + 1):
+                if gcd(a, r_q) != 1:
+                    continue
+                for lp in range(1, r_q):
+                    single = Basket((mk(r_q, a, lp),))
+                    cycle = _delta_cycle_scaled(r_q, a, lp)
+                    assert len(cycle) == r_q
+                    for n in range(r_q):
+                        assert cycle[n] == 12 * r_q * torsion_delta_at(single, 1, n), (
+                            r_q, a, lp, n,
+                        )
+                    keys += 1
+        assert keys == 1368
+
+
+class TestCensusCache:
+    def test_strict_census_is_the_strict_filter_of_the_plain_one(self):
+        for r in range(2, MAX_TORSION + 1):
+            plain = enumerate_bt(r)
+            want = [c for c in plain if check_restrictions(c, strict_chi=True).admissible]
+            assert enumerate_bt(r, strict_chi=True) == want, r
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_returned_list_is_a_copy(self, strict):
+        first = enumerate_bt(5, strict_chi=strict)
+        expected = list(first)
+        first.clear()
+        assert enumerate_bt(5, strict_chi=strict) == expected
+        assert len(expected) == 4
