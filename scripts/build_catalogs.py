@@ -27,7 +27,7 @@ from fano_enriques.catalog import (
     verify_fixtures,
 )
 from fano_enriques.enumeration import BtCandidate, MAX_TORSION, canonicalize, enumerate_bt
-from fano_enriques.exact import format_rational
+from fano_enriques.exact import format_rational, units
 from fano_enriques.hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from fano_enriques.orbifold import Basket
 from fano_enriques.quotient import CROSS_CODIMENSION, CoverRecord, forced_preimage, search
@@ -610,12 +610,6 @@ def parse_basket(text: str) -> Basket:
 
 def basket_key(basket: Basket) -> tuple:
     return tuple(sorted(tuple(sorted(e.items())) for e in basket.to_json()))
-
-
-def units(r: int) -> list[int]:
-    from math import gcd
-
-    return [u for u in range(1, r) if gcd(u, r) == 1]
 
 
 def bidegrees_match(r, got_gens, got_rels, want_gens, want_rels) -> bool:

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 from .catalog import resolve_catalog, verify_fixtures
 from .enumeration import MAX_TORSION, enumerate_bt
-from .errors import EngineError, OutOfRangeError
-from .exact import format_rational, parse_rational
+from .errors import EngineError
+from .exact import format_rational, nonnegative, parse_rational
 from .gradedrings import infer_presentation
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from .orbifold import Basket
@@ -114,12 +114,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _nonnegative(flag: str, value: int) -> int:
-    if value < 0:
-        raise OutOfRangeError(f"{flag} must be >= 0, got {value}")
-    return value
-
-
 def _print_single(series: BigradedSeries, as_json: bool):
     if as_json:
         print(json.dumps(series.to_json()))
@@ -129,7 +123,7 @@ def _print_single(series: BigradedSeries, as_json: bool):
 
 def _cmd_hilbert(args) -> int:
     data = FanoData(parse_rational(args.k3), Basket.parse(args.basket))
-    trunc = _nonnegative("--trunc", args.trunc)
+    trunc = nonnegative("--trunc", args.trunc)
     _print_single(altinok_series(data, trunc=trunc), args.json)
     return 0
 
@@ -138,7 +132,7 @@ def _cmd_bigraded(args) -> int:
     data = FanoEnriquesData(
         args.r, parse_rational(args.k3), Basket.parse(args.bt), Basket.parse(args.be)
     )
-    series = bigraded_series(data, trunc=_nonnegative("--trunc", args.trunc))
+    series = bigraded_series(data, trunc=nonnegative("--trunc", args.trunc))
     if args.json:
         print(json.dumps({"data": data.to_json(), "series": series.to_json()}))
     else:
@@ -154,7 +148,7 @@ def _cmd_infer(args) -> int:
     else:
         with open(args.series) as handle:
             text = handle.read()
-    max_degree = _nonnegative("--max-degree", args.max_degree)
+    max_degree = nonnegative("--max-degree", args.max_degree)
     series = BigradedSeries.from_json(json.loads(text))
     presentation = infer_presentation(series, max_degree=max_degree)
     if args.json:
@@ -180,8 +174,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    trunc = _nonnegative("--trunc", args.trunc)
-    max_degree = _nonnegative("--max-degree", args.max_degree)
+    trunc = nonnegative("--trunc", args.trunc)
+    max_degree = nonnegative("--max-degree", args.max_degree)
     catalog = resolve_catalog(args.catalog, trunc=min(trunc, 20))
     result = search(
         catalog,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction as Rational
 from math import gcd
 
-from .errors import InvalidModulusError, MalformedInputError, NoInverseError
+from .errors import InvalidModulusError, MalformedInputError, NoInverseError, OutOfRangeError
 
 __all__ = [
     "Rational",
@@ -52,6 +52,13 @@ def units(r: int) -> list[int]:
     if r == 1:
         return [0]
     return [u for u in range(1, r) if gcd(u, r) == 1]
+
+
+def nonnegative(name: str, value: int) -> int:
+    """value itself, or OutOfRangeError naming it when it is negative."""
+    if value < 0:
+        raise OutOfRangeError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def is_integer(q: Rational) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InconsistentDataError, InferenceFailureError
-from .exact import is_integer
+from .exact import is_integer, nonnegative
 from .series import Bidegree, BigradedSeries, geometric_factor, one_minus
 
 __all__ = [
@@ -135,6 +135,7 @@ def infer_presentation(s: BigradedSeries, max_degree: int = 24) -> Presentation:
     truncation.  Degrees are only trustworthy up to min(truncation,
     max_degree) -- callers must truncate generously.
     """
+    nonnegative("max_degree", max_degree)
     _validate_hilbert(s)
     working = s
     numerator = s
@@ -198,7 +199,7 @@ def presentation_series(
 ) -> BigradedSeries:
     """The Hilbert series a presentation would have: prod(1 - e^s t^d) over
     relations times the geometric factor of every generator."""
-    total = BigradedSeries.one(r, trunc)
+    total = BigradedSeries.one(r, nonnegative("trunc", trunc))
     for q in relations:
         total = total * one_minus(r, trunc, q)
     for g in generators:

@@ -11,6 +11,9 @@ Three series builders live here:
   with w_Q(i) = [b_Q i](r_Q - [b_Q i])/(2 r_Q) and b_Q the inverse weight.
   The polynomial Riemann-Roch part (chi(O), c2-term) is already folded
   into the first two summands, so the basket and -K^3 are the only inputs.
+  Every summand is a polynomial over a product of binomials (1 - t^w), so
+  each is built by O(N) divisions (BigradedSeries.divide_factor), never
+  by expanding geometric series and multiplying them.
 
 * torsion_delta_* -- the per-component correction h^0(-nK + i*sigma) -
   h^0(-nK) coming from a torsion divisor sigma marked into the basket.
@@ -20,7 +23,11 @@ Three series builders live here:
 
 * wci_series / pfaffian_series -- independent oracles for covers: the
   Hilbert series a weighted complete intersection (or codimension-3
-  Pfaffian model) must have, straight from weights and degrees.
+  Pfaffian model) must have, straight from weights and degrees.  Both
+  divide one integer numerator (_model_numerator, which CoverRecord also
+  reads -K^3 from) by (1 - t^w) once per weight.
+
+Negative truncations raise OutOfRangeError.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ from .errors import (
     InconsistentMarkingError,
     InternalConsistencyError,
 )
-from .exact import Rational, format_rational, is_integer, parse_rational, residue
+from .exact import Rational, format_rational, is_integer, nonnegative, parse_rational, residue
 from .orbifold import Basket, MarkedSingularity, SingularityType, inverse_weight
-from .series import Bidegree, BigradedSeries, geometric_factor, one_minus
+from .series import Bidegree, BigradedSeries, Scalar, geometric_factor
 
 __all__ = [
     "FanoData",
@@ -154,6 +161,16 @@ def _local_weight(r: int, b: int, j: int) -> Rational:
     return Rational(bj * (r - bj), 2 * r)
 
 
+def _divided(numerator: Sequence[Scalar], trunc: int, *weights: int) -> BigradedSeries:
+    """numerator / prod_w (1 - t^w), truncated at t^trunc: one O(N) shift-and-add
+    division per weight, never a general product."""
+    row = list(numerator[: trunc + 1]) + [0] * (trunc + 1 - len(numerator))
+    total = BigradedSeries(1, [row])
+    for w in weights:
+        total = total.divide_factor(Bidegree(w, 0))
+    return total
+
+
 def altinok_series(data: FanoData, trunc: int = 20) -> BigradedSeries:
     """Hilbert series sum h^0(-nK) t^n of a Fano threefold, exactly.
 
@@ -161,27 +178,15 @@ def altinok_series(data: FanoData, trunc: int = 20) -> BigradedSeries:
     nonnegative integers: the basket / -K^3 pair then belongs to no
     actual variety (a sharper sieve than the parity check).
     """
-    n = trunc
-    t = BigradedSeries.monomial(1, n, Bidegree(1, 0))
-    t2 = BigradedSeries.monomial(1, n, Bidegree(2, 0))
-    geom1 = geometric_factor(Bidegree(1, 0), 1, n)
-    geom1_sq = geom1 * geom1
-
-    total = (BigradedSeries.one(1, n) + t) * geom1_sq
-    total = total + (t + t2) * geom1_sq * geom1_sq * (data.minus_k_cubed / 2)
+    n = nonnegative("trunc", trunc)
+    half_k = data.minus_k_cubed / 2
+    total = _divided([1, 1], n, 1, 1) + _divided([0, half_k, half_k], n, 1, 1, 1, 1)
 
     for entry, mult in data.basket.counts().items():
         r = entry.type.r
         b = inverse_weight(entry.type)
-        poly = [Rational(0)] * (n + 1)
-        for i in range(1, min(r, n + 1)):
-            poly[i] = _local_weight(r, b, i)
-        correction = (
-            BigradedSeries(1, [poly])
-            * geom1
-            * geometric_factor(Bidegree(r, 0), 1, n)
-        )
-        total = total - correction * mult
+        kernel = [mult * _local_weight(r, b, i) for i in range(r)]
+        total = total - _divided(kernel, n, 1, r)
 
     for m, c in enumerate(total.component(0)):
         if not is_integer(c) or c < 0:
@@ -223,7 +228,7 @@ def torsion_delta_series(bt: Basket, i: int, trunc: int = 20) -> BigradedSeries:
     the local kernel, and from the per-n formula directly.  The two must
     agree; a mismatch is an engine bug, not a data problem.
     """
-    m = trunc
+    m = nonnegative("trunc", trunc)
     geom1 = geometric_factor(Bidegree(1, 0), 1, m)
     closed = BigradedSeries.zero(1, m)
     for entry in bt:
@@ -263,6 +268,7 @@ def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
     constant term sits entirely in component 0 (h^0 of a nontrivial
     torsion class vanishes); anything else raises InconsistentDataError.
     """
+    nonnegative("trunc", trunc)
     base = altinok_series(
         FanoData(data.minus_k_cubed, data.combined_basket), trunc
     ).component(0)
@@ -287,11 +293,29 @@ def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
     return BigradedSeries(data.r, rows)
 
 
-def _product_series(weights: Sequence[int], numerator: BigradedSeries, trunc: int) -> BigradedSeries:
-    total = numerator
-    for w in weights:
-        total = total * geometric_factor(Bidegree(w, 0), 1, trunc)
-    return total
+def _model_numerator(degrees: Sequence[int], pfaffian: bool = False) -> list[int]:
+    """Integer numerator of a model series, as a coefficient list.
+
+    prod (1 - t^d) for a complete intersection; for a Pfaffian model
+    1 - sum t^{d_k} + sum t^{e-d_k} - t^e with e = sum(degrees)/2.
+    """
+    if pfaffian:
+        e = sum(degrees) // 2
+        coeffs = [0] * (e + 1)
+        coeffs[0] += 1
+        coeffs[e] -= 1
+        for d in degrees:
+            coeffs[d] -= 1
+            coeffs[e - d] += 1
+        return coeffs
+    coeffs = [1]
+    for d in degrees:
+        nxt = [0] * (len(coeffs) + d)
+        for k, c in enumerate(coeffs):
+            nxt[k] += c
+            nxt[k + d] -= c
+        coeffs = nxt
+    return coeffs
 
 
 def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) -> BigradedSeries:
@@ -301,15 +325,13 @@ def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) 
     Anticanonical polarization (sum of weights minus sum of degrees = 1)
     is required; that is the only normalization the quotient search uses.
     """
+    nonnegative("trunc", trunc)
     if sum(weights) - sum(degrees) != 1:
         raise InconsistentDataError(
             f"weights {tuple(weights)} and degrees {tuple(degrees)} are not "
             f"anticanonically polarized"
         )
-    numerator = BigradedSeries.one(1, trunc)
-    for d in degrees:
-        numerator = numerator * one_minus(1, trunc, Bidegree(d, 0))
-    return _product_series(weights, numerator, trunc)
+    return _divided(_model_numerator(degrees), trunc, *weights)
 
 
 def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) -> BigradedSeries:
@@ -317,6 +339,7 @@ def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int =
     skew 5x5 matrix: numerator 1 - sum t^{d_k} + sum t^{e-d_k} - t^e with
     e = sum(weights) - 1 = sum(degrees)/2.
     """
+    nonnegative("trunc", trunc)
     if len(degrees) != 5:
         raise InconsistentDataError(
             f"a Pfaffian model has exactly 5 relations, got {len(degrees)}"
@@ -327,9 +350,8 @@ def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int =
             f"Pfaffian degrees {tuple(degrees)} do not satisfy "
             f"sum = 2*(sum(weights) - 1) = {2 * e}"
         )
-    numerator = BigradedSeries.one(1, trunc)
-    for d in degrees:
-        numerator = numerator - BigradedSeries.monomial(1, trunc, Bidegree(d, 0))
-        numerator = numerator + BigradedSeries.monomial(1, trunc, Bidegree(e - d, 0))
-    numerator = numerator - BigradedSeries.monomial(1, trunc, Bidegree(e, 0))
-    return _product_series(weights, numerator, trunc)
+    if max(degrees) > e:
+        raise InconsistentDataError(
+            f"Pfaffian degrees {tuple(degrees)} exceed e = {e}"
+        )
+    return _divided(_model_numerator(degrees, pfaffian=True), trunc, *weights)

@@ -24,7 +24,7 @@ pairs that fail.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Optional, Sequence, Union
 
@@ -35,11 +35,12 @@ from .errors import (
     InferenceFailureError,
     InternalConsistencyError,
 )
-from .exact import Rational, format_rational, is_integer, parse_rational
+from .exact import Rational, format_rational, is_integer, nonnegative, parse_rational
 from .gradedrings import Presentation, action_weights, infer_presentation
 from .hilbert import (
     FanoData,
     FanoEnriquesData,
+    _model_numerator,
     altinok_series,
     bigraded_series,
     parity_defect,
@@ -47,6 +48,7 @@ from .hilbert import (
     wci_series,
 )
 from .orbifold import SMOOTH, Basket, MarkedSingularity, preimage_singularity
+from .series import BigradedSeries
 
 __all__ = [
     "CoverRecord",
@@ -73,6 +75,12 @@ class CoverRecord:
     Pfaffian degrees instead (structure = "pfaffian").  The basket is
     stored explicitly and cross-checked against the model series rather
     than derived from equations.
+
+    The Altinok series of the declared basket and -K^3 is computed at most
+    once per truncation and kept on the record, so validate and the
+    collapse check in search share it.  The memo is not a field of the
+    record's value: it takes no part in ==, hash, repr or to_json, and
+    dataclasses.replace and from_json start with an empty one.
     """
 
     name: str
@@ -82,6 +90,9 @@ class CoverRecord:
     minus_k_cubed: Rational
     structure: str = "ci"
     notes: str = ""
+    _altinok: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
@@ -110,23 +121,15 @@ class CoverRecord:
 
     def _numerator(self) -> list[int]:
         """Numerator polynomial of the model series, as a coefficient list."""
-        if self.structure == "pfaffian":
-            e = sum(self.degrees) // 2
-            coeffs = [0] * (e + 1)
-            coeffs[0] += 1
-            coeffs[e] -= 1
-            for d in self.degrees:
-                coeffs[d] -= 1
-                coeffs[e - d] += 1
-            return coeffs
-        coeffs = [1]
-        for d in self.degrees:
-            nxt = [0] * (len(coeffs) + d)
-            for k, c in enumerate(coeffs):
-                nxt[k] += c
-                nxt[k + d] -= c
-            coeffs = nxt
-        return coeffs
+        return _model_numerator(self.degrees, self.structure == "pfaffian")
+
+    def _orbifold_series(self, trunc: int) -> BigradedSeries:
+        """altinok_series of the declared basket and -K^3, memoized per trunc."""
+        series = self._altinok.get(trunc)
+        if series is None:
+            series = altinok_series(FanoData(self.minus_k_cubed, self.basket), trunc)
+            self._altinok[trunc] = series
+        return series
 
     def implied_k_cubed(self) -> Rational:
         """-K^3 the weights and degrees force.
@@ -165,7 +168,10 @@ class CoverRecord:
                 problems.append(
                     f"a Pfaffian model needs 5 degrees, got {len(self.degrees)}"
                 )
-            elif sum(self.degrees) != 2 * (sum(self.weights) - 1):
+            elif (
+                sum(self.degrees) != 2 * (sum(self.weights) - 1)
+                or max(self.degrees) > sum(self.weights) - 1
+            ):
                 problems.append(
                     f"Pfaffian degrees {self.degrees} incompatible with "
                     f"weights {self.weights}"
@@ -192,9 +198,7 @@ class CoverRecord:
             return problems
 
         try:
-            orbifold = altinok_series(
-                FanoData(self.minus_k_cubed, self.basket), trunc
-            )
+            orbifold = self._orbifold_series(trunc)
         except InconsistentDataError as exc:
             return [f"declared basket admits no series: {exc}"]
         model = self.series(trunc)
@@ -419,6 +423,8 @@ def search(
     cover's own series, which is an arithmetic identity for correctly
     assembled data and hence an engine guard, not a data filter.
     """
+    nonnegative("trunc", trunc)
+    nonnegative("max_degree", max_degree)
     orders = sorted(set(rs)) if rs is not None else range(2, MAX_TORSION + 1)
     candidates: list[QuotientCandidate] = []
     rejections: list[Rejection] = []
@@ -448,10 +454,7 @@ def search(
                     )
                     continue
 
-                total = altinok_series(
-                    FanoData(cover.minus_k_cubed, cover.basket), trunc
-                )
-                if series.collapse() != total:
+                if series.collapse() != cover._orbifold_series(trunc):
                     raise InternalConsistencyError(
                         f"component sum for {cover.name} (r={r}, bt {bt}) "
                         f"does not reproduce the cover series"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fano_enriques.errors import InconsistentDataError, InferenceFailureError
+from fano_enriques.errors import InconsistentDataError, InferenceFailureError, OutOfRangeError
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import (
     Presentation,
@@ -136,6 +136,15 @@ class TestRoundTrip:
     def test_presentation_series_matches_wci(self):
         lhs = presentation_series(bd([(1, 0)] * 5), bd([(4, 0)]), 1, 10)
         assert lhs == wci_series((1, 1, 1, 1, 1), (4,), 10)
+
+    def test_presentation_series_negative_truncation(self):
+        with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
+            presentation_series(bd([(1, 0)] * 5), bd([(4, 0)]), 1, -1)
+
+    def test_infer_negative_max_degree(self):
+        series = presentation_series(bd([(1, 0)] * 5), bd([(4, 0)]), 1, 10)
+        with pytest.raises(OutOfRangeError, match="max_degree must be >= 0"):
+            infer_presentation(series, max_degree=-1)
 
 
 class TestActionWeights:

@@ -6,12 +6,19 @@ over Fraction) and cross-checked against the weighted-model oracles
 before being committed.
 """
 
-from math import lcm
+import random
+from math import floor, gcd, lcm
 
 import pytest
 
-from fano_enriques.errors import InconsistentDataError, InconsistentMarkingError
+from fano_enriques.catalog import bundled_json
+from fano_enriques.errors import (
+    InconsistentDataError,
+    InconsistentMarkingError,
+    OutOfRangeError,
+)
 from fano_enriques.exact import Rational
+from fano_enriques.gradedrings import presentation_series
 from fano_enriques.hilbert import (
     FanoData,
     FanoEnriquesData,
@@ -23,12 +30,65 @@ from fano_enriques.hilbert import (
     torsion_delta_series,
     wci_series,
 )
-from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType
-from fano_enriques.series import Bidegree, one_minus
+from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType, inverse_weight
+from fano_enriques.quotient import CoverRecord
+from fano_enriques.series import Bidegree, BigradedSeries, geometric_factor, one_minus
+
+ORACLE_TRUNCS = (0, 1, 2, 24, 72)
 
 
 def mk(r, a, l=0):
     return MarkedSingularity(SingularityType(r, a), l)
+
+
+def altinok_by_products(data, trunc):
+    """Altinok's formula expanded through geometric_factor and the general
+    product, with no integrality check: the route the builder used to take,
+    kept as an independent oracle for the division route."""
+    n = trunc
+    t = BigradedSeries.monomial(1, n, Bidegree(1, 0))
+    t2 = BigradedSeries.monomial(1, n, Bidegree(2, 0))
+    geom1 = geometric_factor(Bidegree(1, 0), 1, n)
+    geom1_sq = geom1 * geom1
+
+    total = (BigradedSeries.one(1, n) + t) * geom1_sq
+    total = total + (t + t2) * geom1_sq * geom1_sq * (data.minus_k_cubed / 2)
+    for entry, mult in data.basket.counts().items():
+        r = entry.type.r
+        b = inverse_weight(entry.type)
+        poly = [Rational(0)] * (n + 1)
+        for i in range(1, min(r, n + 1)):
+            bi = (b * i) % r
+            poly[i] = Rational(bi * (r - bi), 2 * r)
+        correction = (
+            BigradedSeries(1, [poly]) * geom1 * geometric_factor(Bidegree(r, 0), 1, n)
+        )
+        total = total - correction * mult
+    return total
+
+
+def random_fano_data(rng):
+    """A random basket of up to eight points and the least few -K^3 > 0 that
+    pass the parity check against it.  -K^3 = local + 2k with local the
+    basket's sum of b(r-b)/r, and k (the parity defect) may be negative,
+    which forces a negative plurigenus h^0(-K) = k + 3 for k < -3."""
+    entries = []
+    for _ in range(rng.randint(0, 8)):
+        r = rng.randint(2, 13)
+        a = rng.choice([a for a in range(1, r // 2 + 1) if gcd(a, r) == 1])
+        entries.append(mk(r, a))
+    basket = Basket(tuple(entries))
+    local = -2 * parity_defect(Rational(0), basket)
+    k = rng.randint(floor(-local / 2) + 1, 3)
+    return FanoData(local + 2 * k, basket)
+
+
+def bundled_covers():
+    return [
+        CoverRecord.from_json(entry)
+        for name in ("covers_codim1.json", "covers_codim2.json", "covers_codim3.json")
+        for entry in bundled_json(name)["entries"]
+    ]
 
 
 class TestParityDefect:
@@ -97,6 +157,32 @@ class TestAltinokSeries:
         with pytest.raises(InconsistentDataError):
             altinok_series(data, 4)
 
+    @pytest.mark.parametrize("trunc", ORACLE_TRUNCS)
+    def test_division_route_matches_product_oracle(self, trunc):
+        rng = random.Random(20260 + trunc)
+        checked = refused = 0
+        for _ in range(40):
+            data = random_fano_data(rng)
+            expected = altinok_by_products(data, trunc)
+            bad = [
+                m for m, c in enumerate(expected.component(0))
+                if c.denominator != 1 or c < 0
+            ]
+            if bad:
+                with pytest.raises(InconsistentDataError, match=rf"at t\^{bad[0]} is"):
+                    altinok_series(data, trunc)
+                refused += 1
+            else:
+                assert altinok_series(data, trunc) == expected
+                checked += 1
+        assert checked >= 10
+        if trunc >= 1:
+            assert refused >= 1
+
+    def test_negative_truncation(self):
+        with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
+            altinok_series(FanoData(Rational(4)), -1)
+
 
 class TestTorsionDelta:
     BT = Basket.parse("1/2(1,1,1)_1 x5, 1/6(1,1,5)_3")
@@ -127,6 +213,10 @@ class TestTorsionDelta:
             s = torsion_delta_series(bt, i, 20)
             assert s.coefficient(0) == torsion_delta_at(bt, i, 0)
             assert s.coefficient(7) == torsion_delta_at(bt, i, 7)
+
+    def test_negative_truncation(self):
+        with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
+            torsion_delta_series(self.BT, 1, -1)
 
 
 class TestFanoEnriquesData:
@@ -209,6 +299,10 @@ class TestBigradedSeries:
         with pytest.raises(InconsistentDataError):
             bigraded_series(bad, 8)
 
+    def test_negative_truncation(self):
+        with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
+            bigraded_series(self.DATA, -1)
+
 
 class TestModelOracles:
     def test_wci_requires_anticanonical_polarization(self):
@@ -237,3 +331,37 @@ class TestModelOracles:
         expected[9] = 2
         expected[14] = -1
         assert list(coeffs) == expected
+
+    def test_pfaffian_rejects_degree_beyond_e(self):
+        # sum of degrees is 2e = 16, but 12 > e leaves a negative syzygy degree
+        with pytest.raises(InconsistentDataError, match="exceed e = 8"):
+            pfaffian_series((1, 1, 1, 1, 1, 1, 3), (1, 1, 1, 1, 12))
+
+    def test_negative_truncation(self):
+        with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
+            wci_series((1, 1, 1, 1, 1), (4,), -1)
+        with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
+            pfaffian_series((1, 1, 2, 2, 3, 3, 3), (5, 5, 6, 6, 6), -1)
+
+    @pytest.mark.parametrize("trunc", ORACLE_TRUNCS)
+    def test_bundled_covers_match_product_route(self, trunc):
+        # the builders divide one integer numerator by (1 - t^w); the
+        # oracle expands the same series through presentation_series,
+        # which multiplies geometric factors with the general product
+        covers = bundled_covers()
+        assert len(covers) == 48
+        for cover in covers:
+            gens = [Bidegree(w, 0) for w in cover.weights]
+            if cover.structure == "pfaffian":
+                e = sum(cover.weights) - 1
+                numerator = BigradedSeries.one(1, trunc)
+                for d in cover.degrees:
+                    numerator = numerator - BigradedSeries.monomial(1, trunc, Bidegree(d, 0))
+                    numerator = numerator + BigradedSeries.monomial(1, trunc, Bidegree(e - d, 0))
+                numerator = numerator - BigradedSeries.monomial(1, trunc, Bidegree(e, 0))
+                expected = numerator * presentation_series(gens, (), 1, trunc)
+                assert pfaffian_series(cover.weights, cover.degrees, trunc) == expected
+            else:
+                rels = [Bidegree(d, 0) for d in cover.degrees]
+                expected = presentation_series(gens, rels, 1, trunc)
+                assert wci_series(cover.weights, cover.degrees, trunc) == expected

@@ -1,10 +1,12 @@
 """Tests for cover matching and the quotient search pipeline."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
-from fano_enriques.errors import CatalogError, InconsistentDataError
+from fano_enriques.catalog import bundled_catalog, bundled_json
+from fano_enriques.errors import CatalogError, InconsistentDataError, OutOfRangeError
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import Presentation
 from fano_enriques.hilbert import FanoEnriquesData
@@ -109,6 +111,14 @@ class TestCoverRecord:
             structure="pfaffian",
         )
         assert any("needs 5 degrees" in p for p in rec.validate())
+
+    def test_validate_pfaffian_degree_beyond_e(self):
+        # degrees sum to 2e = 16, but 12 > e would give a negative syzygy degree
+        rec = CoverRecord(
+            "bad", (1, 1, 1, 1, 1, 1, 3), (1, 1, 1, 1, 12), Basket(), Rational(1),
+            structure="pfaffian",
+        )
+        assert any("incompatible with weights" in p for p in rec.validate())
 
     def test_construction_guards(self):
         with pytest.raises(CatalogError):
@@ -252,3 +262,69 @@ class TestSearch:
     def test_search_result_container(self):
         res = SearchResult()
         assert res.clean() == [] and res.special() == [] and res.rejections == []
+
+
+def fresh(record):
+    """The same record with an empty series memo."""
+    return CoverRecord.from_json(record.to_json())
+
+
+class TestSeriesMemo:
+    def test_validate_fills_memo_per_truncation(self):
+        rec = fresh(Y8)
+        assert rec._altinok == {}
+        assert rec.validate(12) == []
+        assert set(rec._altinok) == {12}
+        first = rec._altinok[12]
+        assert rec.validate(12) == [] and rec._altinok[12] is first
+        assert rec.validate(20) == []
+        assert set(rec._altinok) == {12, 20}
+
+    def test_memo_is_not_part_of_the_value(self):
+        warm, cold = fresh(STANDIN), fresh(STANDIN)
+        warm.validate(24)
+        assert warm._altinok and not cold._altinok
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) and "_altinok" not in repr(warm)
+        assert warm.to_json() == cold.to_json()
+
+    def test_new_records_start_empty(self):
+        rec = fresh(Y5)
+        rec.validate(24)
+        replaced = dataclasses.replace(rec, basket=Basket.parse("1/2(1,1,1)"))
+        assert replaced._altinok == {} and replaced._altinok is not rec._altinok
+        assert CoverRecord.from_json(rec.to_json())._altinok == {}
+        # five half-points still pass parity with -K^3 = 5/2, so only the
+        # series can tell the replaced basket apart from the old one
+        other = dataclasses.replace(rec, basket=Basket.parse("5x1/2(1,1,1)"))
+        assert other.validate(24) != []
+
+    def test_search_same_with_memo_cold_warm_and_other_truncation(self):
+        def run(catalog):
+            res = search(catalog, rs=(2, 3, 5), trunc=24, max_degree=24)
+            return (
+                [c.to_json() for c in res],
+                [r.to_json() for r in res.rejections],
+            )
+
+        entries = bundled_json("covers_codim1.json")["entries"]
+        cold = [CoverRecord.from_json(e) for e in entries]
+        expected = run(cold)
+        assert all(set(rec._altinok) == {24} for rec in cold if rec._altinok)
+        assert any(rec._altinok for rec in cold)
+        assert run(cold) == expected
+        assert run(bundled_catalog("covers_codim1.json", trunc=24)) == expected
+        # the CLI validates at min(trunc, 20) and then searches at 24
+        assert run(bundled_catalog("covers_codim1.json", trunc=20)) == expected
+
+
+class TestNegativeSizes:
+    def test_search_negative_max_degree(self):
+        catalog = bundled_catalog("covers_codim1.json")
+        with pytest.raises(OutOfRangeError, match="max_degree must be >= 0"):
+            search(catalog, rs=[5], max_degree=-1)
+
+    def test_search_negative_truncation(self):
+        with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
+            search([Y4], rs=[5], trunc=-1)
