@@ -20,7 +20,7 @@ from fano_enriques.catalog import (
     bundled_json,
 )
 from fano_enriques.enumeration import enumerate_bt
-from fano_enriques.exact import format_rational
+from fano_enriques.exact import format_rational, parse_rational
 from fano_enriques.hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from fano_enriques.orbifold import Basket
 from fano_enriques.quotient import search
@@ -104,7 +104,7 @@ def show_series():
     rule("Worked series examples")
     basket = Basket.from_json(plain["basket"])
     series = altinok_series(
-        FanoData(_rat(plain["minusK3"]), basket), len(plain["coeffs"]) - 1
+        FanoData(parse_rational(plain["minusK3"]), basket), len(plain["coeffs"]) - 1
     )
     got = [format_rational(c) for c in series.component(0)]
     if got != plain["coeffs"]:
@@ -126,12 +126,6 @@ def show_series():
     for i, row in enumerate(tw["components"]):
         print(f"  component {i}: {', '.join(row)}")
     print(f"  peel {tw['peel']} -> numerator {_poly(tw['peeled'], bigraded=True)}")
-
-
-def _rat(text):
-    from fano_enriques.exact import parse_rational
-
-    return parse_rational(text)
 
 
 def _poly(coeffs: dict, bigraded: bool) -> str:

@@ -48,7 +48,7 @@ from .orbifold import (
     preimage_singularity,
     terminal_sum,
 )
-from .series import Bidegree, BigradedSeries, geometric_factor, one_minus
+from .series import Bidegree, BigradedSeries
 from .hilbert import (
     FanoData,
     FanoEnriquesData,

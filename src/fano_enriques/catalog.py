@@ -188,31 +188,18 @@ def _verify_quotients(golden_name: str, strict_chi: bool = False) -> list[str]:
     )
 
     problems = []
-    computed_clean = sorted(_row_key(_candidate_row(c)) for c in result.clean())
-    expected_clean = sorted(_row_key(row) for row in golden["rows"])
-    if computed_clean != expected_clean:
-        missing = [k for k in expected_clean if k not in computed_clean]
-        extra = [k for k in computed_clean if k not in expected_clean]
-        for k in missing:
-            problems.append(f"{golden_name}: missing expected row {k[0]} r={k[1]}")
-        for k in extra:
-            problems.append(f"{golden_name}: unexpected row {k[0]} r={k[1]}")
-
-    computed_special = sorted(_row_key(_candidate_row(c)) for c in result.special())
-    expected_special = sorted(
-        _row_key(row) for row in golden.get("special_cases", [])
-    )
-    if computed_special != expected_special:
-        missing = [k for k in expected_special if k not in computed_special]
-        extra = [k for k in computed_special if k not in expected_special]
-        for k in missing:
-            problems.append(
-                f"{golden_name}: missing special case {k[0]} r={k[1]}"
-            )
-        for k in extra:
-            problems.append(
-                f"{golden_name}: unexpected special case {k[0]} r={k[1]}"
-            )
+    for missing, kind, computed, expected in (
+        ("expected row", "row", result.clean(), golden["rows"]),
+        ("special case", "special case", result.special(), golden.get("special_cases", [])),
+    ):
+        got = sorted(_row_key(_candidate_row(c)) for c in computed)
+        want = sorted(_row_key(row) for row in expected)
+        for k in want:
+            if k not in got:
+                problems.append(f"{golden_name}: missing {missing} {k[0]} r={k[1]}")
+        for k in got:
+            if k not in want:
+                problems.append(f"{golden_name}: unexpected {kind} {k[0]} r={k[1]}")
 
     clean_covers = {c.cover.name for c in result.clean()}
     reasons_by_cover: dict[str, set] = {}

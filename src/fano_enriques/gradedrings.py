@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import InconsistentDataError, InferenceFailureError
 from .exact import is_integer, nonnegative
-from .series import Bidegree, BigradedSeries, geometric_factor, one_minus
+from .series import Bidegree, BigradedSeries
 
 __all__ = [
     "Presentation",
@@ -164,10 +164,9 @@ def infer_presentation(s: BigradedSeries, max_degree: int = 24) -> Presentation:
             if d.n in rel_t_degrees:
                 return Presentation(tuple(generators), tuple(relations), "special")
             gen_t_degrees.add(d.n)
-            factor = one_minus(s.r, s.trunc, d)
             for _ in range(c):
-                working = working * factor
-                numerator = numerator * factor
+                working = working.peel(d)
+                numerator = numerator.peel(d)
         else:
             relations.extend([d] * (-c))
             if d.n in gen_t_degrees:
@@ -197,11 +196,14 @@ def presentation_series(
     r: int,
     trunc: int = 20,
 ) -> BigradedSeries:
-    """The Hilbert series a presentation would have: prod(1 - e^s t^d) over
-    relations times the geometric factor of every generator."""
+    """The Hilbert series a presentation would have,
+    prod(1 - e^s t^d) over relations / prod(1 - e^i t^n) over generators:
+    each relation peeled from 1, then each generator divided out, every
+    step one O(rN) binomial shift.  A bidegree of t-degree 0 raises
+    NonInvertibleFactorError."""
     total = BigradedSeries.one(r, nonnegative("trunc", trunc))
     for q in relations:
-        total = total * one_minus(r, trunc, q)
+        total = total.peel(q)
     for g in generators:
-        total = total * geometric_factor(g, r, trunc)
+        total = total.divide_factor(g)
     return total

@@ -18,8 +18,8 @@ Three series builders live here:
 * torsion_delta_* -- the per-component correction h^0(-nK + i*sigma) -
   h^0(-nK) coming from a torsion divisor sigma marked into the basket.
   The per-n formula is authoritative; an equivalent closed form is built
-  alongside and the two are reconciled, as a guard against sign slips in
-  either route.
+  alongside (by the same O(N) divisions) and the two are reconciled, as a
+  guard against sign slips in either route.
 
 * wci_series / pfaffian_series -- independent oracles for covers: the
   Hilbert series a weighted complete intersection (or codimension-3
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .exact import Rational, format_rational, is_integer, nonnegative, parse_rational, residue
 from .orbifold import Basket, MarkedSingularity, SingularityType, inverse_weight
-from .series import Bidegree, BigradedSeries, Scalar, geometric_factor
+from .series import Bidegree, BigradedSeries, Scalar
 
 __all__ = [
     "FanoData",
@@ -225,11 +225,11 @@ def torsion_delta_series(bt: Basket, i: int, trunc: int = 20) -> BigradedSeries:
         sum_Q [ A_Q/(1-t) - (sum_{j<r_Q} T_Q(j) t^j) / (1-t^{r_Q}) ]
 
     with A_Q = (r_Q - l')(r_Q^2 - 1)/(12 r_Q) and T_Q(j) the window sum of
-    the local kernel, and from the per-n formula directly.  The two must
-    agree; a mismatch is an engine bug, not a data problem.
+    the local kernel, each summand one O(N) division of its numerator
+    (_divided), and from the per-n formula directly.  The two must agree;
+    a mismatch is an engine bug, not a data problem.
     """
     m = nonnegative("trunc", trunc)
-    geom1 = geometric_factor(Bidegree(1, 0), 1, m)
     closed = BigradedSeries.zero(1, m)
     for entry in bt:
         r = entry.type.r
@@ -238,16 +238,14 @@ def torsion_delta_series(bt: Basket, i: int, trunc: int = 20) -> BigradedSeries:
             continue
         b = inverse_weight(entry.type)
         a_q = Rational((r - lp) * (r * r - 1), 12 * r)
-        window = [Rational(0)] * (m + 1)
-        for j in range(min(r, m + 1)):
-            window[j] = sum(
+        window = [
+            sum(
                 (_local_weight(r, b, k) for k in range(j + 1, j + r - lp + 1)),
                 Rational(0),
             )
-        closed = closed + geom1 * a_q
-        closed = closed - BigradedSeries(1, [window]) * geometric_factor(
-            Bidegree(r, 0), 1, m
-        )
+            for j in range(r)
+        ]
+        closed = closed + _divided([a_q], m, 1) - _divided(window, m, r)
 
     oracle = BigradedSeries(
         1, [[torsion_delta_at(bt, i, n) for n in range(m + 1)]]

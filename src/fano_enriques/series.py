@@ -6,6 +6,12 @@ the e-variable is exact (exponents live in Z/r).  With r = 1 this is an
 ordinary truncated series, which is how the single-graded formulas are
 represented throughout.
 
+Every series the engine handles is a polynomial over a product of
+binomials (1 - e^i t^n), so the container has exactly two ring operations
+beyond + and -: peel multiplies by such a binomial and divide_factor
+divides by one, each an O(rN) shift over the rows.  There is no general
+product.
+
 Coefficients are exact rationals: Hilbert series of actual varieties have
 nonnegative integer entries, but the orbifold correction terms that build
 them do not, so integrality is asserted by callers where it is a theorem,
@@ -25,7 +31,7 @@ from .errors import (
 )
 from .exact import Rational, format_rational, parse_rational
 
-__all__ = ["Bidegree", "BigradedSeries", "geometric_factor", "one_minus"]
+__all__ = ["Bidegree", "BigradedSeries"]
 
 Scalar = Union[int, Rational]
 
@@ -105,12 +111,6 @@ class BigradedSeries:
         """Coefficient row of e^i."""
         return self.coeffs[i % self.r]
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for row in self.coeffs for c in row)
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for row in self.coeffs for c in row)
-
     def __eq__(self, other):
         return (
             isinstance(other, BigradedSeries)
@@ -176,36 +176,6 @@ class BigradedSeries:
             self.r, [[-c for c in row] for row in self.coeffs]
         )
 
-    def scale(self, c: Scalar) -> "BigradedSeries":
-        q = Rational(c)
-        return BigradedSeries(
-            self.r, [[q * v for v in row] for row in self.coeffs]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Rational)):
-            return self.scale(other)
-        self._check_compatible(other)
-        n = min(self.trunc, other.trunc)
-        r = self.r
-        rows = [[Rational(0)] * (n + 1) for _ in range(r)]
-        for i in range(r):
-            row_a = self.coeffs[i]
-            for m in range(n + 1):
-                a = row_a[m]
-                if a == 0:
-                    continue
-                for j in range(r):
-                    row_b = other.coeffs[j]
-                    out = rows[(i + j) % r]
-                    for k in range(n + 1 - m):
-                        b = row_b[k]
-                        if b:
-                            out[m + k] += a * b
-        return BigradedSeries(r, rows)
-
-    __rmul__ = __mul__
-
     def truncate(self, trunc: int) -> "BigradedSeries":
         if trunc > self.trunc:
             raise IncompatibleSeriesError(
@@ -221,16 +191,28 @@ class BigradedSeries:
               for n in range(self.trunc + 1)]],
         )
 
-    # -- the operations driving inference -------------------------------
+    # -- the two binomial operations ------------------------------------
 
     def peel(self, d: Bidegree) -> "BigradedSeries":
-        """Multiply by 1 - e^i t^n, cancelling a generator of bidegree d."""
+        """Multiply by 1 - e^i t^n, cancelling a generator of bidegree d.
+
+        out[k][m] = a[k][m] - a[k - i][m - n], reading the old rows.
+        """
         if d.n < 1:
             raise NonInvertibleFactorError("peel factor needs t-degree >= 1")
-        return self * one_minus(self.r, self.trunc, d)
+        r, nn, i = self.r, d.n, d.i % self.r
+        rows = [list(row) for row in self.coeffs]
+        for m in range(nn, self.trunc + 1):
+            for k in range(r):
+                rows[k][m] -= self.coeffs[(k - i) % r][m - nn]
+        return BigradedSeries(r, rows)
 
     def divide_factor(self, d: Bidegree) -> "BigradedSeries":
-        """Divide by 1 - e^i t^n (exact in the truncated ring)."""
+        """Divide by 1 - e^i t^n (exact in the truncated ring).
+
+        out[k][m] = a[k][m] + out[k - i][m - n], reading the rows being
+        built: the mirror image of peel.
+        """
         if d.n < 1:
             raise NonInvertibleFactorError("division factor needs t-degree >= 1")
         r, nn, i = self.r, d.n, d.i % self.r
@@ -287,19 +269,3 @@ class BigradedSeries:
             raise IncompatibleSeriesError("declared truncation does not match rows")
         return series
 
-
-def one_minus(r: int, trunc: int, d: Bidegree) -> BigradedSeries:
-    """The binomial 1 - e^i t^n as a truncated series."""
-    return BigradedSeries.one(r, trunc) - BigradedSeries.monomial(r, trunc, d)
-
-
-def geometric_factor(d: Bidegree, r: int, trunc: int) -> BigradedSeries:
-    """1/(1 - e^i t^n) = sum_k e^(k*i mod r) t^(k*n), truncated."""
-    if d.n < 1:
-        raise NonInvertibleFactorError("geometric factor needs t-degree >= 1")
-    rows = [[Rational(0)] * (trunc + 1) for _ in range(r)]
-    k = 0
-    while k * d.n <= trunc:
-        rows[(k * d.i) % r][k * d.n] += 1
-        k += 1
-    return BigradedSeries(r, rows)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fano_enriques import catalog
 from fano_enriques.catalog import (
     FORMAT_VERSION,
     GOLDEN_FILES,
@@ -166,3 +167,33 @@ class TestRowKeys:
         row = self._row()
         flagged = dict(row, flags=["cross-codimension"])
         assert _row_key(flagged) != _row_key(row)
+
+
+class TestGoldenComparison:
+    def test_reports_every_kind_of_mismatch(self, monkeypatch):
+        # a codim-3 golden that swaps its first clean row and its special
+        # case for invented ones and names the dropped row's cover as a
+        # decoy: each comparison reports both directions
+        real = catalog.bundled_json
+        golden = real("quotients_codim3.json")
+        dropped, special = golden["rows"][0], golden["special_cases"][0]
+        invented_row = dict(dropped, cover="Y_{row} in P(1,1,1,1,1,1,1)")
+        invented_special = dict(special, cover="Y_{special} in P(1,1,1,1,1,1,1)", r=7)
+        tampered = dict(
+            golden,
+            rows=golden["rows"][1:] + [invented_row],
+            special_cases=[invented_special],
+            decoys=golden["decoys"] + [{"cover": dropped["cover"], "reasons": []}],
+        )
+        monkeypatch.setattr(
+            catalog,
+            "bundled_json",
+            lambda name: tampered if name == "quotients_codim3.json" else real(name),
+        )
+        assert catalog._verify_quotients("quotients_codim3.json") == [
+            "quotients_codim3.json: missing expected row Y_{row} in P(1,1,1,1,1,1,1) r=2",
+            "quotients_codim3.json: unexpected row Y_{2,2,2} in P(1,1,1,1,1,1,1) r=2",
+            "quotients_codim3.json: missing special case Y_{special} in P(1,1,1,1,1,1,1) r=7",
+            f"quotients_codim3.json: unexpected special case {special['cover']} r={special['r']}",
+            "quotients_codim3.json: decoy Y_{2,2,2} in P(1,1,1,1,1,1,1) produced a clean row",
+        ]

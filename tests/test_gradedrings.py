@@ -2,7 +2,13 @@
 
 import pytest
 
-from fano_enriques.errors import InconsistentDataError, InferenceFailureError, OutOfRangeError
+from fano_enriques.catalog import GOLDEN_FILES, bundled_json
+from fano_enriques.errors import (
+    InconsistentDataError,
+    InferenceFailureError,
+    NonInvertibleFactorError,
+    OutOfRangeError,
+)
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import (
     Presentation,
@@ -20,6 +26,7 @@ from fano_enriques.hilbert import (
 )
 from fano_enriques.orbifold import Basket
 from fano_enriques.series import Bidegree, BigradedSeries
+from oracle import presentation
 
 
 def bd(pairs):
@@ -140,6 +147,29 @@ class TestRoundTrip:
     def test_presentation_series_negative_truncation(self):
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
             presentation_series(bd([(1, 0)] * 5), bd([(4, 0)]), 1, -1)
+
+    def test_presentation_series_rejects_degree_zero_factors(self):
+        with pytest.raises(NonInvertibleFactorError):
+            presentation_series(bd([(1, 0)] * 5), bd([(0, 1)]), 2, 10)
+        with pytest.raises(NonInvertibleFactorError):
+            presentation_series(bd([(0, 1)]), (), 2, 10)
+
+    GOLDEN_ROWS = [
+        row
+        for name in GOLDEN_FILES
+        for row in bundled_json(name)["rows"] + bundled_json(name)["special_cases"]
+    ]
+
+    @pytest.mark.parametrize("trunc", (24, 48))
+    def test_presentation_series_matches_product_oracle(self, trunc):
+        # one peel per relation and one division per generator against the
+        # naive product of binomials and geometric series
+        assert len(self.GOLDEN_ROWS) == 64
+        for row in self.GOLDEN_ROWS:
+            gens = [Bidegree(n, i) for n, i in row["generators"]]
+            rels = [Bidegree(n, i) for n, i in row["relations"]]
+            expected = presentation(gens, rels, row["r"], trunc)
+            assert presentation_series(gens, rels, row["r"], trunc) == expected
 
     def test_infer_negative_max_degree(self):
         series = presentation_series(bd([(1, 0)] * 5), bd([(4, 0)]), 1, 10)

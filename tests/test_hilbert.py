@@ -18,7 +18,6 @@ from fano_enriques.errors import (
     OutOfRangeError,
 )
 from fano_enriques.exact import Rational
-from fano_enriques.gradedrings import presentation_series
 from fano_enriques.hilbert import (
     FanoData,
     FanoEnriquesData,
@@ -32,7 +31,8 @@ from fano_enriques.hilbert import (
 )
 from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType, inverse_weight
 from fano_enriques.quotient import CoverRecord
-from fano_enriques.series import Bidegree, BigradedSeries, geometric_factor, one_minus
+from fano_enriques.series import Bidegree, BigradedSeries
+from oracle import binomial, geometric, presentation, product
 
 ORACLE_TRUNCS = (0, 1, 2, 24, 72)
 
@@ -42,28 +42,30 @@ def mk(r, a, l=0):
 
 
 def altinok_by_products(data, trunc):
-    """Altinok's formula expanded through geometric_factor and the general
-    product, with no integrality check: the route the builder used to take,
-    kept as an independent oracle for the division route."""
+    """Altinok's formula expanded through geometric series and the naive
+    product of tests/oracle.py, with no integrality check: the route the
+    builder used to take, kept as an independent oracle for the division
+    route."""
     n = trunc
     t = BigradedSeries.monomial(1, n, Bidegree(1, 0))
     t2 = BigradedSeries.monomial(1, n, Bidegree(2, 0))
-    geom1 = geometric_factor(Bidegree(1, 0), 1, n)
-    geom1_sq = geom1 * geom1
+    geom1 = geometric(Bidegree(1, 0), 1, n)
+    geom1_sq = product(geom1, geom1)
+    half_k = BigradedSeries(1, [[data.minus_k_cubed / 2] + [0] * n])
 
-    total = (BigradedSeries.one(1, n) + t) * geom1_sq
-    total = total + (t + t2) * geom1_sq * geom1_sq * (data.minus_k_cubed / 2)
+    total = product(BigradedSeries.one(1, n) + t, geom1_sq)
+    total = total + product(product(product(t + t2, geom1_sq), geom1_sq), half_k)
     for entry, mult in data.basket.counts().items():
         r = entry.type.r
         b = inverse_weight(entry.type)
         poly = [Rational(0)] * (n + 1)
         for i in range(1, min(r, n + 1)):
             bi = (b * i) % r
-            poly[i] = Rational(bi * (r - bi), 2 * r)
-        correction = (
-            BigradedSeries(1, [poly]) * geom1 * geometric_factor(Bidegree(r, 0), 1, n)
+            poly[i] = mult * Rational(bi * (r - bi), 2 * r)
+        correction = product(
+            product(BigradedSeries(1, [poly]), geom1), geometric(Bidegree(r, 0), 1, n)
         )
-        total = total - correction * mult
+        total = total - correction
     return total
 
 
@@ -290,7 +292,7 @@ class TestBigradedSeries:
         residual = fe
         for d in (Bidegree(1, 0), Bidegree(1, 1), Bidegree(1, 3), Bidegree(1, 4), Bidegree(2, 2)):
             residual = residual.peel(d)
-        assert residual == one_minus(5, 9, Bidegree(5, 0))
+        assert residual == binomial(5, 9, Bidegree(5, 0))
 
     def test_rejects_data_without_torsion_divisor(self):
         # four marked half-points pass parity with -K^3 = 2 but give
@@ -346,8 +348,8 @@ class TestModelOracles:
     @pytest.mark.parametrize("trunc", ORACLE_TRUNCS)
     def test_bundled_covers_match_product_route(self, trunc):
         # the builders divide one integer numerator by (1 - t^w); the
-        # oracle expands the same series through presentation_series,
-        # which multiplies geometric factors with the general product
+        # oracle multiplies the same numerator by the geometric series of
+        # every weight with the naive product of tests/oracle.py
         covers = bundled_covers()
         assert len(covers) == 48
         for cover in covers:
@@ -359,9 +361,9 @@ class TestModelOracles:
                     numerator = numerator - BigradedSeries.monomial(1, trunc, Bidegree(d, 0))
                     numerator = numerator + BigradedSeries.monomial(1, trunc, Bidegree(e - d, 0))
                 numerator = numerator - BigradedSeries.monomial(1, trunc, Bidegree(e, 0))
-                expected = numerator * presentation_series(gens, (), 1, trunc)
+                expected = product(numerator, presentation(gens, (), 1, trunc))
                 assert pfaffian_series(cover.weights, cover.degrees, trunc) == expected
             else:
                 rels = [Bidegree(d, 0) for d in cover.degrees]
-                expected = presentation_series(gens, rels, 1, trunc)
+                expected = presentation(gens, rels, 1, trunc)
                 assert wci_series(cover.weights, cover.degrees, trunc) == expected

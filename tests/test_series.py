@@ -10,19 +10,22 @@ from fano_enriques.errors import (
     UnnormalizedResidualError,
 )
 from fano_enriques.exact import Rational
-from fano_enriques.series import Bidegree, BigradedSeries, geometric_factor, one_minus
+from fano_enriques.series import Bidegree, BigradedSeries
+from oracle import binomial, geometric, product
+
+
+def series_of_modulus(r, max_trunc=8):
+    return st.integers(0, max_trunc).flatmap(
+        lambda t: st.lists(
+            st.lists(st.integers(-5, 5), min_size=t + 1, max_size=t + 1),
+            min_size=r,
+            max_size=r,
+        ).map(lambda rows: BigradedSeries(r, rows))
+    )
 
 
 def series_strategy(max_r=4, max_trunc=8):
-    return st.integers(1, max_r).flatmap(
-        lambda r: st.integers(0, max_trunc).flatmap(
-            lambda t: st.lists(
-                st.lists(st.integers(-5, 5), min_size=t + 1, max_size=t + 1),
-                min_size=r,
-                max_size=r,
-            ).map(lambda rows: BigradedSeries(r, rows))
-        )
-    )
+    return st.integers(1, max_r).flatmap(lambda r: series_of_modulus(r, max_trunc))
 
 
 class TestBidegree:
@@ -82,23 +85,6 @@ class TestArithmetic:
         assert (a - b).component(0) == (1, 1, 2)
         assert (-a).component(0) == (-1, -2, -3)
 
-    def test_mul_truncates_to_shorter_operand(self):
-        a = BigradedSeries.from_coefficients([1, 1, 1, 1])
-        b = BigradedSeries.from_coefficients([1, 1])
-        assert (a * b).trunc == 1
-        assert (a * b).component(0) == (1, 2)
-
-    def test_mul_twists_e_grading(self):
-        x = BigradedSeries.monomial(3, 4, Bidegree(1, 1))
-        y = BigradedSeries.monomial(3, 4, Bidegree(1, 2))
-        assert (x * y).coefficient(2, 0) == 1  # e * e^2 = e^3 = 1
-        assert (x * x).coefficient(2, 2) == 1
-
-    def test_scalar_multiplication(self):
-        s = BigradedSeries.from_coefficients([1, 2])
-        assert (s * 3).component(0) == (3, 6)
-        assert (Rational(1, 2) * s).component(0) == (Rational(1, 2), 1)
-
     def test_incompatible_moduli(self):
         with pytest.raises(IncompatibleSeriesError):
             BigradedSeries.one(2, 3) + BigradedSeries.one(3, 3)
@@ -118,7 +104,7 @@ class TestArithmetic:
 
 class TestPeelAndDivide:
     def test_peel_is_multiplication_by_binomial(self):
-        s = geometric_factor(Bidegree(1, 0), 1, 6)
+        s = geometric(Bidegree(1, 0), 1, 6)
         assert s.peel(Bidegree(1, 0)) == BigradedSeries.one(1, 6)
 
     def test_divide_inverts_peel(self):
@@ -133,8 +119,6 @@ class TestPeelAndDivide:
             s.peel(Bidegree(0, 1))
         with pytest.raises(NonInvertibleFactorError):
             s.divide_factor(Bidegree(0, 0))
-        with pytest.raises(NonInvertibleFactorError):
-            geometric_factor(Bidegree(0, 1), 2, 3)
 
     @settings(max_examples=60)
     @given(series_strategy(), st.integers(1, 3), st.integers(0, 3))
@@ -143,11 +127,22 @@ class TestPeelAndDivide:
         assert s.peel(d).divide_factor(d) == s
         assert s.divide_factor(d).peel(d) == s
 
-    def test_geometric_factor_matches_division(self):
-        d = Bidegree(2, 1)
-        lhs = geometric_factor(d, 3, 9)
-        rhs = BigradedSeries.one(3, 9).divide_factor(d)
-        assert lhs == rhs
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.tuples(
+                series_of_modulus(r, max_trunc=12),
+                st.integers(1, 15),
+                st.integers(0, 2 * r),
+            )
+        )
+    )
+    def test_peel_matches_product_with_binomial(self, packed):
+        # the O(rN) shift against the naive product, including factors
+        # beyond the truncation (n > trunc) and e-degrees i >= r
+        s, n, i = packed
+        d = Bidegree(n, i)
+        assert s.peel(d) == product(s, binomial(s.r, s.trunc, d))
 
 
 class TestFirstDeviation:
