@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate every bundled fixture under src/fano_enriques/data/.
 
-All golden content is recomputed through the public API and cross-checked
-against the curated annotations below (expected torsion data, generator and
-relation bidegrees, rejection reasons) before anything is written.  The
-script exits nonzero on the first inconsistency, so a successful run means
-the shipped fixtures and the engine agree.
+All golden content is recomputed by the same routes that
+`fano_enriques.catalog.verify_fixtures` uses (the census, the worked
+series examples, the quotient search and its rejection reasons) and
+cross-checked against the curated annotations below (expected torsion
+data, generator and relation bidegrees, series coefficients) before
+anything is written.  The script exits nonzero on the first
+inconsistency, so a successful run means the shipped fixtures and the
+engine agree.  It writes into the data directory of the checkout it sits
+in, even when the package is installed elsewhere.
 
 Run from the repository root:
 
@@ -23,26 +27,32 @@ from pathlib import Path
 from fano_enriques.catalog import (
     FORMAT_VERSION,
     _candidate_row,
-    _data_root,
+    _census_baskets,
+    _reasons_by_cover,
+    _worked_example,
+    save_catalog,
     verify_fixtures,
 )
-from fano_enriques.enumeration import BtCandidate, MAX_TORSION, canonicalize, enumerate_bt
-from fano_enriques.exact import format_rational, units
-from fano_enriques.hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
+from fano_enriques.enumeration import BtCandidate, MAX_TORSION, canonicalize
+from fano_enriques.exact import format_rational, parse_rational, units
+from fano_enriques.hilbert import FanoData, FanoEnriquesData
 from fano_enriques.orbifold import Basket
 from fano_enriques.quotient import CROSS_CODIMENSION, CoverRecord, forced_preimage, search
-from fano_enriques.series import Bidegree
 
-DATA_DIR = Path(str(_data_root()))
+# the checkout's data directory, wherever the package itself is installed
+DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "fano_enriques" / "data"
 
 TRUNC = 24
 MAX_DEGREE = 24
 
 
 # --------------------------------------------------------------------------
-# Admissible torsion baskets, keyed by "r.k" with k the position in the
-# canonical enumeration order for that r.  These are transcribed curated
-# values; the builder asserts they coincide exactly with enumerate_bt().
+# Admissible torsion baskets, transcribed from the source and keyed by
+# labels "r.k" that only the ROWS_* annotations below refer to; k is not the
+# position in the enumeration order (BT["2.1"] is the tenth basket of order
+# 2).  The builder asserts that they coincide exactly with the enumeration.
+# The census table printed by `fano-enriques verify-fixtures` numbers
+# baskets by enumeration position instead.
 # --------------------------------------------------------------------------
 
 BT = {
@@ -90,8 +100,7 @@ BT = {
 
 def bt_candidate(label: str) -> BtCandidate:
     r, text = BT[label]
-    basket = Basket.parse(text)
-    return canonicalize(BtCandidate(r=r, entries=tuple(basket)))
+    return canonicalize(BtCandidate(r, Basket.parse(text)))
 
 
 # --------------------------------------------------------------------------
@@ -604,10 +613,6 @@ def fail(msg: str):
     sys.exit(1)
 
 
-def parse_basket(text: str) -> Basket:
-    return Basket.parse(text) if text else Basket(())
-
-
 def basket_key(basket: Basket) -> tuple:
     return tuple(sorted(tuple(sorted(e.items())) for e in basket.to_json()))
 
@@ -636,7 +641,7 @@ def make_records(entries) -> list[CoverRecord]:
             name=name,
             weights=tuple(w),
             degrees=tuple(d),
-            basket=parse_basket(basket),
+            basket=Basket.parse(basket),
             minus_k_cubed=Fraction(k3),
             structure=structure,
             notes=notes,
@@ -651,9 +656,7 @@ def make_records(entries) -> list[CoverRecord]:
 def check_row_arithmetic(rec: CoverRecord, r, btc, be, kx):
     """The quotient numerics a row claims must be forced by the cover."""
     need = forced_preimage(Basket(btc.entries), r)
-    have = Counter()
-    for entry, mult in rec.basket.counts().items():
-        have[entry.type] += mult
+    have = Counter(rec.basket.types())
     residual = have - need
     for s, m in need.items():
         if have.get(s, 0) < m:
@@ -663,10 +666,7 @@ def check_row_arithmetic(rec: CoverRecord, r, btc, be, kx):
         if m % r:
             fail(f"{rec.name}: residual {m} x {s} not divisible by r={r}")
         split[s] = m // r
-    want_be = Counter()
-    for entry, mult in be.counts().items():
-        want_be[entry.type] += mult
-    if split != want_be:
+    if split != Counter(be.types()):
         fail(f"{rec.name}: be should be {sorted(split.items())}")
     if kx * r != rec.minus_k_cubed:
         fail(f"{rec.name}: kx {kx} is not -K^3/{r}")
@@ -688,10 +688,7 @@ def build_quotients(covers, decoys, rows, specials_extra, covers_name, golden_na
         by_key[key] = c
 
     rows_out, specials_out, matched = [], [], set()
-    annotations = [
-        (label, cover, r, btkey, be, kx, gens, rels, status, flags, notes)
-        for (label, cover, r, btkey, be, kx, gens, rels, status, flags, notes) in rows
-    ] + [
+    annotations = list(rows) + [
         (None, cover, r, btkey, be, kx, gens, rels, "special",
          (CROSS_CODIMENSION,), note)
         for (cover, r, btkey, be, kx, gens, rels, note) in specials_extra
@@ -704,7 +701,7 @@ def build_quotients(covers, decoys, rows, specials_extra, covers_name, golden_na
         btc = bt_candidate(btkey)
         if btc.r != r:
             fail(f"{tag}: bt key {btkey} has order {btc.r}, row says {r}")
-        be = parse_basket(be_str)
+        be = Basket.parse(be_str)
         kx = Fraction(kx_str)
         check_row_arithmetic(by_name[cover], r, btc, be, kx)
 
@@ -750,20 +747,17 @@ def build_quotients(covers, decoys, rows, specials_extra, covers_name, golden_na
         specials_out.append(row)
 
     clean_names = {c.cover.name for c in result.clean()}
+    reasons_by_cover = _reasons_by_cover(result)
     decoys_out = []
     for rec in decoys:
         if rec.name in clean_names:
             fail(f"{golden_name}: decoy {rec.name} produced a clean candidate")
-        reasons = sorted({rej.reason for rej in result.rejections
-                          if rej.cover == rec.name})
+        reasons = reasons_by_cover.get(rec.name)
         if not reasons:
             fail(f"{golden_name}: decoy {rec.name} was never rejected")
         decoys_out.append({"cover": rec.name, "reasons": reasons})
 
-    write_json(covers_name, {
-        "format_version": FORMAT_VERSION,
-        "entries": [rec.to_json() for rec in records],
-    })
+    save_catalog(records, DATA_DIR / covers_name)
     write_json(golden_name, {
         "format_version": FORMAT_VERSION,
         "catalog": covers_name,
@@ -773,94 +767,69 @@ def build_quotients(covers, decoys, rows, specials_extra, covers_name, golden_na
         "special_cases": specials_out,
         "decoys": decoys_out,
     })
-    n_clean = sum(1 for _ in result.clean())
-    print(f"  {golden_name}: {n_clean} clean rows, {len(specials_out)} special, "
+    print(f"  {golden_name}: {len(rows_out)} clean rows, {len(specials_out)} special, "
           f"{len(decoys_out)} decoys, {len(result.rejections)} rejections")
 
 
 def build_torsion():
-    golden = {}
-    transcribed = Counter(label.split(".")[0] for label in BT)
+    census = _census_baskets(MAX_TORSION)
+    transcribed = Counter(r for r, _ in BT.values())
     for r in range(2, MAX_TORSION + 1):
-        found = enumerate_bt(r)
-        if int(transcribed.get(str(r), 0)) != len(found):
-            fail(f"torsion: order {r} has {len(found)} baskets, transcription "
-                 f"lists {transcribed.get(str(r), 0)}")
-        if found:
-            golden[str(r)] = [list(c.entries.to_json()) for c in found]
+        found = len(census.get(str(r), []))
+        if transcribed[r] != found:
+            fail(f"torsion: order {r} has {found} baskets, transcription "
+                 f"lists {transcribed[r]}")
     want = {basket_key(Basket(bt_candidate(label).entries)) for label in BT}
     got = {
-        basket_key(Basket(c.entries))
-        for r in range(2, MAX_TORSION + 1)
-        for c in enumerate_bt(r)
+        basket_key(Basket.from_json(basket))
+        for baskets in census.values()
+        for basket in baskets
     }
     if want != got:
         fail("torsion: transcribed baskets differ from the enumeration")
     write_json("torsion_baskets.json", {
         "max_order": MAX_TORSION,
-        "baskets": golden,
+        "baskets": census,
     })
-    print(f"  torsion_baskets.json: {sum(len(v) for v in golden.values())} baskets")
+    print(f"  torsion_baskets.json: {sum(len(v) for v in census.values())} baskets")
 
 
 def build_series_examples():
     # hypersurface quotient pair: the bigraded components of the order-5
     # quotient must sum to the plain series of its cover, degree by degree
-    plain_data = FanoData(Fraction(5, 2), parse_basket("1/2(1,1,1)"))
-    plain = altinok_series(plain_data, 9)
-    if [int(c) for c in plain.component(0)] != [1, 4, 11, 24, 46, 79, 126, 189, 271, 374]:
-        fail("series examples: untwisted coefficients moved")
+    plain_data = FanoData(Fraction(5, 2), Basket.parse("1/2(1,1,1)"))
     peel_plain = [[1, 0], [1, 0], [1, 0], [1, 0], [2, 0]]
-    peeled = plain
-    for n, i in peel_plain:
-        peeled = peeled.peel(Bidegree(n, i))
-    peeled_map = {
-        str(m): format_rational(c)
-        for m, c in enumerate(peeled.component(0)) if c
-    }
-    if peeled_map != {"0": "1", "5": "-1"}:
-        fail(f"series examples: untwisted peel is not 1 - t^5 ({peeled_map})")
+    (coeffs,), peeled = _worked_example(plain_data, 9, peel_plain)
+    if coeffs != [str(c) for c in (1, 4, 11, 24, 46, 79, 126, 189, 271, 374)]:
+        fail("series examples: untwisted coefficients moved")
+    if peeled != {"0": "1", "5": "-1"}:
+        fail(f"series examples: untwisted peel is not 1 - t^5 ({peeled})")
 
-    fe = FanoEnriquesData(
-        5, Fraction(1, 2),
-        parse_basket("1/10(1,3,7)_6, 2x1/5(1,2,3)_1"),
-        Basket(()),
-    )
-    twisted = bigraded_series(fe, 9)
-    if [int(c) for c in twisted.component(0)] != [1, 1, 2, 5, 9, 16, 25, 38, 54, 74]:
+    fe = FanoEnriquesData(5, Fraction(1, 2), Basket.parse("1/10(1,3,7)_6, 2x1/5(1,2,3)_1"))
+    peel_twisted = [[1, 0], [1, 1], [1, 3], [1, 4], [2, 2]]
+    components, tpeeled = _worked_example(fe, 9, peel_twisted)
+    if components[0] != [str(c) for c in (1, 1, 2, 5, 9, 16, 25, 38, 54, 74)]:
         fail("series examples: bigraded component 0 moved")
     for m in range(10):
-        total = sum(twisted.coefficient(m, i) for i in range(5))
-        if total != plain.coefficient(m, 0):
+        total = sum(parse_rational(row[m]) for row in components)
+        if total != parse_rational(coeffs[m]):
             fail(f"series examples: component sum differs from cover at t^{m}")
-    peel_twisted = [[1, 0], [1, 1], [1, 3], [1, 4], [2, 2]]
-    tpeeled = twisted
-    for n, i in peel_twisted:
-        tpeeled = tpeeled.peel(Bidegree(n, i))
-    tpeeled_map = {}
-    for i in range(tpeeled.r):
-        for m, c in enumerate(tpeeled.component(i)):
-            if c:
-                tpeeled_map[f"{m},{i}"] = format_rational(c)
-    if tpeeled_map != {"0,0": "1", "5,0": "-1"}:
-        fail(f"series examples: bigraded peel is not 1 - t^5 ({tpeeled_map})")
+    if tpeeled != {"0,0": "1", "5,0": "-1"}:
+        fail(f"series examples: bigraded peel is not 1 - t^5 ({tpeeled})")
 
     write_json("series_examples.json", {
         "untwisted": {
             "minusK3": format_rational(plain_data.minus_k_cubed),
             "basket": plain_data.basket.to_json(),
-            "coeffs": [format_rational(c) for c in plain.component(0)],
+            "coeffs": coeffs,
             "peel": peel_plain,
-            "peeled": peeled_map,
+            "peeled": peeled,
         },
         "bigraded": {
             "data": fe.to_json(),
-            "components": [
-                [format_rational(c) for c in twisted.component(i)]
-                for i in range(twisted.r)
-            ],
+            "components": components,
             "peel": peel_twisted,
-            "peeled": tpeeled_map,
+            "peeled": tpeeled,
         },
     })
     print("  series_examples.json: written")

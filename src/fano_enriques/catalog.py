@@ -17,7 +17,8 @@ Bundled under data/:
   series_examples.json    frozen series values for the worked examples
 
 verify_fixtures() recomputes everything the goldens freeze and returns
-the list of mismatches (empty means all good).
+the list of mismatches (empty means all good).  scripts/build_catalogs.py
+writes the goldens through the same recomputation helpers and save_catalog.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def save_catalog(records: Sequence[CoverRecord], path: Union[str, Path]):
         "format_version": FORMAT_VERSION,
         "entries": [r.to_json() for r in records],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
 def _data_root():
@@ -150,17 +151,20 @@ def resolve_catalog(source: str, trunc: int = 20) -> list[CoverRecord]:
 # golden verification
 
 
+def _basket_key(basket: list) -> tuple:
+    return tuple(tuple(sorted(e.items())) for e in basket)
+
+
 def _row_key(obj: dict) -> tuple:
-    flags = tuple(sorted(obj.get("flags", ())))
     return (
         obj["cover"],
         obj["r"],
         obj["minusK3"],
-        tuple(tuple(sorted(e.items())) for e in obj["bt"]),
-        tuple(tuple(sorted(e.items())) for e in obj["be"]),
+        _basket_key(obj["bt"]),
+        _basket_key(obj["be"]),
         tuple(tuple(g) for g in obj["generators"]),
         tuple(tuple(q) for q in obj["relations"]),
-        flags,
+        tuple(sorted(obj.get("flags", ()))),
     )
 
 
@@ -175,6 +179,35 @@ def _candidate_row(c: QuotientCandidate) -> dict:
         "relations": [[q.n, q.i] for q in c.presentation.relations],
         "flags": sorted(c.diagnostics),
     }
+
+
+def _reasons_by_cover(result) -> dict[str, list[str]]:
+    """Each cover's distinct rejection reasons, sorted as decoys list them."""
+    reasons: dict[str, set] = {}
+    for rej in result.rejections:
+        reasons.setdefault(rej.cover, set()).add(rej.reason)
+    return {cover: sorted(seen) for cover, seen in reasons.items()}
+
+
+def _census_baskets(max_order: int) -> dict[str, list]:
+    """The census as torsion_baskets.json stores it: each order that has
+    baskets, mapped to them in enumeration order."""
+    found = {r: enumerate_bt(r) for r in range(2, max_order + 1)}
+    return {str(r): [c.entries.to_json() for c in cs] for r, cs in found.items() if cs}
+
+
+def _worked_example(data, trunc: int, peel) -> tuple[list, dict]:
+    """A worked series example of FanoData (r = 1) or FanoEnriquesData as
+    series_examples.json stores it: the component rows, and the nonzero
+    coefficients left after peeling each (n, i) in turn, keyed "m" or "m,i"."""
+    bigraded = isinstance(data, FanoEnriquesData)
+    series = (bigraded_series if bigraded else altinok_series)(data, trunc)
+    rows = [[format_rational(c) for c in series.component(i)] for i in range(series.r)]
+    for n, i in peel:
+        series = series.peel(Bidegree(n, i))
+    peeled = {(f"{m},{i}" if bigraded else str(m)): format_rational(c)
+              for i in range(series.r) for m, c in enumerate(series.component(i)) if c}
+    return rows, peeled
 
 
 def _verify_quotients(golden_name: str, strict_chi: bool = False) -> list[str]:
@@ -202,19 +235,17 @@ def _verify_quotients(golden_name: str, strict_chi: bool = False) -> list[str]:
                 problems.append(f"{golden_name}: unexpected {kind} {k[0]} r={k[1]}")
 
     clean_covers = {c.cover.name for c in result.clean()}
-    reasons_by_cover: dict[str, set] = {}
-    for rej in result.rejections:
-        reasons_by_cover.setdefault(rej.cover, set()).add(rej.reason)
+    reasons = _reasons_by_cover(result)
     for decoy in golden.get("decoys", []):
         name = decoy["cover"]
         if name in clean_covers:
             problems.append(f"{golden_name}: decoy {name} produced a clean row")
-        seen = reasons_by_cover.get(name, set())
+        seen = reasons.get(name, [])
         for reason in decoy.get("reasons", []):
             if reason not in seen:
                 problems.append(
                     f"{golden_name}: decoy {name} never rejected with "
-                    f"{reason!r} (saw {sorted(seen) or 'nothing'})"
+                    f"{reason!r} (saw {seen or 'nothing'})"
                 )
     return problems
 
@@ -222,27 +253,18 @@ def _verify_quotients(golden_name: str, strict_chi: bool = False) -> list[str]:
 def _verify_baskets() -> list[str]:
     golden = bundled_json("torsion_baskets.json")
     max_order = golden.get("max_order", 24)
-    expected = {
-        int(r): sorted(
-            tuple(tuple(sorted(e.items())) for e in basket) for basket in baskets
-        )
-        for r, baskets in golden["baskets"].items()
-    }
+    census = _census_baskets(max_order)
     problems = []
-    total = 0
     for r in range(2, max_order + 1):
-        computed = sorted(
-            tuple(tuple(sorted(e.items())) for e in c.entries.to_json())
-            for c in enumerate_bt(r)
-        )
-        total += len(computed)
-        want = expected.get(r, [])
+        computed = sorted(map(_basket_key, census.get(str(r), [])))
+        want = sorted(map(_basket_key, golden["baskets"].get(str(r), [])))
         if computed != want:
             problems.append(
                 f"torsion_baskets.json: order {r} has {len(computed)} baskets, "
                 f"golden lists {len(want)} (or contents differ)"
             )
-    want_total = sum(len(v) for v in expected.values())
+    total = sum(len(v) for v in census.values())
+    want_total = sum(len(v) for v in golden["baskets"].values())
     if total != want_total:
         problems.append(
             f"torsion_baskets.json: {total} baskets enumerated, "
@@ -256,20 +278,12 @@ def _verify_series_examples() -> list[str]:
     problems = []
 
     plain = golden["untwisted"]
-    data = FanoData(
-        parse_rational(plain["minusK3"]), Basket.from_json(plain["basket"])
-    )
-    coeffs = [parse_rational(c) for c in plain["coeffs"]]
-    series = altinok_series(data, trunc=len(coeffs) - 1)
-    got = series.component(0)
-    if list(got) != coeffs:
+    data = FanoData(parse_rational(plain["minusK3"]), Basket.from_json(plain["basket"]))
+    (coeffs,), peeled = _worked_example(data, len(plain["coeffs"]) - 1, plain["peel"])
+    if coeffs != plain["coeffs"]:
         problems.append("series_examples.json: untwisted coefficients differ")
-    peeled = series
-    for n, i in plain["peel"]:
-        peeled = peeled.peel(Bidegree(n, i))
-    for m, c in enumerate(peeled.component(0)):
-        want = parse_rational(plain["peeled"].get(str(m), "0"))
-        if c != want:
+    for m in range(len(coeffs)):
+        if peeled.get(str(m), "0") != plain["peeled"].get(str(m), "0"):
             problems.append(
                 f"series_examples.json: peeled untwisted series differs at t^{m}"
             )
@@ -277,20 +291,14 @@ def _verify_series_examples() -> list[str]:
 
     twisted = golden["bigraded"]
     fe = FanoEnriquesData.from_json(twisted["data"])
-    components = [[parse_rational(c) for c in row] for row in twisted["components"]]
-    series = bigraded_series(fe, trunc=len(components[0]) - 1)
-    for i, row in enumerate(components):
-        if list(series.component(i)) != row:
-            problems.append(
-                f"series_examples.json: bigraded component {i} differs"
-            )
-    peeled = series
-    for n, i in twisted["peel"]:
-        peeled = peeled.peel(Bidegree(n, i))
-    for i in range(peeled.r):
-        for m, c in enumerate(peeled.component(i)):
-            want = parse_rational(twisted["peeled"].get(f"{m},{i}", "0"))
-            if c != want:
+    rows, peeled = _worked_example(fe, len(twisted["components"][0]) - 1, twisted["peel"])
+    for i, row in enumerate(twisted["components"]):
+        if rows[i % fe.r] != row:
+            problems.append(f"series_examples.json: bigraded component {i} differs")
+    for i in range(fe.r):
+        for m in range(len(rows[i])):
+            key = f"{m},{i}"
+            if peeled.get(key, "0") != twisted["peeled"].get(key, "0"):
                 problems.append(
                     f"series_examples.json: peeled bigraded series differs "
                     f"at t^{m} e^{i}"

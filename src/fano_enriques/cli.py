@@ -7,7 +7,8 @@ Subcommands:
   infer            presentation from a series (JSON file or stdin)
   enumerate-bt     admissible marked baskets for one or all orders
   search           quotient search over a catalog file
-  verify-fixtures  recompute everything the bundled goldens freeze
+  verify-fixtures  recompute everything the bundled goldens freeze, then
+                   show the verified census, catalog tables and series
 
 Exit codes: 0 success, 1 usage or data error, 2 fixture mismatch.
 """
@@ -19,7 +20,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .catalog import resolve_catalog, verify_fixtures
+from .catalog import GOLDEN_FILES, bundled_json, resolve_catalog, verify_fixtures
 from .enumeration import MAX_TORSION, enumerate_bt
 from .errors import EngineError
 from .exact import format_rational, nonnegative, parse_rational
@@ -201,15 +202,74 @@ def _cmd_search(args) -> int:
     return 0
 
 
+def _numerator(peeled: dict, r: int, length: int) -> BigradedSeries:
+    """A golden's peeled map, "m" or "m,i" -> coefficient, as a series."""
+    rows = [["0"] * length for _ in range(r)]
+    for key, value in peeled.items():
+        m, _, i = key.partition(",")
+        rows[int(i or 0)][int(m)] = value
+    return BigradedSeries.from_json({"r": r, "coeffs": rows})
+
+
+def _print_goldens():
+    """The census, the catalog tables and the worked series examples, read
+    from the bundled goldens: once verify_fixtures() finds no problem they
+    equal the live output on every field it compares."""
+    census = bundled_json("torsion_baskets.json")["baskets"]
+    print("Admissible torsion data by order")
+    for r, baskets in census.items():
+        print(f"order {r}: {len(baskets)} baskets")
+        for k, basket in enumerate(baskets, start=1):
+            print(f"  {r}.{k}  {Basket.from_json(basket)}")
+    print(f"total: {sum(map(len, census.values()))}")
+
+    for name in GOLDEN_FILES:
+        golden = bundled_json(name)
+        covers = bundled_json(golden["catalog"])["entries"]
+        print(f"\n{golden['catalog']}: {len(covers)} covers")
+        rows = [(" ", row) for row in golden["rows"]]
+        rows += [("*", row) for row in golden["special_cases"]]
+        for star, row in rows:
+            flags = f"  [{', '.join(row['flags'])}]" if row["flags"] else ""
+            print(f"{star}{row.get('label') or '-':>3}  {row['cover']:<34} "
+                  f"r={row['r']}  -K^3={row['minusK3']:>5}")
+            print(f"      bt: {Basket.from_json(row['bt'])}")
+            if row["be"]:
+                print(f"      be: {Basket.from_json(row['be'])}")
+            gens, rels = (" ".join(f"({n},{i})" for n, i in row[k])
+                          for k in ("generators", "relations"))
+            print(f"      generators {gens}  |  relations {rels}{flags}")
+        print(f"{len(golden['rows'])} clean, {len(golden['special_cases'])} special (marked *)")
+        for decoy in golden["decoys"]:
+            print(f"  decoy {decoy['cover']}: {', '.join(decoy['reasons'])}")
+
+    examples = bundled_json("series_examples.json")
+    plain, twisted = examples["untwisted"], examples["bigraded"]
+    data = twisted["data"]
+    print("\nWorked series examples")
+    print(f"plain cover: -K^3 = {plain['minusK3']}, "
+          f"basket {{{Basket.from_json(plain['basket'])}}}")
+    print(f"  h^0(-nK), n = 0..{len(plain['coeffs']) - 1}: {', '.join(plain['coeffs'])}")
+    numerator = _numerator(plain["peeled"], 1, len(plain["coeffs"]))
+    print(f"  peel {plain['peel']} -> numerator {numerator}")
+    print(f"order-{data['r']} quotient: -K^3 = {data['minusK3']}, "
+          f"bt {{{Basket.from_json(data['bt'])}}}")
+    for i, row in enumerate(twisted["components"]):
+        print(f"  component {i}: {', '.join(row)}")
+    numerator = _numerator(twisted["peeled"], data["r"], len(twisted["components"][0]))
+    print(f"  peel {twisted['peel']} -> numerator {numerator}")
+
+
 def _cmd_verify(args) -> int:
     problems = verify_fixtures()
     if args.json:
         print(json.dumps({"ok": not problems, "problems": problems}))
-    else:
+    elif problems:
         for problem in problems:
             print(problem)
-        if not problems:
-            print("all bundled fixtures verified")
+    else:
+        _print_goldens()
+        print("\nall bundled fixtures verified")
     return 2 if problems else 0
 
 
@@ -231,10 +291,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return _DISPATCH[args.command](args)
-    except EngineError as exc:
-        print(f"fano-enriques {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (EngineError, OSError, json.JSONDecodeError) as exc:
         print(f"fano-enriques {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -48,6 +48,12 @@ class TestSaveLoad:
         save_catalog([Y4, Y5], path)
         assert load_catalog(path) == [Y4, Y5]
 
+    def test_writes_the_bundled_layout(self, tmp_path):
+        for name in ("covers_codim1.json", "covers_codim2.json", "covers_codim3.json"):
+            path = tmp_path / name
+            save_catalog(bundled_catalog(name), path)
+            assert path.read_text() == (catalog._data_root() / name).read_text()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CatalogError, match="cannot read"):
             load_catalog(tmp_path / "nope.json")
@@ -170,12 +176,17 @@ class TestRowKeys:
 
 
 class TestGoldenComparison:
+    def _tamper(self, monkeypatch, name, tampered):
+        real = catalog.bundled_json
+        monkeypatch.setattr(
+            catalog, "bundled_json", lambda n: tampered if n == name else real(n)
+        )
+
     def test_reports_every_kind_of_mismatch(self, monkeypatch):
         # a codim-3 golden that swaps its first clean row and its special
         # case for invented ones and names the dropped row's cover as a
         # decoy: each comparison reports both directions
-        real = catalog.bundled_json
-        golden = real("quotients_codim3.json")
+        golden = bundled_json("quotients_codim3.json")
         dropped, special = golden["rows"][0], golden["special_cases"][0]
         invented_row = dict(dropped, cover="Y_{row} in P(1,1,1,1,1,1,1)")
         invented_special = dict(special, cover="Y_{special} in P(1,1,1,1,1,1,1)", r=7)
@@ -185,11 +196,7 @@ class TestGoldenComparison:
             special_cases=[invented_special],
             decoys=golden["decoys"] + [{"cover": dropped["cover"], "reasons": []}],
         )
-        monkeypatch.setattr(
-            catalog,
-            "bundled_json",
-            lambda name: tampered if name == "quotients_codim3.json" else real(name),
-        )
+        self._tamper(monkeypatch, "quotients_codim3.json", tampered)
         assert catalog._verify_quotients("quotients_codim3.json") == [
             "quotients_codim3.json: missing expected row Y_{row} in P(1,1,1,1,1,1,1) r=2",
             "quotients_codim3.json: unexpected row Y_{2,2,2} in P(1,1,1,1,1,1,1) r=2",
@@ -197,3 +204,92 @@ class TestGoldenComparison:
             f"quotients_codim3.json: unexpected special case {special['cover']} r={special['r']}",
             "quotients_codim3.json: decoy Y_{2,2,2} in P(1,1,1,1,1,1,1) produced a clean row",
         ]
+
+    def test_reports_decoy_reasons_never_seen(self, monkeypatch):
+        golden = bundled_json("quotients_codim3.json")
+        first = golden["decoys"][0]
+        decoys = [dict(first, reasons=first["reasons"] + ["inconsistent-data"])]
+        decoys += [{"cover": "Y_{none} in P(1,1,1,1,1,1,1)", "reasons": ["parity-fail"]}]
+        self._tamper(monkeypatch, "quotients_codim3.json", dict(golden, decoys=decoys))
+        assert catalog._verify_quotients("quotients_codim3.json") == [
+            f"quotients_codim3.json: decoy {first['cover']} never rejected with "
+            f"'inconsistent-data' (saw {first['reasons']})",
+            "quotients_codim3.json: decoy Y_{none} in P(1,1,1,1,1,1,1) never "
+            "rejected with 'parity-fail' (saw nothing)",
+        ]
+
+    def test_reports_census_mismatches_per_order_and_in_total(self, monkeypatch):
+        # order 2 loses a basket and order 5 swaps one for an order-4 basket
+        golden = bundled_json("torsion_baskets.json")
+        baskets = dict(golden["baskets"])
+        baskets["2"] = baskets["2"][1:]
+        baskets["5"] = [baskets["4"][0]] + baskets["5"][1:]
+        self._tamper(
+            monkeypatch, "torsion_baskets.json", dict(golden, baskets=baskets)
+        )
+        assert catalog._verify_baskets() == [
+            "torsion_baskets.json: order 2 has 20 baskets, golden lists 19 (or contents differ)",
+            "torsion_baskets.json: order 5 has 4 baskets, golden lists 4 (or contents differ)",
+            "torsion_baskets.json: 39 baskets enumerated, golden freezes 38",
+        ]
+
+    def test_reports_census_total_beyond_the_enumerated_orders(self, monkeypatch):
+        golden = bundled_json("torsion_baskets.json")
+        baskets = dict(golden["baskets"], **{"25": [golden["baskets"]["2"][0]]})
+        self._tamper(
+            monkeypatch, "torsion_baskets.json", dict(golden, baskets=baskets)
+        )
+        assert catalog._verify_baskets() == [
+            "torsion_baskets.json: 39 baskets enumerated, golden freezes 40",
+        ]
+
+    def test_reports_every_kind_of_series_mismatch(self, monkeypatch):
+        # the untwisted peel differs at t^3 and t^5 (only the first is
+        # reported); the bigraded peel at three positions (all reported)
+        golden = bundled_json("series_examples.json")
+        plain, twisted = golden["untwisted"], golden["bigraded"]
+        coeffs = list(plain["coeffs"])
+        coeffs[4] = "47"
+        components = [list(row) for row in twisted["components"]]
+        components[2][3] = "6"
+        tampered = {
+            "untwisted": dict(
+                plain, coeffs=coeffs, peeled={"0": "1", "3": "2", "5": "1"}
+            ),
+            "bigraded": dict(
+                twisted,
+                components=components,
+                peeled={"0,0": "1", "2,1": "3", "7,3": "1"},
+            ),
+        }
+        self._tamper(monkeypatch, "series_examples.json", tampered)
+        assert catalog._verify_series_examples() == [
+            "series_examples.json: untwisted coefficients differ",
+            "series_examples.json: peeled untwisted series differs at t^3",
+            "series_examples.json: bigraded component 2 differs",
+            "series_examples.json: peeled bigraded series differs at t^5 e^0",
+            "series_examples.json: peeled bigraded series differs at t^2 e^1",
+            "series_examples.json: peeled bigraded series differs at t^7 e^3",
+        ]
+
+
+class TestGoldenRows:
+    def test_clean_complete_intersection_rows_are_gorenstein(self):
+        # adjunction: a complete intersection has K = O(sum rel - sum gen),
+        # and -K is the class of bidegree (1, 0), so sum n = 1 and
+        # sum i = 0 mod r over generators minus relations
+        checked = 0
+        for name in GOLDEN_FILES:
+            golden = bundled_json(name)
+            structure = {
+                rec.name: rec.structure for rec in bundled_catalog(golden["catalog"])
+            }
+            for row in golden["rows"]:
+                if structure[row["cover"]] != "ci":
+                    continue
+                gens, rels = row["generators"], row["relations"]
+                tag = f"{name} {row['cover']} r={row['r']}"
+                assert sum(n for n, _ in gens) - sum(n for n, _ in rels) == 1, tag
+                assert (sum(i for _, i in gens) - sum(i for _, i in rels)) % row["r"] == 0, tag
+                checked += 1
+        assert checked == 58

@@ -1,9 +1,11 @@
 """Tests for the command line front end."""
 
 import json
+import re
 
 import pytest
 
+from fano_enriques import cli
 from fano_enriques.cli import main
 
 
@@ -171,6 +173,18 @@ class TestVerifyFixtures:
         code, out, _ = run(capsys, "verify-fixtures")
         assert code == 0
         assert "all bundled fixtures verified" in out
+        # the verified goldens follow as tables: census, catalogs, series
+        assert "total: 39" in out
+        assert "12 clean, 2 special (marked *)" in out
+        assert "1, 4, 11, 24, 46" in out
+        assert re.search(r"\d+\.\d+\s*s\b", out) is None  # no wall times
+
+    def test_problems_replace_the_tables(self, capsys, monkeypatch):
+        problem = "torsion_baskets.json: 38 baskets enumerated, golden freezes 39"
+        monkeypatch.setattr(cli, "verify_fixtures", lambda: [problem])
+        code, out, _ = run(capsys, "verify-fixtures")
+        assert code == 2
+        assert out == problem + "\n"
 
     def test_json_mode(self, capsys):
         code, out, _ = run(capsys, "verify-fixtures", "--json")

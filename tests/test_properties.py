@@ -5,7 +5,13 @@ from math import gcd, lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fano_enriques.enumeration import BtCandidate, canonicalize, enumerate_bt
+from fano_enriques.enumeration import (
+    MAX_TORSION,
+    BtCandidate,
+    canonicalize,
+    check_restrictions,
+    enumerate_bt,
+)
 from fano_enriques.errors import InconsistentDataError
 from fano_enriques.exact import Rational, units
 from fano_enriques.hilbert import (
@@ -107,10 +113,9 @@ class TestTorsionDeltaProperty:
 class TestCanonicalizationProperty:
     CANDIDATES = enumerate_bt(5) + enumerate_bt(6) + enumerate_bt(8)
 
-    @given(st.sampled_from(CANDIDATES), st.data())
-    def test_unit_rescaling_collapses_to_canonical(self, cand, data):
-        u = data.draw(st.sampled_from(units(cand.r)))
-        rescaled = BtCandidate(
+    @staticmethod
+    def rescale(cand, u):
+        return BtCandidate(
             cand.r,
             Basket(
                 tuple(
@@ -119,7 +124,24 @@ class TestCanonicalizationProperty:
                 )
             ),
         )
-        assert canonicalize(rescaled).entries == cand.entries
+
+    @given(st.sampled_from(CANDIDATES), st.data())
+    def test_unit_rescaling_collapses_to_canonical(self, cand, data):
+        u = data.draw(st.sampled_from(units(cand.r)))
+        assert canonicalize(self.rescale(cand, u)).entries == cand.entries
+
+    def test_census_is_invariant_under_every_unit_rescaling(self):
+        # every census basket and every u mod r: sigma -> u*sigma lands on
+        # an admissible basket whose canonical form is the census entry
+        checked = 0
+        for r in range(2, MAX_TORSION + 1):
+            for cand in enumerate_bt(r):
+                for u in units(r):
+                    rescaled = self.rescale(cand, u)
+                    assert canonicalize(rescaled).entries == cand.entries
+                    assert check_restrictions(rescaled).admissible, (cand, u)
+                    checked += 1
+        assert checked == 68
 
     @given(st.sampled_from(CANDIDATES))
     def test_enumerated_candidates_are_fixed_points(self, cand):
