@@ -6,8 +6,8 @@ from series, enumeration of admissible torsion markings, and a search
 for quotient constructions over catalogs of known Fano threefolds.
 
 Everything is exact: coefficients are rationals, comparisons are
-equalities, and the two independent routes to each quantity (closed
-form vs pointwise, orbifold series vs model series) are reconciled
+equalities, and the two independent routes to each quantity (integer
+period vs pointwise, orbifold series vs model series) are reconciled
 rather than trusted individually.
 """
 

@@ -241,12 +241,18 @@ def _verify_quotients(golden_name: str, strict_chi: bool = False) -> list[str]:
         if name in clean_covers:
             problems.append(f"{golden_name}: decoy {name} produced a clean row")
         seen = reasons.get(name, [])
-        for reason in decoy.get("reasons", []):
+        expected = decoy.get("reasons", [])
+        for reason in expected:
             if reason not in seen:
                 problems.append(
                     f"{golden_name}: decoy {name} never rejected with "
                     f"{reason!r} (saw {seen or 'nothing'})"
                 )
+        if name not in clean_covers:  # else its clean row is the problem
+            problems += [
+                f"{golden_name}: decoy {name} rejected with unexpected {reason!r}"
+                for reason in seen if reason not in expected
+            ]
     return problems
 
 

@@ -17,9 +17,11 @@ depth-first walk over nondecreasing item sequences with a running budget
 is exhaustive.  Candidates are reported up to rescaling of the torsion
 generator (sigma -> u*sigma multiplies every marking by u).
 
-The walk tests R4/R5 in Python ints, from per-entry delta cycles computed
-directly from the local kernel; check_restrictions evaluates the same
-conditions through the Fraction oracle torsion_delta_at, so the two are
+The walk tests R4/R5 in Python ints, from the per-entry integer delta
+cycles of hilbert._delta_cycle_scaled (computed directly from the local
+kernel, and the same cycles the series builders tile);
+check_restrictions evaluates the same conditions per n through the
+Fraction formula torsion_delta_at over one period, so the two are
 independent routes.  The plain census of each order is walked once per
 process and cached; the strict-R5 census is a filter over it, which is
 exact because strict R5 implies R5 and R4/R5 are invariant under
@@ -34,7 +36,7 @@ from math import gcd, lcm
 
 from .errors import OutOfRangeError
 from .exact import Rational, format_rational, is_integer, units
-from .hilbert import torsion_delta_at
+from .hilbert import _delta_cycle_scaled, torsion_delta_at
 from .orbifold import Basket, MarkedSingularity, SingularityType, terminal_sum
 
 __all__ = [
@@ -100,47 +102,6 @@ class RestrictionReport:
         )
 
 
-@lru_cache(maxsize=None)
-def _delta_cycle(r_q: int, a: int, lp: int) -> tuple[Rational, ...]:
-    """Per-entry torsion delta over one period of n, via the hilbert oracle."""
-    single = Basket((MarkedSingularity(SingularityType(r_q, a), lp),))
-    return tuple(torsion_delta_at(single, 1, n) for n in range(r_q))
-
-
-@lru_cache(maxsize=None)
-def _delta_cycle_scaled(r_q: int, a: int, lp: int) -> tuple[int, ...]:
-    """Per-entry torsion delta over one period of n, scaled by 12*r_q.
-
-    Computed directly in integers, independently of the Fraction route
-    _delta_cycle.  With b = a^-1 mod r_q and [x] = x mod r_q,
-
-        12*r_q*delta(n) = (r_q - l')(r_q^2 - 1)
-                          - sum_{j=n+1}^{n+r_q-l'} 6*[bj]*(r_q - [bj]),
-
-    and the window sum slides along one period of n.
-    """
-    b = pow(a, -1, r_q)
-    kernel = [6 * ((b * j) % r_q) * (r_q - (b * j) % r_q) for j in range(r_q)]
-    head = (r_q - lp) * (r_q * r_q - 1)
-    width = r_q - lp
-    window = sum(kernel[1 : width + 1])
-    out = []
-    for n in range(r_q):
-        out.append(head - window)
-        window += kernel[(n + 1 + width) % r_q] - kernel[(n + 1) % r_q]
-    return tuple(out)
-
-
-def _candidate_deltas(entries, i: int, length: int):
-    cycles = []
-    for entry in entries:
-        lp = (i * entry.l) % entry.type.r
-        if lp:
-            cycles.append(_delta_cycle(entry.type.r, entry.type.a, lp))
-    for n in range(length):
-        yield sum((c[n % len(c)] for c in cycles), Rational(0))
-
-
 def check_restrictions(c: BtCandidate, strict_chi: bool = False) -> RestrictionReport:
     """Evaluate R1-R5 for a candidate; all five must pass for admissibility."""
     results: dict[str, tuple[bool, str]] = {}
@@ -164,7 +125,8 @@ def check_restrictions(c: BtCandidate, strict_chi: bool = False) -> RestrictionR
     period = lcm(*(entry.type.r for entry in c.entries))
     r4_ok, r4_detail = True, ""
     for i in range(1, c.r):
-        for n, v in enumerate(_candidate_deltas(c.entries, i, period)):
+        for n in range(period):
+            v = torsion_delta_at(c.entries, i, n)
             if not is_integer(v):
                 r4_ok, r4_detail = False, f"delta({i},{n}) = {format_rational(v)}"
                 break

@@ -17,9 +17,11 @@ Three series builders live here:
 
 * torsion_delta_* -- the per-component correction h^0(-nK + i*sigma) -
   h^0(-nK) coming from a torsion divisor sigma marked into the basket.
-  The per-n formula is authoritative; an equivalent closed form is built
-  alongside (by the same O(N) divisions) and the two are reconciled, as a
-  guard against sign slips in either route.
+  It has period L = lcm r_Q in n and two routes: the per-n Fraction
+  formula torsion_delta_at, and one integer period summed from per-entry
+  cycles (_delta_cycle_scaled, which the census walk also reads).  The
+  builders reconcile the two over one period, which is exact, and tile
+  that period out to the truncation.
 
 * wci_series / pfaffian_series -- independent oracles for covers: the
   Hilbert series a weighted complete intersection (or codimension-3
@@ -33,6 +35,8 @@ Negative truncations raise OutOfRangeError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -41,7 +45,7 @@ from .errors import (
     InternalConsistencyError,
 )
 from .exact import Rational, format_rational, is_integer, nonnegative, parse_rational, residue
-from .orbifold import Basket, MarkedSingularity, SingularityType, inverse_weight
+from .orbifold import Basket, inverse_weight
 from .series import Bidegree, BigradedSeries, Scalar
 
 __all__ = [
@@ -217,63 +221,82 @@ def torsion_delta_at(bt: Basket, i: int, n: int) -> Rational:
     return total
 
 
-def torsion_delta_series(bt: Basket, i: int, trunc: int = 20) -> BigradedSeries:
-    """Series sum_n (chi(-nK + i*sigma) - chi(-nK)) t^n.
+@lru_cache(maxsize=None)
+def _delta_cycle_scaled(r_q: int, a: int, lp: int) -> tuple[int, ...]:
+    """Per-entry torsion delta over one period of n, scaled by 12*r_q.
 
-    Built twice: from the closed form
+    Computed directly in integers, independently of the Fraction route
+    torsion_delta_at.  With b = a^-1 mod r_q and [x] = x mod r_q,
 
-        sum_Q [ A_Q/(1-t) - (sum_{j<r_Q} T_Q(j) t^j) / (1-t^{r_Q}) ]
+        12*r_q*delta(n) = (r_q - l')(r_q^2 - 1)
+                          - sum_{j=n+1}^{n+r_q-l'} 6*[bj]*(r_q - [bj]),
 
-    with A_Q = (r_Q - l')(r_Q^2 - 1)/(12 r_Q) and T_Q(j) the window sum of
-    the local kernel, each summand one O(N) division of its numerator
-    (_divided), and from the per-n formula directly.  The two must agree;
-    a mismatch is an engine bug, not a data problem.
+    and the window sum slides along one period of n.
     """
-    m = nonnegative("trunc", trunc)
-    closed = BigradedSeries.zero(1, m)
-    for entry in bt:
-        r = entry.type.r
-        lp = residue(i * entry.l, r)
-        if lp == 0:
-            continue
-        b = inverse_weight(entry.type)
-        a_q = Rational((r - lp) * (r * r - 1), 12 * r)
-        window = [
-            sum(
-                (_local_weight(r, b, k) for k in range(j + 1, j + r - lp + 1)),
-                Rational(0),
-            )
-            for j in range(r)
-        ]
-        closed = closed + _divided([a_q], m, 1) - _divided(window, m, r)
+    b = pow(a, -1, r_q)
+    kernel = [6 * ((b * j) % r_q) * (r_q - (b * j) % r_q) for j in range(r_q)]
+    head = (r_q - lp) * (r_q * r_q - 1)
+    width = r_q - lp
+    window = sum(kernel[1 : width + 1])
+    out = []
+    for n in range(r_q):
+        out.append(head - window)
+        window += kernel[(n + 1 + width) % r_q] - kernel[(n + 1) % r_q]
+    return tuple(out)
 
-    oracle = BigradedSeries(
-        1, [[torsion_delta_at(bt, i, n) for n in range(m + 1)]]
-    )
-    if closed != oracle:
-        raise InternalConsistencyError(
-            f"torsion delta closed form disagrees with the per-n values "
-            f"for i = {i}, basket {{{bt}}}"
-        )
-    return oracle
+
+def _torsion_cycle(bt: Basket, i: int) -> tuple[list[int], int]:
+    """12*L*delta_i(n) for n = 0..L-1, with L = lcm r_Q over the entries of
+    bt with l' != 0, and the denominator 12*L.  Reconciled with
+    torsion_delta_at at every n of the period, which is exact because both
+    sides have period L; a mismatch is an engine bug, not a data problem.
+    """
+    parts = [
+        (entry.type.r, _delta_cycle_scaled(entry.type.r, entry.type.a, lp))
+        for entry in bt if (lp := residue(i * entry.l, entry.type.r))
+    ]
+    period = lcm(*(r for r, _ in parts))
+    cycle = [sum(c[n % r] * (period // r) for r, c in parts) for n in range(period)]
+    for n, v in enumerate(cycle):
+        if Rational(v, 12 * period) != torsion_delta_at(bt, i, n):
+            raise InternalConsistencyError(
+                f"torsion delta closed form disagrees with the per-n values "
+                f"for i = {i}, basket {{{bt}}}"
+            )
+    return cycle, 12 * period
+
+
+def _tiled_delta(bt: Basket, i: int, trunc: int) -> list[Rational]:
+    """delta_i(n) for n = 0..trunc: one reconciled period, tiled."""
+    cycle, d = _torsion_cycle(bt, i)
+    period = [Rational(v, d) for v in cycle]
+    return [period[n % len(period)] for n in range(trunc + 1)]
+
+
+def torsion_delta_series(bt: Basket, i: int, trunc: int = 20) -> BigradedSeries:
+    """Series sum_n (chi(-nK + i*sigma) - chi(-nK)) t^n, tiled from one
+    reconciled integer period (_torsion_cycle)."""
+    return BigradedSeries(1, [_tiled_delta(bt, i, nonnegative("trunc", trunc))])
 
 
 def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
     """Full bigraded Hilbert series sum h^0(-nK + i*sigma) e^i t^n.
 
-    Component i is the untwisted series plus the torsion delta for i.
-    For genuine data every coefficient is a nonnegative integer, the
-    constant term sits entirely in component 0 (h^0 of a nontrivial
-    torsion class vanishes); anything else raises InconsistentDataError.
+    Component i is the untwisted series plus the torsion delta for i,
+    tiled from one reconciled period; component 0 is the untwisted series
+    itself, since delta_0 = 0.  For genuine data every coefficient is a
+    nonnegative integer, the constant term sits entirely in component 0
+    (h^0 of a nontrivial torsion class vanishes); anything else raises
+    InconsistentDataError.
     """
     nonnegative("trunc", trunc)
     base = altinok_series(
         FanoData(data.minus_k_cubed, data.combined_basket), trunc
     ).component(0)
-    rows = []
-    for i in range(data.r):
-        delta = torsion_delta_series(data.bt, i, trunc).component(0)
-        rows.append([base[n] + delta[n] for n in range(trunc + 1)])
+    rows = [list(base)]
+    for i in range(1, data.r):
+        delta = _tiled_delta(data.bt, i, trunc)
+        rows.append([b + v for b, v in zip(base, delta)])
 
     for i, row in enumerate(rows):
         expected_constant = 1 if i == 0 else 0

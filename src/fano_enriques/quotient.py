@@ -361,11 +361,14 @@ def match_cover(
     cover: CoverRecord, bt: Basket, r: int
 ) -> Union[FanoEnriquesData, Rejection]:
     """Assemble quotient data for the cover, or say why there is none."""
-    need = forced_preimage(bt, r)
-    have: Counter = Counter()
-    for entry, mult in cover.basket.counts().items():
-        have[entry.type] += mult
+    return _match(cover, Counter(e.type for e in cover.basket), bt, forced_preimage(bt, r), r)
 
+
+def _match(
+    cover: CoverRecord, have: Counter, bt: Basket, need: Counter, r: int
+) -> Union[FanoEnriquesData, Rejection]:
+    """match_cover given the cover's types and the forced preimage of bt,
+    which search counts once per cover and once per bt."""
     for s, m in sorted(need.items()):
         if have.get(s, 0) < m:
             return Rejection(
@@ -430,11 +433,13 @@ def search(
     rejections: list[Rejection] = []
     seen: set = set()
 
+    have = [Counter(e.type for e in cover.basket) for cover in catalog]
     for r in orders:
         for bt_candidate in enumerate_bt(r, strict_chi):
             bt = bt_candidate.entries
-            for cover in catalog:
-                outcome = match_cover(cover, bt, r)
+            need = forced_preimage(bt, r)
+            for cover, cover_types in zip(catalog, have):
+                outcome = _match(cover, cover_types, bt, need, r)
                 if isinstance(outcome, Rejection):
                     rejections.append(outcome)
                     continue

@@ -125,21 +125,22 @@ class BigradedSeries:
         return f"BigradedSeries(r={self.r}, trunc={self.trunc})"
 
     def __str__(self):
-        terms = []
+        out = ""
         for n in range(self.trunc + 1):
             for i in range(self.r):
                 c = self.coeffs[i][n]
                 if c == 0:
                     continue
                 factors = []
-                if c != 1 or (n == 0 and i == 0):
-                    factors.append(format_rational(c))
+                if abs(c) != 1 or (n == 0 and i == 0):
+                    factors.append(format_rational(abs(c)))
                 if i:
                     factors.append("e" if i == 1 else f"e^{i}")
                 if n:
                     factors.append("t" if n == 1 else f"t^{n}")
-                terms.append("*".join(factors))
-        return " + ".join(terms) if terms else "0"
+                sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
+                out += sign + "*".join(factors)
+        return out or "0"
 
     # -- ring operations ----------------------------------------------
 

@@ -218,6 +218,20 @@ class TestGoldenComparison:
             "rejected with 'parity-fail' (saw nothing)",
         ]
 
+    def test_reports_decoy_reasons_the_golden_does_not_list(self, monkeypatch):
+        # the first decoy loses 'parity-fail' from its golden reasons, which
+        # the search still produces: reasons are compared both ways
+        golden = bundled_json("quotients_codim3.json")
+        first = golden["decoys"][0]
+        assert "parity-fail" in first["reasons"]
+        reasons = [x for x in first["reasons"] if x != "parity-fail"]
+        decoys = [dict(first, reasons=reasons)] + golden["decoys"][1:]
+        self._tamper(monkeypatch, "quotients_codim3.json", dict(golden, decoys=decoys))
+        assert catalog._verify_quotients("quotients_codim3.json") == [
+            f"quotients_codim3.json: decoy {first['cover']} rejected with "
+            f"unexpected 'parity-fail'",
+        ]
+
     def test_reports_census_mismatches_per_order_and_in_total(self, monkeypatch):
         # order 2 loses a basket and order 5 swaps one for an order-4 basket
         golden = bundled_json("torsion_baskets.json")

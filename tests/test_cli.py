@@ -177,6 +177,7 @@ class TestVerifyFixtures:
         assert "total: 39" in out
         assert "12 clean, 2 special (marked *)" in out
         assert "1, 4, 11, 24, 46" in out
+        assert "numerator 1 - t^5" in out and "+ -" not in out
         assert re.search(r"\d+\.\d+\s*s\b", out) is None  # no wall times
 
     def test_problems_replace_the_tables(self, capsys, monkeypatch):

@@ -8,13 +8,12 @@ from fano_enriques.enumeration import (
     MAX_INDEX,
     MAX_TORSION,
     BtCandidate,
-    _delta_cycle_scaled,
     canonicalize,
     check_restrictions,
     enumerate_bt,
 )
 from fano_enriques.errors import OutOfRangeError
-from fano_enriques.hilbert import torsion_delta_at
+from fano_enriques.hilbert import _delta_cycle_scaled, torsion_delta_at
 from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType
 
 
@@ -83,6 +82,11 @@ class TestCheckRestrictions:
         assert "R4" in report.failures()
         assert "R5" in report.failures()
         assert "chi" in report["R5"][1]
+
+    def test_r4_detail_names_the_first_fractional_delta(self):
+        # read per n from torsion_delta_at, independently of the census walk
+        report = check_restrictions(BtCandidate(2, (mk(2, 1, 1),)))
+        assert report["R4"][1] == "delta(1,0) = -1/8"
 
     def test_report_str(self):
         report = check_restrictions(BtCandidate(2, NO13_BT))

@@ -12,9 +12,11 @@ from math import floor, gcd, lcm
 import pytest
 
 from fano_enriques.catalog import bundled_json
+from fano_enriques import hilbert
 from fano_enriques.errors import (
     InconsistentDataError,
     InconsistentMarkingError,
+    InternalConsistencyError,
     OutOfRangeError,
 )
 from fano_enriques.exact import Rational
@@ -219,6 +221,34 @@ class TestTorsionDelta:
     def test_negative_truncation(self):
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
             torsion_delta_series(self.BT, 1, -1)
+
+
+def off_by_one_at_period_end(monkeypatch, r_q):
+    """Make the integer cycle of every index-r_q entry one too large at its
+    last n, so the summed cycle of a basket with lcm r_Q = r_q is wrong at
+    n = r_q - 1 only."""
+    real = hilbert._delta_cycle_scaled
+
+    def broken(r, a, lp):
+        cycle = real(r, a, lp)
+        return cycle[:-1] + (cycle[-1] + 1,) if r == r_q else cycle
+
+    monkeypatch.setattr(hilbert, "_delta_cycle_scaled", broken)
+
+
+class TestTorsionCycleReconciliation:
+    """The integer period is checked against torsion_delta_at at every n of
+    one period, however short the requested truncation."""
+
+    def test_delta_series_reconciles_the_whole_period_at_trunc_zero(self, monkeypatch):
+        off_by_one_at_period_end(monkeypatch, 6)
+        with pytest.raises(InternalConsistencyError, match="for i = 1, basket"):
+            torsion_delta_series(TestTorsionDelta.BT, 1, 0)
+
+    def test_bigraded_series_reconciles_the_whole_period_at_trunc_zero(self, monkeypatch):
+        off_by_one_at_period_end(monkeypatch, 10)
+        with pytest.raises(InternalConsistencyError, match="for i = 1, basket"):
+            bigraded_series(TestBigradedSeries.DATA, 0)
 
 
 class TestFanoEnriquesData:

@@ -187,5 +187,5 @@ class TestSerialization:
 class TestStr:
     def test_rendering(self):
         s = BigradedSeries(2, [[1, 0, -1], [0, 2, 0]])
-        assert str(s) == "1 + 2*e*t + -1*t^2"
+        assert str(s) == "1 + 2*e*t - t^2"
         assert str(BigradedSeries.zero(1, 2)) == "0"
