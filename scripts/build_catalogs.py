@@ -26,14 +26,14 @@ from pathlib import Path
 
 from fano_enriques.catalog import (
     FORMAT_VERSION,
-    _candidate_row,
-    _census_baskets,
-    _reasons_by_cover,
-    _worked_example,
+    candidate_row,
+    census_baskets,
+    reasons_by_cover,
     save_catalog,
     verify_fixtures,
+    worked_example,
 )
-from fano_enriques.enumeration import BtCandidate, MAX_TORSION, canonicalize
+from fano_enriques.enumeration import BtCandidate, MAX_TORSION, canonicalize, enumerate_bt
 from fano_enriques.exact import format_rational, parse_rational, units
 from fano_enriques.hilbert import FanoData, FanoEnriquesData
 from fano_enriques.orbifold import Basket
@@ -672,14 +672,14 @@ def check_row_arithmetic(rec: CoverRecord, r, btc, be, kx):
         fail(f"{rec.name}: kx {kx} is not -K^3/{r}")
 
 
-def build_quotients(covers, decoys, rows, specials_extra, covers_name, golden_name):
+def build_quotients(census, covers, decoys, rows, specials_extra, covers_name, golden_name):
     """Run the search on one catalog and freeze the outcome as a golden file."""
     records = covers + decoys
     by_name = {rec.name: rec for rec in records}
     if len(by_name) != len(records):
         fail(f"{covers_name}: duplicate cover names")
 
-    result = search(records, trunc=TRUNC, max_degree=MAX_DEGREE)
+    result = search(records, census, trunc=TRUNC, max_degree=MAX_DEGREE)
     by_key = {}
     for c in result:
         key = (c.cover.name, c.data.r, basket_key(c.data.bt))
@@ -723,7 +723,7 @@ def build_quotients(covers, decoys, rows, specials_extra, covers_name, golden_na
             fail(f"{tag}: presentation {got_g} / {got_q} does not match "
                  f"{sorted(gens)} / {sorted(rels)} up to unit rescale")
 
-        row = _candidate_row(c)
+        row = candidate_row(c)
         if label is not None:
             row["label"] = label
         if notes:
@@ -739,7 +739,7 @@ def build_quotients(covers, decoys, rows, specials_extra, covers_name, golden_na
             got_q = sorted((q.n, q.i) for q in c.presentation.relations)
             fail(f"{golden_name}: unexpected clean candidate {key[0]} r={key[1]} "
                  f"bt={c.data.bt} be={c.data.be} {got_g} / {got_q}")
-        row = _candidate_row(c)
+        row = candidate_row(c)
         row["notes"] = (
             "additional special-status candidate surfaced by the search; "
             "kept so the golden freezes the full outcome"
@@ -747,12 +747,12 @@ def build_quotients(covers, decoys, rows, specials_extra, covers_name, golden_na
         specials_out.append(row)
 
     clean_names = {c.cover.name for c in result.clean()}
-    reasons_by_cover = _reasons_by_cover(result)
+    decoy_reasons = reasons_by_cover(result)
     decoys_out = []
     for rec in decoys:
         if rec.name in clean_names:
             fail(f"{golden_name}: decoy {rec.name} produced a clean candidate")
-        reasons = reasons_by_cover.get(rec.name)
+        reasons = decoy_reasons.get(rec.name)
         if not reasons:
             fail(f"{golden_name}: decoy {rec.name} was never rejected")
         decoys_out.append({"cover": rec.name, "reasons": reasons})
@@ -771,27 +771,23 @@ def build_quotients(covers, decoys, rows, specials_extra, covers_name, golden_na
           f"{len(decoys_out)} decoys, {len(result.rejections)} rejections")
 
 
-def build_torsion():
-    census = _census_baskets(MAX_TORSION)
+def build_torsion(census):
+    baskets = census_baskets(census)
     transcribed = Counter(r for r, _ in BT.values())
     for r in range(2, MAX_TORSION + 1):
-        found = len(census.get(str(r), []))
+        found = len(baskets.get(str(r), []))
         if transcribed[r] != found:
             fail(f"torsion: order {r} has {found} baskets, transcription "
                  f"lists {transcribed[r]}")
     want = {basket_key(Basket(bt_candidate(label).entries)) for label in BT}
-    got = {
-        basket_key(Basket.from_json(basket))
-        for baskets in census.values()
-        for basket in baskets
-    }
+    got = {basket_key(c.entries) for c in census}
     if want != got:
         fail("torsion: transcribed baskets differ from the enumeration")
     write_json("torsion_baskets.json", {
         "max_order": MAX_TORSION,
-        "baskets": census,
+        "baskets": baskets,
     })
-    print(f"  torsion_baskets.json: {sum(len(v) for v in census.values())} baskets")
+    print(f"  torsion_baskets.json: {len(census)} baskets")
 
 
 def build_series_examples():
@@ -799,7 +795,7 @@ def build_series_examples():
     # quotient must sum to the plain series of its cover, degree by degree
     plain_data = FanoData(Fraction(5, 2), Basket.parse("1/2(1,1,1)"))
     peel_plain = [[1, 0], [1, 0], [1, 0], [1, 0], [2, 0]]
-    (coeffs,), peeled = _worked_example(plain_data, 9, peel_plain)
+    (coeffs,), peeled = worked_example(plain_data, 9, peel_plain)
     if coeffs != [str(c) for c in (1, 4, 11, 24, 46, 79, 126, 189, 271, 374)]:
         fail("series examples: untwisted coefficients moved")
     if peeled != {"0": "1", "5": "-1"}:
@@ -807,7 +803,7 @@ def build_series_examples():
 
     fe = FanoEnriquesData(5, Fraction(1, 2), Basket.parse("1/10(1,3,7)_6, 2x1/5(1,2,3)_1"))
     peel_twisted = [[1, 0], [1, 1], [1, 3], [1, 4], [2, 2]]
-    components, tpeeled = _worked_example(fe, 9, peel_twisted)
+    components, tpeeled = worked_example(fe, 9, peel_twisted)
     if components[0] != [str(c) for c in (1, 1, 2, 5, 9, 16, 25, 38, 54, 74)]:
         fail("series examples: bigraded component 0 moved")
     for m in range(10):
@@ -842,19 +838,20 @@ def write_json(name: str, obj):
 
 def main():
     print("building bundled fixtures ...")
-    build_torsion()
+    census = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
+    build_torsion(census)
     build_series_examples()
 
     build_quotients(
-        make_records(COVERS_CODIM1), make_records(DECOYS_CODIM1),
+        census, make_records(COVERS_CODIM1), make_records(DECOYS_CODIM1),
         ROWS_CODIM1, [], "covers_codim1.json", "quotients_codim1.json",
     )
     build_quotients(
-        make_records(COVERS_CODIM2), make_records(DECOYS_CODIM2),
+        census, make_records(COVERS_CODIM2), make_records(DECOYS_CODIM2),
         ROWS_CODIM2, [], "covers_codim2.json", "quotients_codim2.json",
     )
     build_quotients(
-        make_records(COVERS_CODIM3), make_records(STANDINS_CODIM3 + DECOYS_CODIM3),
+        census, make_records(COVERS_CODIM3), make_records(STANDINS_CODIM3 + DECOYS_CODIM3),
         ROWS_CODIM3, SPECIALS_CODIM3, "covers_codim3.json", "quotients_codim3.json",
     )
 

@@ -42,7 +42,6 @@ from .orbifold import (
     MarkedSingularity,
     SingularityType,
     compose_actions,
-    contribution_cQ,
     inverse_weight,
     normalize_type,
     preimage_singularity,
@@ -88,7 +87,6 @@ from .quotient import (
 from .catalog import (
     bundled_catalog,
     bundled_json,
-    bundled_names,
     load_catalog,
     resolve_catalog,
     save_catalog,

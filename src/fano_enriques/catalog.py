@@ -18,7 +18,9 @@ Bundled under data/:
 
 verify_fixtures() recomputes everything the goldens freeze and returns
 the list of mismatches (empty means all good).  scripts/build_catalogs.py
-writes the goldens through the same recomputation helpers and save_catalog.
+writes the goldens through the same public recomputation helpers
+(candidate_row, reasons_by_cover, census_baskets, worked_example) and
+save_catalog.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence, Union
 
-from .enumeration import enumerate_bt
+from .enumeration import MAX_TORSION, BtCandidate, enumerate_bt
 from .errors import CatalogError
 from .exact import format_rational, parse_rational
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
@@ -40,10 +42,13 @@ __all__ = [
     "FORMAT_VERSION",
     "load_catalog",
     "save_catalog",
-    "bundled_names",
     "bundled_catalog",
     "bundled_json",
     "verify_fixtures",
+    "candidate_row",
+    "reasons_by_cover",
+    "census_baskets",
+    "worked_example",
 ]
 
 FORMAT_VERSION = "1"
@@ -121,12 +126,6 @@ def _data_root():
     return resources.files("fano_enriques") / "data"
 
 
-def bundled_names() -> list[str]:
-    return sorted(
-        entry.name for entry in _data_root().iterdir() if entry.name.endswith(".json")
-    )
-
-
 def bundled_json(name: str) -> dict:
     node = _data_root() / name
     try:
@@ -168,7 +167,9 @@ def _row_key(obj: dict) -> tuple:
     )
 
 
-def _candidate_row(c: QuotientCandidate) -> dict:
+def candidate_row(c: QuotientCandidate) -> dict:
+    """A search candidate as the quotient goldens store a row, before any
+    label or notes are added."""
     return {
         "cover": c.cover.name,
         "r": c.data.r,
@@ -181,7 +182,7 @@ def _candidate_row(c: QuotientCandidate) -> dict:
     }
 
 
-def _reasons_by_cover(result) -> dict[str, list[str]]:
+def reasons_by_cover(result) -> dict[str, list[str]]:
     """Each cover's distinct rejection reasons, sorted as decoys list them."""
     reasons: dict[str, set] = {}
     for rej in result.rejections:
@@ -189,14 +190,16 @@ def _reasons_by_cover(result) -> dict[str, list[str]]:
     return {cover: sorted(seen) for cover, seen in reasons.items()}
 
 
-def _census_baskets(max_order: int) -> dict[str, list]:
+def census_baskets(census: Sequence[BtCandidate]) -> dict[str, list]:
     """The census as torsion_baskets.json stores it: each order that has
-    baskets, mapped to them in enumeration order."""
-    found = {r: enumerate_bt(r) for r in range(2, max_order + 1)}
-    return {str(r): [c.entries.to_json() for c in cs] for r, cs in found.items() if cs}
+    baskets, mapped to them in census order."""
+    baskets: dict[str, list] = {}
+    for c in census:
+        baskets.setdefault(str(c.r), []).append(c.entries.to_json())
+    return baskets
 
 
-def _worked_example(data, trunc: int, peel) -> tuple[list, dict]:
+def worked_example(data, trunc: int, peel) -> tuple[list, dict]:
     """A worked series example of FanoData (r = 1) or FanoEnriquesData as
     series_examples.json stores it: the component rows, and the nonzero
     coefficients left after peeling each (n, i) in turn, keyed "m" or "m,i"."""
@@ -210,14 +213,14 @@ def _worked_example(data, trunc: int, peel) -> tuple[list, dict]:
     return rows, peeled
 
 
-def _verify_quotients(golden_name: str, strict_chi: bool = False) -> list[str]:
+def _verify_quotients(golden_name: str, census: Sequence[BtCandidate]) -> list[str]:
     golden = bundled_json(golden_name)
     catalog = bundled_catalog(golden["catalog"], trunc=golden.get("trunc", 24))
     result = search(
         catalog,
+        census,
         trunc=golden.get("trunc", 24),
         max_degree=golden.get("max_degree", 24),
-        strict_chi=strict_chi,
     )
 
     problems = []
@@ -225,7 +228,7 @@ def _verify_quotients(golden_name: str, strict_chi: bool = False) -> list[str]:
         ("expected row", "row", result.clean(), golden["rows"]),
         ("special case", "special case", result.special(), golden.get("special_cases", [])),
     ):
-        got = sorted(_row_key(_candidate_row(c)) for c in computed)
+        got = sorted(_row_key(candidate_row(c)) for c in computed)
         want = sorted(_row_key(row) for row in expected)
         for k in want:
             if k not in got:
@@ -235,7 +238,7 @@ def _verify_quotients(golden_name: str, strict_chi: bool = False) -> list[str]:
                 problems.append(f"{golden_name}: unexpected {kind} {k[0]} r={k[1]}")
 
     clean_covers = {c.cover.name for c in result.clean()}
-    reasons = _reasons_by_cover(result)
+    reasons = reasons_by_cover(result)
     for decoy in golden.get("decoys", []):
         name = decoy["cover"]
         if name in clean_covers:
@@ -256,20 +259,19 @@ def _verify_quotients(golden_name: str, strict_chi: bool = False) -> list[str]:
     return problems
 
 
-def _verify_baskets() -> list[str]:
+def _verify_baskets(census: Sequence[BtCandidate]) -> list[str]:
     golden = bundled_json("torsion_baskets.json")
-    max_order = golden.get("max_order", 24)
-    census = _census_baskets(max_order)
+    baskets = census_baskets(census)
     problems = []
-    for r in range(2, max_order + 1):
-        computed = sorted(map(_basket_key, census.get(str(r), [])))
+    for r in range(2, golden.get("max_order", 24) + 1):
+        computed = sorted(map(_basket_key, baskets.get(str(r), [])))
         want = sorted(map(_basket_key, golden["baskets"].get(str(r), [])))
         if computed != want:
             problems.append(
                 f"torsion_baskets.json: order {r} has {len(computed)} baskets, "
                 f"golden lists {len(want)} (or contents differ)"
             )
-    total = sum(len(v) for v in census.values())
+    total = len(census)
     want_total = sum(len(v) for v in golden["baskets"].values())
     if total != want_total:
         problems.append(
@@ -285,7 +287,7 @@ def _verify_series_examples() -> list[str]:
 
     plain = golden["untwisted"]
     data = FanoData(parse_rational(plain["minusK3"]), Basket.from_json(plain["basket"]))
-    (coeffs,), peeled = _worked_example(data, len(plain["coeffs"]) - 1, plain["peel"])
+    (coeffs,), peeled = worked_example(data, len(plain["coeffs"]) - 1, plain["peel"])
     if coeffs != plain["coeffs"]:
         problems.append("series_examples.json: untwisted coefficients differ")
     for m in range(len(coeffs)):
@@ -297,7 +299,7 @@ def _verify_series_examples() -> list[str]:
 
     twisted = golden["bigraded"]
     fe = FanoEnriquesData.from_json(twisted["data"])
-    rows, peeled = _worked_example(fe, len(twisted["components"][0]) - 1, twisted["peel"])
+    rows, peeled = worked_example(fe, len(twisted["components"][0]) - 1, twisted["peel"])
     for i, row in enumerate(twisted["components"]):
         if rows[i % fe.r] != row:
             problems.append(f"series_examples.json: bigraded component {i} differs")
@@ -313,10 +315,13 @@ def _verify_series_examples() -> list[str]:
 
 
 def verify_fixtures() -> list[str]:
-    """Recompute every bundled golden file; returns all mismatches found."""
-    problems = []
-    problems.extend(_verify_series_examples())
-    problems.extend(_verify_baskets())
+    """Recompute every bundled golden file; returns all mismatches found.
+
+    The census is enumerated once and feeds both its own golden and the
+    three catalog searches."""
+    census = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
+    problems = _verify_series_examples()
+    problems += _verify_baskets(census)
     for name in GOLDEN_FILES:
-        problems.extend(_verify_quotients(name))
+        problems += _verify_quotients(name, census)
     return problems

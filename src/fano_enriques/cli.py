@@ -21,7 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from .catalog import GOLDEN_FILES, bundled_json, resolve_catalog, verify_fixtures
-from .enumeration import MAX_TORSION, enumerate_bt
+from .enumeration import MAX_TORSION, BtCandidate, enumerate_bt
 from .errors import EngineError
 from .exact import format_rational, nonnegative, parse_rational
 from .gradedrings import infer_presentation
@@ -159,11 +159,15 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _census(args) -> list[BtCandidate]:
+    """The census --r (one order, else every order) and --strict-r5 select,
+    order by order, each in enumeration order."""
     orders = [args.r] if args.r is not None else range(2, MAX_TORSION + 1)
-    rows = []
-    for r in orders:
-        rows.extend(enumerate_bt(r, strict_chi=args.strict_r5))
+    return [c for r in orders for c in enumerate_bt(r, args.strict_r5)]
+
+
+def _cmd_enumerate(args) -> int:
+    rows = _census(args)
     if args.json:
         print(
             json.dumps([{"r": c.r, "entries": c.entries.to_json()} for c in rows])
@@ -178,13 +182,7 @@ def _cmd_search(args) -> int:
     trunc = nonnegative("--trunc", args.trunc)
     max_degree = nonnegative("--max-degree", args.max_degree)
     catalog = resolve_catalog(args.catalog, trunc=min(trunc, 20))
-    result = search(
-        catalog,
-        rs=[args.r] if args.r is not None else None,
-        trunc=trunc,
-        max_degree=max_degree,
-        strict_chi=args.strict_r5,
-    )
+    result = search(catalog, _census(args), trunc=trunc, max_degree=max_degree)
     if args.json:
         payload = {
             "candidates": [c.to_json() for c in result],

@@ -71,10 +71,6 @@ class BtCandidate:
                     f"not a divisor of r = {self.r}"
                 )
 
-    @property
-    def canonical(self) -> bool:
-        return self.entries == canonicalize(self).entries
-
     def __str__(self):
         return f"r={self.r} | {self.entries}"
 

@@ -54,21 +54,6 @@ class Presentation:
     def codimension(self) -> int:
         return len(self.generators) - 4
 
-    @property
-    def relation_count_consistent(self) -> bool:
-        """Diagnostic: the relation count expected for the codimension.
-
-        Hypersurfaces and codimension 2 need as many relations as the
-        codimension; codimension 3 admits either a complete intersection
-        (3) or a Pfaffian model (5).
-        """
-        c = self.codimension
-        if c in (1, 2):
-            return len(self.relations) == c
-        if c == 3:
-            return len(self.relations) in (3, 5)
-        return True
-
     def to_json(self) -> dict:
         return {
             "generators": [[g.n, g.i] for g in self.generators],
@@ -76,14 +61,6 @@ class Presentation:
             "status": self.status,
             "codim": self.codimension,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Presentation":
-        return cls(
-            generators=tuple(Bidegree(n, i) for n, i in obj["generators"]),
-            relations=tuple(Bidegree(n, i) for n, i in obj["relations"]),
-            status=obj["status"],
-        )
 
     def __str__(self):
         gens = " ".join(str(g) for g in self.generators) or "-"

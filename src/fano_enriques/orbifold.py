@@ -29,7 +29,6 @@ __all__ = [
     "Basket",
     "normalize_type",
     "inverse_weight",
-    "contribution_cQ",
     "terminal_sum",
     "compose_actions",
     "preimage_singularity",
@@ -147,10 +146,6 @@ class Basket:
     def __add__(self, other: "Basket") -> "Basket":
         return Basket(self.entries + tuple(other))
 
-    @property
-    def unmarked(self) -> bool:
-        return all(e.l == 0 for e in self.entries)
-
     def types(self) -> tuple[SingularityType, ...]:
         """The underlying types with multiplicity, markings dropped."""
         return tuple(e.type for e in self.entries)
@@ -255,23 +250,6 @@ def normalize_type(r: int, exponents: tuple[int, int, int]):
 def inverse_weight(s: SingularityType) -> int:
     """b with a*b = 1 mod r; the weight in the 1/r(b, 1, -1) presentation."""
     return mod_inverse(s.a, s.r)
-
-
-def contribution_cQ(s: SingularityType, i: int) -> Rational:
-    """Riemann-Roch correction of the point for a divisor locally i*K.
-
-    Periodic in i with period r; zero for i = 0 mod r.
-    """
-    r = s.r
-    iq = i % r
-    if iq == 0:
-        return Rational(0)
-    b = inverse_weight(s)
-    total = Rational(-iq * (r * r - 1), 12 * r)
-    for j in range(1, iq):
-        bj = (b * j) % r
-        total += Rational(bj * (r - bj), 2 * r)
-    return total
 
 
 def terminal_sum(basket: Union[Basket, Iterable[PointLike]]) -> Rational:

@@ -17,8 +17,8 @@ numerical data of a hypothetical quotient is forced.
      candidate as special (a generator and relation in the same degree).
 
 Steps 2-4 are match_cover; search drives the whole pipeline over a
-catalog and every admissible bt, collecting typed rejections for the
-pairs that fail.
+catalog and a census of admissible (r, bt), collecting typed rejections
+for the pairs that fail.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .enumeration import MAX_TORSION, enumerate_bt
+from .enumeration import BtCandidate
 from .errors import (
     CatalogError,
     InconsistentDataError,
@@ -95,8 +95,8 @@ class CoverRecord:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
         object.__setattr__(self, "minus_k_cubed", Rational(self.minus_k_cubed))
         if not isinstance(self.basket, Basket):
             object.__setattr__(self, "basket", Basket(tuple(self.basket)))
@@ -104,10 +104,10 @@ class CoverRecord:
             raise CatalogError(
                 f"{self.name}: unknown structure {self.structure!r}"
             )
-        if not self.weights or any(w < 1 for w in self.weights):
-            raise CatalogError(f"{self.name}: weights must be positive integers")
-        if not self.degrees or any(d < 1 for d in self.degrees):
-            raise CatalogError(f"{self.name}: degrees must be positive integers")
+        # exactly int: int() would truncate 2.9 to 2 and load another cover
+        for kind, values in (("weights", self.weights), ("degrees", self.degrees)):
+            if not values or any(type(v) is not int or v < 1 for v in values):
+                raise CatalogError(f"{self.name}: {kind} must be positive integers")
 
     @property
     def codimension(self) -> int:
@@ -304,17 +304,9 @@ class QuotientCandidate:
     def status(self) -> str:
         return self.presentation.status
 
-    @property
-    def cross_codimension(self) -> bool:
-        return CROSS_CODIMENSION in self.diagnostics
-
     def matches_cover_shape(self) -> bool:
         """Do the inferred degrees reproduce the cover's weighted space?"""
-        gens = sorted(g.n for g in self.presentation.generators)
-        rels = sorted(q.n for q in self.presentation.relations)
-        return gens == sorted(self.cover.weights) and rels == sorted(
-            self.cover.degrees
-        )
+        return _same_shape(self.cover, self.presentation)
 
     def to_json(self) -> dict:
         obj = {
@@ -341,6 +333,12 @@ class QuotientCandidate:
             f"-K^3={format_rational(self.data.minus_k_cubed)} | "
             f"bt: {self.data.bt} | be: {be} | {self.presentation}{flags}"
         )
+
+
+def _same_shape(cover: CoverRecord, presentation: Presentation) -> bool:
+    gens = sorted(g.n for g in presentation.generators)
+    rels = sorted(q.n for q in presentation.relations)
+    return gens == sorted(cover.weights) and rels == sorted(cover.degrees)
 
 
 def forced_preimage(bt: Basket, r: int) -> Counter:
@@ -414,81 +412,66 @@ class SearchResult(list):
 
 def search(
     catalog: Sequence[CoverRecord],
-    rs: Optional[Iterable[int]] = None,
+    census: Sequence[BtCandidate],
     trunc: int = 24,
     max_degree: int = 24,
-    strict_chi: bool = False,
 ) -> SearchResult:
-    """Try every (cover, r, admissible bt) triple.
+    """Try every cover against every marked basket of the census.
 
-    Accepted candidates get a bigraded series and an inferred
-    presentation; the collapse of the series is checked against the
-    cover's own series, which is an arithmetic identity for correctly
-    assembled data and hence an engine guard, not a data filter.
+    The census is a sequence of distinct BtCandidates, each carrying its
+    own order r, such as enumerate_bt returns; rejections come in census
+    order, then catalog order.  Accepted candidates get a bigraded series
+    and an inferred presentation; the collapse of the series is checked
+    against the cover's own series, which is an arithmetic identity for
+    correctly assembled data and hence an engine guard, not a data filter.
     """
     nonnegative("trunc", trunc)
     nonnegative("max_degree", max_degree)
-    orders = sorted(set(rs)) if rs is not None else range(2, MAX_TORSION + 1)
     candidates: list[QuotientCandidate] = []
     rejections: list[Rejection] = []
-    seen: set = set()
 
     have = [Counter(e.type for e in cover.basket) for cover in catalog]
-    for r in orders:
-        for bt_candidate in enumerate_bt(r, strict_chi):
-            bt = bt_candidate.entries
-            need = forced_preimage(bt, r)
-            for cover, cover_types in zip(catalog, have):
-                outcome = _match(cover, cover_types, bt, need, r)
-                if isinstance(outcome, Rejection):
-                    rejections.append(outcome)
-                    continue
-                key = (
-                    cover.name, r, bt.entries,
-                    outcome.be.entries, outcome.minus_k_cubed,
+    for bt_candidate in census:
+        r, bt = bt_candidate.r, bt_candidate.entries
+        need = forced_preimage(bt, r)
+        for cover, cover_types in zip(catalog, have):
+            outcome = _match(cover, cover_types, bt, need, r)
+            if isinstance(outcome, Rejection):
+                rejections.append(outcome)
+                continue
+
+            try:
+                series = bigraded_series(outcome, trunc)
+            except InconsistentDataError as exc:
+                rejections.append(
+                    Rejection(cover.name, r, bt, "inconsistent-data", str(exc))
                 )
-                if key in seen:
-                    continue
-                seen.add(key)
+                continue
 
-                try:
-                    series = bigraded_series(outcome, trunc)
-                except InconsistentDataError as exc:
-                    rejections.append(
-                        Rejection(cover.name, r, bt, "inconsistent-data", str(exc))
-                    )
-                    continue
+            if series.collapse() != cover._orbifold_series(trunc):
+                raise InternalConsistencyError(
+                    f"component sum for {cover.name} (r={r}, bt {bt}) "
+                    f"does not reproduce the cover series"
+                )
 
-                if series.collapse() != cover._orbifold_series(trunc):
-                    raise InternalConsistencyError(
-                        f"component sum for {cover.name} (r={r}, bt {bt}) "
-                        f"does not reproduce the cover series"
+            try:
+                pres = infer_presentation(series, max_degree)
+            except InferenceFailureError as exc:
+                rejections.append(
+                    Rejection(cover.name, r, bt, "inference-failure", str(exc))
+                )
+                continue
+            if pres.status == "inconclusive":
+                rejections.append(
+                    Rejection(
+                        cover.name, r, bt, "inference-inconclusive",
+                        f"undecided beyond degree {max_degree}",
                     )
+                )
+                continue
 
-                try:
-                    pres = infer_presentation(series, max_degree)
-                except InferenceFailureError as exc:
-                    rejections.append(
-                        Rejection(cover.name, r, bt, "inference-failure", str(exc))
-                    )
-                    continue
-                if pres.status == "inconclusive":
-                    rejections.append(
-                        Rejection(
-                            cover.name, r, bt, "inference-inconclusive",
-                            f"undecided beyond degree {max_degree}",
-                        )
-                    )
-                    continue
-
-                diagnostics = []
-                candidate = QuotientCandidate(cover, outcome, pres)
-                if not candidate.matches_cover_shape():
-                    diagnostics.append(CROSS_CODIMENSION)
-                    candidate = QuotientCandidate(
-                        cover, outcome, pres, tuple(diagnostics)
-                    )
-                candidates.append(candidate)
+            diagnostics = () if _same_shape(cover, pres) else (CROSS_CODIMENSION,)
+            candidates.append(QuotientCandidate(cover, outcome, pres, diagnostics))
 
     candidates.sort(
         key=lambda c: (c.data.r, c.cover.name, c.data.bt.entries, c.data.be.entries)

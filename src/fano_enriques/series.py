@@ -77,10 +77,6 @@ class BigradedSeries:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zero(cls, r: int, trunc: int) -> "BigradedSeries":
-        return cls(r, [[0] * (trunc + 1) for _ in range(r)])
-
-    @classmethod
     def one(cls, r: int, trunc: int) -> "BigradedSeries":
         rows = [[0] * (trunc + 1) for _ in range(r)]
         rows[0][0] = 1
@@ -92,11 +88,6 @@ class BigradedSeries:
         if d.n <= trunc:
             rows[d.i % r][d.n] = c
         return cls(r, rows)
-
-    @classmethod
-    def from_coefficients(cls, coefficients: Iterable[Scalar]) -> "BigradedSeries":
-        """Single-graded series (r = 1) from a plain coefficient list."""
-        return cls(1, [list(coefficients)])
 
     # -- inspection ---------------------------------------------------
 
@@ -171,18 +162,6 @@ class BigradedSeries:
                 for i in range(self.r)
             ],
         )
-
-    def __neg__(self) -> "BigradedSeries":
-        return BigradedSeries(
-            self.r, [[-c for c in row] for row in self.coeffs]
-        )
-
-    def truncate(self, trunc: int) -> "BigradedSeries":
-        if trunc > self.trunc:
-            raise IncompatibleSeriesError(
-                f"cannot extend truncation {self.trunc} to {trunc}"
-            )
-        return BigradedSeries(self.r, [row[: trunc + 1] for row in self.coeffs])
 
     def collapse(self) -> "BigradedSeries":
         """Set e = 1: sum the rows into a single-graded series."""

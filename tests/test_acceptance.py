@@ -27,10 +27,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from fano_enriques.catalog import (
-    _candidate_row,
     _row_key,
     bundled_catalog,
     bundled_json,
+    candidate_row,
 )
 from fano_enriques.enumeration import MAX_TORSION, enumerate_bt
 from fano_enriques.errors import InconsistentDataError
@@ -61,6 +61,8 @@ from fano_enriques.orbifold import (
 )
 from fano_enriques.quotient import Rejection, forced_preimage, search
 from fano_enriques.series import Bidegree
+
+CENSUS = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
 
 QUOTIENT_GOLDENS = (
     "quotients_codim1.json",
@@ -171,11 +173,11 @@ def test_torsion_basket_census():
 def test_hypersurface_catalog_search():
     golden = bundled_json("quotients_codim1.json")
     records = bundled_catalog(golden["catalog"], trunc=golden["trunc"])
-    result = search(records, trunc=golden["trunc"], max_degree=golden["max_degree"])
+    result = search(records, CENSUS, trunc=golden["trunc"], max_degree=golden["max_degree"])
 
     assert len(golden["rows"]) == 12
     assert {row["label"] for row in golden["rows"]} == {str(k) for k in range(1, 13)}
-    computed = sorted(_row_key(_candidate_row(c)) for c in result.clean())
+    computed = sorted(_row_key(candidate_row(c)) for c in result.clean())
     assert computed == sorted(_row_key(row) for row in golden["rows"])
 
     decoys = golden["decoys"]
@@ -202,11 +204,11 @@ def test_codim2_and_codim3_catalog_searches():
         assert "cross-codimension" in row["flags"]
 
     records = bundled_catalog(g2["catalog"], trunc=g2["trunc"])
-    result = search(records, trunc=g2["trunc"], max_degree=g2["max_degree"])
-    assert sorted(_row_key(_candidate_row(c)) for c in result.clean()) == sorted(
+    result = search(records, CENSUS, trunc=g2["trunc"], max_degree=g2["max_degree"])
+    assert sorted(_row_key(candidate_row(c)) for c in result.clean()) == sorted(
         _row_key(row) for row in g2["rows"]
     )
-    assert sorted(_row_key(_candidate_row(c)) for c in result.special()) == sorted(
+    assert sorted(_row_key(candidate_row(c)) for c in result.special()) == sorted(
         _row_key(row) for row in g2["special_cases"]
     )
 
@@ -217,11 +219,11 @@ def test_codim2_and_codim3_catalog_searches():
     assert sorted(i for _, i in row_1c["relations"]) == [0, 2, 4]
 
     records = bundled_catalog(g3["catalog"], trunc=g3["trunc"])
-    result = search(records, trunc=g3["trunc"], max_degree=g3["max_degree"])
-    assert sorted(_row_key(_candidate_row(c)) for c in result.clean()) == sorted(
+    result = search(records, CENSUS, trunc=g3["trunc"], max_degree=g3["max_degree"])
+    assert sorted(_row_key(candidate_row(c)) for c in result.clean()) == sorted(
         _row_key(row) for row in g3["rows"]
     )
-    assert sorted(_row_key(_candidate_row(c)) for c in result.special()) == sorted(
+    assert sorted(_row_key(candidate_row(c)) for c in result.special()) == sorted(
         _row_key(row) for row in g3["special_cases"]
     )
 

@@ -8,15 +8,15 @@ from fano_enriques import catalog
 from fano_enriques.catalog import (
     FORMAT_VERSION,
     GOLDEN_FILES,
-    _candidate_row,
     _row_key,
     bundled_catalog,
     bundled_json,
-    bundled_names,
+    candidate_row,
     load_catalog,
     resolve_catalog,
     save_catalog,
 )
+from fano_enriques.enumeration import MAX_TORSION, enumerate_bt
 from fano_enriques.errors import CatalogError
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import Presentation
@@ -29,6 +29,8 @@ Y4 = CoverRecord("Y_{4} in P(1,1,1,1,1)", (1, 1, 1, 1, 1), (4,), Basket(), Ratio
 Y5 = CoverRecord(
     "Y_{5} in P(1,1,1,1,2)", (1, 1, 1, 1, 2), (5,), Basket.parse("1/2(1,1,1)"), Rational(5, 2)
 )
+
+CENSUS = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
 
 BUNDLED = (
     "covers_codim1.json",
@@ -98,7 +100,8 @@ class TestSaveLoad:
 
 class TestBundled:
     def test_expected_files_present(self):
-        assert bundled_names() == sorted(BUNDLED)
+        shipped = [e.name for e in catalog._data_root().iterdir() if e.name.endswith(".json")]
+        assert sorted(shipped) == sorted(BUNDLED)
 
     def test_covers_load_and_validate(self):
         for name in ("covers_codim1.json", "covers_codim2.json", "covers_codim3.json"):
@@ -153,7 +156,7 @@ class TestRowKeys:
             (Bidegree(5, 0),),
             "clean",
         )
-        return _candidate_row(QuotientCandidate(Y5, data, pres))
+        return candidate_row(QuotientCandidate(Y5, data, pres))
 
     def test_candidate_row_fields(self):
         row = self._row()
@@ -197,7 +200,7 @@ class TestGoldenComparison:
             decoys=golden["decoys"] + [{"cover": dropped["cover"], "reasons": []}],
         )
         self._tamper(monkeypatch, "quotients_codim3.json", tampered)
-        assert catalog._verify_quotients("quotients_codim3.json") == [
+        assert catalog._verify_quotients("quotients_codim3.json", CENSUS) == [
             "quotients_codim3.json: missing expected row Y_{row} in P(1,1,1,1,1,1,1) r=2",
             "quotients_codim3.json: unexpected row Y_{2,2,2} in P(1,1,1,1,1,1,1) r=2",
             "quotients_codim3.json: missing special case Y_{special} in P(1,1,1,1,1,1,1) r=7",
@@ -211,7 +214,7 @@ class TestGoldenComparison:
         decoys = [dict(first, reasons=first["reasons"] + ["inconsistent-data"])]
         decoys += [{"cover": "Y_{none} in P(1,1,1,1,1,1,1)", "reasons": ["parity-fail"]}]
         self._tamper(monkeypatch, "quotients_codim3.json", dict(golden, decoys=decoys))
-        assert catalog._verify_quotients("quotients_codim3.json") == [
+        assert catalog._verify_quotients("quotients_codim3.json", CENSUS) == [
             f"quotients_codim3.json: decoy {first['cover']} never rejected with "
             f"'inconsistent-data' (saw {first['reasons']})",
             "quotients_codim3.json: decoy Y_{none} in P(1,1,1,1,1,1,1) never "
@@ -227,7 +230,7 @@ class TestGoldenComparison:
         reasons = [x for x in first["reasons"] if x != "parity-fail"]
         decoys = [dict(first, reasons=reasons)] + golden["decoys"][1:]
         self._tamper(monkeypatch, "quotients_codim3.json", dict(golden, decoys=decoys))
-        assert catalog._verify_quotients("quotients_codim3.json") == [
+        assert catalog._verify_quotients("quotients_codim3.json", CENSUS) == [
             f"quotients_codim3.json: decoy {first['cover']} rejected with "
             f"unexpected 'parity-fail'",
         ]
@@ -241,7 +244,7 @@ class TestGoldenComparison:
         self._tamper(
             monkeypatch, "torsion_baskets.json", dict(golden, baskets=baskets)
         )
-        assert catalog._verify_baskets() == [
+        assert catalog._verify_baskets(CENSUS) == [
             "torsion_baskets.json: order 2 has 20 baskets, golden lists 19 (or contents differ)",
             "torsion_baskets.json: order 5 has 4 baskets, golden lists 4 (or contents differ)",
             "torsion_baskets.json: 39 baskets enumerated, golden freezes 38",
@@ -253,7 +256,7 @@ class TestGoldenComparison:
         self._tamper(
             monkeypatch, "torsion_baskets.json", dict(golden, baskets=baskets)
         )
-        assert catalog._verify_baskets() == [
+        assert catalog._verify_baskets(CENSUS) == [
             "torsion_baskets.json: 39 baskets enumerated, golden freezes 40",
         ]
 

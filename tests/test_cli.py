@@ -162,6 +162,14 @@ class TestSearch:
         assert code == 0
         assert "preimage-mismatch" in out or "orbit-indivisible" in out
 
+    def test_strict_r5_changes_nothing(self, capsys):
+        argv = ("search", "--catalog", "covers_codim2.json", "--r", "3", "--json")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(plain)["candidates"]
+        code, strict, _ = run(capsys, *argv, "--strict-r5")
+        assert code == 0
+        assert strict == plain
+
     def test_unknown_catalog(self, capsys):
         code, _, err = run(capsys, "search", "--catalog", "nope.json")
         assert code == 1
@@ -232,6 +240,23 @@ class TestBadInput:
         assert code == 1
         assert err.startswith(f"fano-enriques {argv[0]}: ")
         assert "--trunc must be >= 0, got -1" in err
+
+    def test_search_fractional_weights_and_degrees(self, capsys, tmp_path):
+        # truncated to integers, this record would load as the quintic
+        # Y_5 in P(1,1,1,1,2) and give a clean row
+        record = {
+            "name": "Y_{5.2} in P(1,1,1,1,2.9)",
+            "weights": [1, 1, 1, 1, 2.9],
+            "degrees": [5.2],
+            "basket": [{"r": 2, "a": 1}],
+            "minusK3": "5/2",
+        }
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps({"format_version": "1", "entries": [record]}))
+        code, out, err = run(capsys, "search", "--catalog", str(path), "--r", "5")
+        assert code == 1
+        assert out == ""
+        assert "Y_{5.2} in P(1,1,1,1,2.9): weights must be positive integers" in err
 
     def test_search_negative_max_degree(self, capsys):
         code, out, err = run(

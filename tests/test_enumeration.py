@@ -132,7 +132,7 @@ class TestEnumerateBt:
 
     def test_all_results_canonical_and_admissible(self):
         for c in enumerate_bt(5) + enumerate_bt(6) + enumerate_bt(8):
-            assert c.canonical
+            assert canonicalize(c) == c
             assert check_restrictions(c).admissible
 
     def test_worked_basket_enumerated(self):
@@ -170,6 +170,12 @@ class TestCensusCache:
             plain = enumerate_bt(r)
             want = [c for c in plain if check_restrictions(c, strict_chi=True).admissible]
             assert enumerate_bt(r, strict_chi=True) == want, r
+
+    def test_strict_r5_keeps_every_shipped_basket(self):
+        # all 39 baskets have chi(i*sigma) = 0 for i != 0, so on the
+        # shipped census the strict variant changes nothing
+        for r in range(2, MAX_TORSION + 1):
+            assert enumerate_bt(r, strict_chi=True) == enumerate_bt(r), r
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_returned_list_is_a_copy(self, strict):

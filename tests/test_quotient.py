@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from fano_enriques.catalog import bundled_catalog, bundled_json
+from fano_enriques.enumeration import enumerate_bt
 from fano_enriques.errors import CatalogError, InconsistentDataError, OutOfRangeError
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import Presentation
@@ -49,6 +50,10 @@ STANDIN = CoverRecord(
 )
 
 WORKED_BT = Basket.parse("1/10(1,3,7)_6, 2x1/5(1,2,3)_1")
+
+
+def census(*orders):
+    return [c for r in orders for c in enumerate_bt(r)]
 
 
 class TestForcedPreimage:
@@ -128,6 +133,22 @@ class TestCoverRecord:
         with pytest.raises(CatalogError):
             CoverRecord("bad", (1, 1, 1, 1, 1), (0,), Basket(), Rational(4))
 
+    @pytest.mark.parametrize(
+        "weights, degrees",
+        [
+            ((1, 1, 1, 1, 2.9), (5,)),
+            ((1, 1, 1, 1, 2), (5.2,)),
+            ((1, 1, 1, 1, 2), (5.0,)),
+            ((1, 1, 1, True, 2), (5,)),
+            ((1, 1, 1, 1, "2"), (5,)),
+        ],
+        ids=["fractional-weight", "fractional-degree", "float-degree", "bool", "str"],
+    )
+    def test_weights_and_degrees_must_be_ints(self, weights, degrees):
+        # int() would truncate 2.9 and 5.2 and load the quintic instead
+        with pytest.raises(CatalogError, match="must be positive integers"):
+            CoverRecord("bad", weights, degrees, Basket.parse("1/2(1,1,1)"), Rational(5, 2))
+
     def test_json_round_trip(self):
         for rec in (Y5, STANDIN):
             assert CoverRecord.from_json(rec.to_json()) == rec
@@ -201,8 +222,9 @@ class TestQuotientCandidate:
 
     def test_cross_codimension_flag(self):
         c = self._candidate((CROSS_CODIMENSION,))
-        assert c.cross_codimension
-        assert not self._candidate().cross_codimension
+        assert CROSS_CODIMENSION in c.diagnostics
+        assert c.to_json()["diagnostics"] == [CROSS_CODIMENSION]
+        assert CROSS_CODIMENSION not in self._candidate().diagnostics
 
     def test_json_contains_action(self):
         obj = self._candidate().to_json()
@@ -213,7 +235,7 @@ class TestQuotientCandidate:
 
 class TestSearch:
     def test_mini_catalog(self):
-        res = search([Y4, Y5, Y8], rs=(2, 5), trunc=24, max_degree=24)
+        res = search([Y4, Y5, Y8], census(2, 5), trunc=24, max_degree=24)
         assert len(res) == 4
         assert len(res.clean()) == 2
         assert len(res.special()) == 2
@@ -224,7 +246,7 @@ class TestSearch:
         )
 
     def test_mini_catalog_clean_rows(self):
-        res = search([Y4, Y5, Y8], rs=(2, 5), trunc=24, max_degree=24)
+        res = search([Y4, Y5, Y8], census(2, 5), trunc=24, max_degree=24)
         by_cover = {c.cover.name: c for c in res.clean()}
         quartic = by_cover["Y_{4} in P(1,1,1,1,1)"]
         assert quartic.data.r == 5
@@ -242,7 +264,7 @@ class TestSearch:
         )
 
     def test_mini_catalog_special_rows(self):
-        res = search([Y4, Y5, Y8], rs=(2, 5), trunc=24, max_degree=24)
+        res = search([Y4, Y5, Y8], census(2, 5), trunc=24, max_degree=24)
         specials = {c.cover.name: c for c in res.special()}
         assert set(specials) == {"Y_{4} in P(1,1,1,1,1)", "Y_{8} in P(1,1,2,2,3)"}
         collision = specials["Y_{8} in P(1,1,2,2,3)"]
@@ -252,12 +274,21 @@ class TestSearch:
             [(1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (4, 1)]
         )
         assert collision.presentation.relations == bd([(4, 0)])
-        assert collision.cross_codimension
+        assert collision.diagnostics == (CROSS_CODIMENSION,)
 
     def test_candidates_sorted(self):
-        res = search([Y4, Y5, Y8], rs=(2, 5), trunc=24, max_degree=24)
+        res = search([Y4, Y5, Y8], census(2, 5), trunc=24, max_degree=24)
         keys = [(c.data.r, c.cover.name, c.data.bt.entries, c.data.be.entries) for c in res]
         assert keys == sorted(keys)
+
+    def test_rejections_follow_the_census_then_the_catalog(self):
+        order = census(5, 2)
+        res = search([Y8, Y4, Y5], order, trunc=24, max_degree=24)
+        position = {c.entries: k for k, c in enumerate(order)}
+        covers = [Y8.name, Y4.name, Y5.name]
+        keys = [(position[rej.bt], covers.index(rej.cover)) for rej in res.rejections]
+        assert keys == sorted(keys)
+        assert [rej.r for rej in res.rejections[:3]] == [5, 5, 5]
 
     def test_search_result_container(self):
         res = SearchResult()
@@ -302,7 +333,7 @@ class TestSeriesMemo:
 
     def test_search_same_with_memo_cold_warm_and_other_truncation(self):
         def run(catalog):
-            res = search(catalog, rs=(2, 3, 5), trunc=24, max_degree=24)
+            res = search(catalog, census(2, 3, 5), trunc=24, max_degree=24)
             return (
                 [c.to_json() for c in res],
                 [r.to_json() for r in res.rejections],
@@ -323,8 +354,8 @@ class TestNegativeSizes:
     def test_search_negative_max_degree(self):
         catalog = bundled_catalog("covers_codim1.json")
         with pytest.raises(OutOfRangeError, match="max_degree must be >= 0"):
-            search(catalog, rs=[5], max_degree=-1)
+            search(catalog, census(5), max_degree=-1)
 
     def test_search_negative_truncation(self):
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
-            search([Y4], rs=[5], trunc=-1)
+            search([Y4], census(5), trunc=-1)
