@@ -17,10 +17,11 @@ Bundled under data/:
   series_examples.json    frozen series values for the worked examples
 
 verify_fixtures() recomputes everything the goldens freeze and returns
-the list of mismatches (empty means all good).  scripts/build_catalogs.py
-writes the goldens through the same public recomputation helpers
-(candidate_row, reasons_by_cover, census_baskets, worked_example) and
-save_catalog.
+the list of mismatches (empty means all good).  The cover catalogs are
+curated by hand, laid out as save_catalog writes them; the other files
+are regenerated by scripts/build_catalogs.py, which reads the covers
+and uses the same public recomputation helpers (candidate_row,
+reasons_by_cover, census_baskets, worked_example).
 """
 
 from __future__ import annotations

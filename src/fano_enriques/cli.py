@@ -181,7 +181,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_search(args) -> int:
     trunc = nonnegative("--trunc", args.trunc)
     max_degree = nonnegative("--max-degree", args.max_degree)
-    catalog = resolve_catalog(args.catalog, trunc=min(trunc, 20))
+    catalog = resolve_catalog(args.catalog, trunc=trunc)
     result = search(catalog, _census(args), trunc=trunc, max_degree=max_degree)
     if args.json:
         payload = {

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Union
 
-from .errors import InconsistentMarkingError, NotTerminalError
+from .errors import InconsistentMarkingError, MalformedInputError, NotTerminalError
 from .exact import Rational, mod_inverse, units
 
 __all__ = [
@@ -175,10 +175,15 @@ class Basket:
 
     @classmethod
     def from_json(cls, records: Iterable[dict]) -> "Basket":
-        entries = [
-            MarkedSingularity(SingularityType(rec["r"], rec["a"]), rec.get("l", 0))
-            for rec in records
-        ]
+        entries = []
+        for rec in records:
+            r, a, l = rec["r"], rec["a"], rec.get("l", 0)
+            # exactly int: 0.5 or true would pass the point types' range checks
+            if any(type(x) is not int for x in (r, a, l)):
+                raise MalformedInputError(
+                    f"basket entry {rec!r}: r, a and l must be integers"
+                )
+            entries.append(MarkedSingularity(SingularityType(r, a), l))
         return cls(tuple(entries))
 
     @classmethod

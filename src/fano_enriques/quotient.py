@@ -108,6 +108,13 @@ class CoverRecord:
         for kind, values in (("weights", self.weights), ("degrees", self.degrees)):
             if not values or any(type(v) is not int or v < 1 for v in values):
                 raise CatalogError(f"{self.name}: {kind} must be positive integers")
+        # search reads only the point types, so a marking would be dropped
+        marked = [e for e in self.basket if e.l]
+        if marked:
+            raise CatalogError(
+                f"{self.name}: basket entry {marked[0]} is marked; a cover's "
+                f"basket carries no torsion marking"
+            )
 
     @property
     def codimension(self) -> int:

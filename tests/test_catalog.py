@@ -84,6 +84,27 @@ class TestSaveLoad:
         with pytest.raises(CatalogError, match="entry list"):
             load_catalog(path)
 
+    @pytest.mark.parametrize(
+        "point, complaint",
+        [
+            ({"r": 2, "a": 1, "l": 0.5}, "r, a and l must be integers"),
+            ({"r": 2, "a": 1, "l": 1}, "basket entry 1/2(1,1,1)_1 is marked"),
+            ({"r": 2, "a": 1, "l": True}, "r, a and l must be integers"),
+            ({"r": 2, "a": True}, "r, a and l must be integers"),
+        ],
+        ids=["fractional-l", "marked", "bool-l", "bool-a"],
+    )
+    def test_marked_or_non_integer_basket(self, tmp_path, point, complaint):
+        # each used to load as the quintic with the marking dropped
+        path = tmp_path / "quintic.json"
+        record = dict(Y5.to_json(), basket=[point])
+        path.write_text(json.dumps({"format_version": FORMAT_VERSION, "entries": [record]}))
+        with pytest.raises(CatalogError) as err:
+            load_catalog(path)
+        message = str(err.value)
+        assert message.startswith(f"{path} entry 0: unreadable record")
+        assert complaint in message
+
     def test_problems_are_aggregated(self, tmp_path):
         bad1 = dict(Y4.to_json(), minusK3="5")
         bad2 = dict(Y5.to_json(), name="Y_{4} in P(1,1,1,1,1)")
@@ -120,6 +141,21 @@ class TestBundled:
             assert golden["format_version"] == FORMAT_VERSION
             assert golden["catalog"] in BUNDLED
             assert golden["rows"], name
+
+    def test_every_cover_is_a_source_row_or_a_decoy(self):
+        # the cover catalogs are edited by hand: each cover is the cover of a
+        # labelled row or special case or one of the decoys, never both
+        counts = []
+        for name in GOLDEN_FILES:
+            golden = bundled_json(name)
+            covers = sorted(rec.name for rec in bundled_catalog(golden["catalog"]))
+            sources = {
+                row["cover"] for row in golden["rows"] + golden["special_cases"] if "label" in row
+            }
+            decoys = [decoy["cover"] for decoy in golden["decoys"]]
+            assert covers == sorted([*sources, *decoys]), name
+            counts.append(len(covers))
+        assert counts == [15, 29, 4]
 
     def test_unknown_bundled_name(self):
         with pytest.raises(CatalogError, match="no bundled file"):

@@ -258,6 +258,32 @@ class TestBadInput:
         assert out == ""
         assert "Y_{5.2} in P(1,1,1,1,2.9): weights must be positive integers" in err
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            {"r": 2, "a": 1, "l": 0.5},
+            {"r": 2, "a": 1, "l": 1},
+            {"r": 2, "a": 1, "l": True},
+            {"r": 2, "a": True},
+        ],
+        ids=["fractional-l", "marked", "bool-l", "bool-a"],
+    )
+    def test_search_marked_or_non_integer_basket(self, capsys, tmp_path, point):
+        # the marking used to be dropped, giving the clean quintic row
+        record = {
+            "name": "Y_{5} in P(1,1,1,1,2)",
+            "weights": [1, 1, 1, 1, 2],
+            "degrees": [5],
+            "basket": [point],
+            "minusK3": "5/2",
+        }
+        path = tmp_path / "marked.json"
+        path.write_text(json.dumps({"format_version": "1", "entries": [record]}))
+        code, out, err = run(capsys, "search", "--catalog", str(path), "--r", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"fano-enriques search: {path} entry 0: unreadable record")
+
     def test_search_negative_max_degree(self, capsys):
         code, out, err = run(
             capsys, "search", "--catalog", "covers_codim1.json", "--r", "5",

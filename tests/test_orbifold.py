@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano_enriques.errors import InconsistentMarkingError, NotTerminalError
+from fano_enriques.errors import InconsistentMarkingError, MalformedInputError, NotTerminalError
 from fano_enriques.exact import Rational
 from fano_enriques.hilbert import torsion_delta_at
 from fano_enriques.orbifold import (
@@ -222,6 +222,23 @@ class TestBasket:
         assert Basket.from_json(b.to_json()) == b
         # unmarked entries leave the marking key out entirely
         assert all("l" not in rec for rec in Basket.parse("1/3(1,1,2)").to_json())
+
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            {"r": 2, "a": 1, "l": 0.5},
+            {"r": 2, "a": 1, "l": 1.0},
+            {"r": 2, "a": 1, "l": True},
+            {"r": 2, "a": True},
+            {"r": 2.0, "a": 1},
+            {"r": "2", "a": 1},
+        ],
+        ids=["fractional-l", "float-l", "bool-l", "bool-a", "float-r", "str-r"],
+    )
+    def test_from_json_requires_int_fields(self, rec):
+        # 0.5 and true pass the range checks, so only the type keeps them out
+        with pytest.raises(MalformedInputError, match="r, a and l must be integers"):
+            Basket.from_json([rec])
 
     def test_concatenation_and_views(self):
         b = Basket.parse("1/2(1,1,1)_1") + Basket.parse("1/3(1,1,2)")

@@ -132,6 +132,9 @@ class TestCoverRecord:
             CoverRecord("bad", (), (4,), Basket(), Rational(4))
         with pytest.raises(CatalogError):
             CoverRecord("bad", (1, 1, 1, 1, 1), (0,), Basket(), Rational(4))
+        # search reads only the point types, so a marking would be dropped
+        with pytest.raises(CatalogError, match=r"bad: basket entry 1/2\(1,1,1\)_1 is marked"):
+            CoverRecord("bad", (1, 1, 1, 1, 2), (5,), Basket.parse("1/2(1,1,1)_1"), Rational(5, 2))
 
     @pytest.mark.parametrize(
         "weights, degrees",
