@@ -7,11 +7,12 @@ script reads and validates them and never writes them.  Every golden
 decoys' rejection reasons) is recomputed by the same routes that
 `fano_enriques.catalog.verify_fixtures` uses and cross-checked against
 the curated annotations below (expected torsion data, generator and
-relation bidegrees, series coefficients) before it is written.  The
-script exits nonzero on the first inconsistency, so a successful run
-means the shipped fixtures and the engine agree.  It reads and writes
-the data directory of the checkout it sits in, even when the package is
-installed elsewhere.
+relation bidegrees, series coefficients).  The script exits nonzero on
+the first inconsistency, and writes no golden until every one is built
+and checked, so a failed run leaves the data directory untouched and a
+successful run means the shipped fixtures and the engine agree.  It
+reads and writes the data directory of the checkout it sits in, even
+when the package is installed elsewhere.
 
 Run from the repository root:
 
@@ -373,7 +374,8 @@ def bidegrees_match(r, got_gens, got_rels, want_gens, want_rels) -> bool:
 
 
 def build_quotients(census, rows, specials_extra, covers_name, golden_name):
-    """Run the search on one bundled catalog and freeze the outcome as a golden file."""
+    """Run the search on one bundled catalog and freeze the outcome as a golden:
+    (file name, payload, summary line)."""
     records = load_catalog(DATA_DIR / covers_name, trunc=TRUNC)
     names = [rec.name for rec in records]
     missing = DECOYS[covers_name].difference(names)
@@ -458,7 +460,7 @@ def build_quotients(census, rows, specials_extra, covers_name, golden_name):
             fail(f"{golden_name}: decoy {name} was never rejected")
         decoys_out.append({"cover": name, "reasons": reasons})
 
-    write_json(golden_name, {
+    return golden_name, {
         "format_version": FORMAT_VERSION,
         "catalog": covers_name,
         "trunc": TRUNC,
@@ -466,9 +468,8 @@ def build_quotients(census, rows, specials_extra, covers_name, golden_name):
         "rows": rows_out,
         "special_cases": specials_out,
         "decoys": decoys_out,
-    })
-    print(f"  {golden_name}: {len(rows_out)} clean rows, {len(specials_out)} special, "
-          f"{len(decoys_out)} decoys, {len(result.rejections)} rejections")
+    }, (f"  {golden_name}: {len(rows_out)} clean rows, {len(specials_out)} special, "
+        f"{len(decoys_out)} decoys, {len(result.rejections)} rejections")
 
 
 def build_torsion(census):
@@ -483,11 +484,10 @@ def build_torsion(census):
     got = {basket_key(c.entries) for c in census}
     if want != got:
         fail("torsion: transcribed baskets differ from the enumeration")
-    write_json("torsion_baskets.json", {
+    return "torsion_baskets.json", {
         "max_order": MAX_TORSION,
         "baskets": baskets,
-    })
-    print(f"  torsion_baskets.json: {len(census)} baskets")
+    }, f"  torsion_baskets.json: {len(census)} baskets"
 
 
 def build_series_examples():
@@ -513,7 +513,7 @@ def build_series_examples():
     if tpeeled != {"0,0": "1", "5,0": "-1"}:
         fail(f"series examples: bigraded peel is not 1 - t^5 ({tpeeled})")
 
-    write_json("series_examples.json", {
+    return "series_examples.json", {
         "untwisted": {
             "minusK3": format_rational(plain_data.minus_k_cubed),
             "basket": plain_data.basket.to_json(),
@@ -527,8 +527,7 @@ def build_series_examples():
             "peel": peel_twisted,
             "peeled": tpeeled,
         },
-    })
-    print("  series_examples.json: written")
+    }, "  series_examples.json: written"
 
 
 def write_json(name: str, obj):
@@ -539,14 +538,20 @@ def write_json(name: str, obj):
 def main():
     print("building bundled fixtures ...")
     census = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
-    build_torsion(census)
-    build_series_examples()
-
-    build_quotients(census, ROWS_CODIM1, [], "covers_codim1.json", "quotients_codim1.json")
-    build_quotients(census, ROWS_CODIM2, [], "covers_codim2.json", "quotients_codim2.json")
-    build_quotients(
-        census, ROWS_CODIM3, SPECIALS_CODIM3, "covers_codim3.json", "quotients_codim3.json"
-    )
+    built = [
+        build_torsion(census),
+        build_series_examples(),
+        build_quotients(census, ROWS_CODIM1, [], "covers_codim1.json", "quotients_codim1.json"),
+        build_quotients(census, ROWS_CODIM2, [], "covers_codim2.json", "quotients_codim2.json"),
+        build_quotients(
+            census, ROWS_CODIM3, SPECIALS_CODIM3, "covers_codim3.json", "quotients_codim3.json"
+        ),
+    ]
+    # every golden is built and checked before the first is written, so a
+    # failed build leaves the data directory as it was
+    for name, payload, summary in built:
+        write_json(name, payload)
+        print(summary)
 
     problems = verify_fixtures()
     if problems:

@@ -20,6 +20,7 @@ __all__ = [
     "units",
     "is_integer",
     "parse_rational",
+    "rational_from_json",
     "format_rational",
 ]
 
@@ -71,6 +72,21 @@ def parse_rational(text: str) -> Rational:
         return Rational(text.strip())
     except (ValueError, ZeroDivisionError):
         raise MalformedInputError(f"not a finite rational number: {text!r}") from None
+
+
+def rational_from_json(value) -> Rational:
+    """A rational field of parsed JSON, read exactly: an int, or a 'p/q' (or
+    'p') string.  A JSON float has already been rounded to binary when it
+    is parsed (12345678901234567891.0 arrives as 1.2345678901234567e+19,
+    1e-400 as 0.0), and a bool is no number, so both are refused, like
+    every other type."""
+    if type(value) is int:
+        return Rational(value)
+    if type(value) is str:
+        return parse_rational(value)
+    raise MalformedInputError(
+        f"not an exact rational: {value!r}; write an integer or a \"p/q\" string"
+    )
 
 
 def format_rational(q: Rational) -> str:

@@ -21,6 +21,7 @@ close the numerator against that shape before anything else.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -133,6 +134,10 @@ def infer_presentation(s: BigradedSeries, max_degree: int = 24) -> Presentation:
         c = int(c)
         if d.n > max_degree:
             return Presentation(tuple(generators), tuple(relations), "inconclusive")
+        if abs(c) > sys.maxsize:
+            raise InferenceFailureError(
+                f"deviation {c} at {d} is too large to list as generators or relations"
+            )
 
         if c > 0:
             if len(relations) == 5 and _pfaffian_closure(numerator, relations) is not None:

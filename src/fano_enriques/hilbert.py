@@ -44,7 +44,7 @@ from .errors import (
     InconsistentMarkingError,
     InternalConsistencyError,
 )
-from .exact import Rational, format_rational, is_integer, nonnegative, parse_rational, residue
+from .exact import Rational, format_rational, is_integer, nonnegative, rational_from_json, residue
 from .orbifold import Basket, inverse_weight
 from .series import Bidegree, BigradedSeries, Scalar
 
@@ -153,7 +153,7 @@ class FanoEnriquesData:
     def from_json(cls, obj: dict) -> "FanoEnriquesData":
         return cls(
             r=obj["r"],
-            minus_k_cubed=parse_rational(str(obj["minusK3"])),
+            minus_k_cubed=rational_from_json(obj["minusK3"]),
             bt=Basket.from_json(obj["bt"]),
             be=Basket.from_json(obj.get("be", [])),
         )

@@ -35,7 +35,7 @@ from .errors import (
     InferenceFailureError,
     InternalConsistencyError,
 )
-from .exact import Rational, format_rational, is_integer, nonnegative, parse_rational
+from .exact import Rational, format_rational, is_integer, nonnegative, rational_from_json
 from .gradedrings import Presentation, action_weights, infer_presentation
 from .hilbert import (
     FanoData,
@@ -241,7 +241,7 @@ class CoverRecord:
             weights=tuple(obj["weights"]),
             degrees=tuple(obj["degrees"]),
             basket=Basket.from_json(obj.get("basket", [])),
-            minus_k_cubed=parse_rational(str(obj["minusK3"])),
+            minus_k_cubed=rational_from_json(obj["minusK3"]),
             structure=obj.get("structure", "ci"),
             notes=obj.get("notes", ""),
         )

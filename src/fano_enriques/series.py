@@ -12,10 +12,15 @@ beyond + and -: peel multiplies by such a binomial and divide_factor
 divides by one, each an O(rN) shift over the rows.  There is no general
 product.
 
-Coefficients are exact rationals: Hilbert series of actual varieties have
-nonnegative integer entries, but the orbifold correction terms that build
-them do not, so integrality is asserted by callers where it is a theorem,
-never by the container.
+Coefficients are exact rationals, stored as Fractions: Hilbert series of
+actual varieties have nonnegative integer entries, but the orbifold
+correction terms that build them do not, so integrality is asserted by
+callers where it is a theorem, never by the container.  The constructor is
+the one place a coefficient is normalized, once: a Fraction passes through
+untouched (peel, divide_factor, +, -, collapse and the builders all hand
+it Fractions), an int becomes a Fraction, and anything inexact or not a
+number (a float, a bool, a string, None) is refused with
+MalformedInputError rather than rounded.
 """
 
 from __future__ import annotations
@@ -29,11 +34,32 @@ from .errors import (
     NonInvertibleFactorError,
     UnnormalizedResidualError,
 )
-from .exact import Rational, format_rational, parse_rational
+from .exact import Rational, format_rational, rational_from_json
 
 __all__ = ["Bidegree", "BigradedSeries"]
 
 Scalar = Union[int, Rational]
+
+_FRACTIONS = frozenset({Rational})
+
+
+def _coefficient(c: Scalar) -> Rational:
+    """c as a Fraction: a Fraction itself, an int converted, else refused."""
+    if type(c) is Rational:
+        return c
+    if type(c) is int:
+        return Rational(c)
+    raise MalformedInputError(
+        f"series coefficient must be a Fraction or an int, got {c!r}"
+    )
+
+
+def _row(row: Iterable[Scalar]) -> tuple[Rational, ...]:
+    """One coefficient row; a row of Fractions only is kept as it is."""
+    row = tuple(row)
+    if not _FRACTIONS.issuperset(map(type, row)):
+        row = tuple(map(_coefficient, row))
+    return row
 
 
 @dataclass(frozen=True, order=True)
@@ -61,7 +87,7 @@ class BigradedSeries:
     def __init__(self, r: int, coeffs: Iterable[Iterable[Scalar]]):
         if r < 1:
             raise IncompatibleSeriesError(f"grading modulus must be >= 1, got {r}")
-        rows = tuple(tuple(Rational(c) for c in row) for row in coeffs)
+        rows = tuple(map(_row, coeffs))
         if len(rows) != r:
             raise IncompatibleSeriesError(f"expected {r} rows, got {len(rows)}")
         if not rows[0]:
@@ -73,6 +99,10 @@ class BigradedSeries:
 
     def __setattr__(self, *_):
         raise AttributeError("BigradedSeries is immutable")
+
+    def __reduce__(self):
+        # the default would restore __slots__ through __setattr__
+        return (BigradedSeries, (self.r, self.coeffs))
 
     # -- construction -------------------------------------------------
 
@@ -243,7 +273,7 @@ class BigradedSeries:
             raise MalformedInputError(f"series JSON field r must be an integer, got {r!r}")
         if not isinstance(coeffs, list) or not all(isinstance(row, list) for row in coeffs):
             raise MalformedInputError("series JSON field coeffs must be a list of rows")
-        rows = [[parse_rational(str(c)) for c in row] for row in coeffs]
+        rows = [[rational_from_json(c) for c in row] for row in coeffs]
         series = cls(r, rows)
         if series.trunc != obj.get("trunc", series.trunc):
             raise IncompatibleSeriesError("declared truncation does not match rows")

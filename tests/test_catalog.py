@@ -1,6 +1,9 @@
 """Tests for catalog files and golden fixture verification."""
 
+import importlib.util
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +349,34 @@ class TestGoldenRows:
                 assert (sum(i for _, i in gens) - sum(i for _, i in rels)) % row["r"] == 0, tag
                 checked += 1
         assert checked == 58
+
+
+def load_build_script():
+    """scripts/build_catalogs.py as a fresh module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "build_catalogs.py"
+    spec = importlib.util.spec_from_file_location("build_catalogs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBuildScript:
+    def test_failed_build_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        script = load_build_script()
+        data = tmp_path / "data"
+        shutil.copytree(script.DATA_DIR, data)
+        # stale goldens: a build that wrote any of them would change these bytes
+        for name in ("torsion_baskets.json", "series_examples.json", *GOLDEN_FILES):
+            (data / name).write_text('{"stale": true}\n')
+        before = {path.name: path.read_bytes() for path in data.iterdir()}
+        monkeypatch.setattr(script, "DATA_DIR", data)
+        decoys = script.DECOYS["covers_codim2.json"] | {"Y_{99} in P(1,1,1,1,98)"}
+        monkeypatch.setitem(script.DECOYS, "covers_codim2.json", decoys)
+
+        with pytest.raises(SystemExit) as stop:
+            script.main()
+        assert stop.value.code == 1
+        assert capsys.readouterr().err == (
+            "FAIL: covers_codim2.json: decoys ['Y_{99} in P(1,1,1,1,98)'] not in catalog\n"
+        )
+        assert {path.name: path.read_bytes() for path in data.iterdir()} == before

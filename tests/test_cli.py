@@ -284,6 +284,60 @@ class TestBadInput:
         assert out == ""
         assert err.startswith(f"fano-enriques search: {path} entry 0: unreadable record")
 
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ('{"r":1,"coeffs":[[1,12345678901234567891.0]]}', "1.2345678901234567e+19"),
+            ('{"r":1,"coeffs":[[1,1e-400]]}', "0.0"),
+        ],
+        ids=["rounded", "underflow"],
+    )
+    def test_infer_json_float_refused(self, capsys, monkeypatch, text, shown):
+        # read through str(float), the first used to give 12345678901234567000
+        # and the second 0
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "infer")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"fano-enriques infer: not an exact rational: {shown}; "
+            f'write an integer or a "p/q" string\n'
+        )
+
+    def test_infer_unlistable_count(self, capsys, monkeypatch):
+        # more generators than a list can hold: an OverflowError traceback before
+        import io
+
+        text = '{"r":1,"coeffs":[[1,"12345678901234567891"]]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "infer")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "fano-enriques infer: deviation 12345678901234567891 at (1,0) "
+            "is too large to list as generators or relations\n"
+        )
+
+    def test_search_float_k3_refused(self, capsys, tmp_path):
+        record = {
+            "name": "Y_{5} in P(1,1,1,1,2)",
+            "weights": [1, 1, 1, 1, 2],
+            "degrees": [5],
+            "basket": [{"r": 2, "a": 1}],
+            "minusK3": 2.5,
+        }
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"format_version": "1", "entries": [record]}))
+        code, out, err = run(capsys, "search", "--catalog", str(path), "--r", "5")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"fano-enriques search: {path} entry 0: unreadable record "
+            f'(not an exact rational: 2.5; write an integer or a "p/q" string)\n'
+        )
+
     def test_search_negative_max_degree(self, capsys):
         code, out, err = run(
             capsys, "search", "--catalog", "covers_codim1.json", "--r", "5",

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano_enriques.errors import InvalidModulusError, NoInverseError
+from fano_enriques.errors import InvalidModulusError, MalformedInputError, NoInverseError
 from fano_enriques.exact import (
     Rational,
     format_rational,
     is_integer,
     mod_inverse,
     parse_rational,
+    rational_from_json,
     residue,
     units,
 )
@@ -107,3 +108,24 @@ class TestRationalHelpers:
     def test_round_trip(self, p, q):
         x = Rational(p, q)
         assert parse_rational(format_rational(x)) == x
+        assert rational_from_json(format_rational(x)) == x
+
+
+class TestRationalFromJson:
+    def test_ints_and_strings_are_exact(self):
+        assert rational_from_json(12345678901234567891) == Rational(12345678901234567891)
+        assert rational_from_json("5/2") == Rational(5, 2)
+        assert rational_from_json(" -3 ") == Rational(-3)
+        assert type(rational_from_json(4)) is Rational
+
+    @pytest.mark.parametrize(
+        "value", [2.5, 12345678901234567891.0, 1e-400, True, False, None, [1], {"p": 1}],
+        ids=repr,
+    )
+    def test_everything_else_refused(self, value):
+        with pytest.raises(MalformedInputError, match="not an exact rational"):
+            rational_from_json(value)
+
+    def test_bad_strings_refused(self):
+        with pytest.raises(MalformedInputError, match="not a finite rational"):
+            rational_from_json("1/0")

@@ -17,6 +17,7 @@ from fano_enriques.errors import (
     InconsistentDataError,
     InconsistentMarkingError,
     InternalConsistencyError,
+    MalformedInputError,
     OutOfRangeError,
 )
 from fano_enriques.exact import Rational
@@ -290,6 +291,13 @@ class TestFanoEnriquesData:
         data = FanoEnriquesData(**self.GOOD)
         assert FanoEnriquesData.from_json(data.to_json()) == data
         assert data.to_json()["minusK3"] == "1/2"
+
+    @pytest.mark.parametrize("k3", [0.5, 1e-400, True], ids=repr)
+    def test_json_float_refused(self, k3):
+        obj = FanoEnriquesData(**self.GOOD).to_json()
+        obj["minusK3"] = k3
+        with pytest.raises(MalformedInputError, match="not an exact rational"):
+            FanoEnriquesData.from_json(obj)
 
 
 class TestBigradedSeries:

@@ -1,10 +1,12 @@
 """Randomized invariant checks across module boundaries."""
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fano_enriques.catalog import GOLDEN_FILES, bundled_json
 from fano_enriques.enumeration import (
     MAX_TORSION,
     BtCandidate,
@@ -14,13 +16,20 @@ from fano_enriques.enumeration import (
 )
 from fano_enriques.errors import InconsistentDataError
 from fano_enriques.exact import Rational, units
+from fano_enriques.gradedrings import presentation_series
 from fano_enriques.hilbert import (
     FanoData,
+    FanoEnriquesData,
+    altinok_series,
+    bigraded_series,
     parity_defect,
+    pfaffian_series,
     torsion_delta_at,
     torsion_delta_series,
+    wci_series,
 )
 from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType
+from fano_enriques.quotient import CoverRecord
 from fano_enriques.series import Bidegree, BigradedSeries
 from oracle import product
 
@@ -177,3 +186,55 @@ class TestSeriesProperties:
             s = product(s, BigradedSeries.monomial(r, trunc, Bidegree(1, k), k + 1))
         d = Bidegree(2, 0)
         assert s.peel(d).collapse() == s.collapse().peel(Bidegree(2, 0))
+
+
+GOLDEN_ROWS = [
+    row
+    for name in GOLDEN_FILES
+    for golden in [bundled_json(name)]
+    for row in golden["rows"] + golden["special_cases"]
+]
+COVERS = [
+    CoverRecord.from_json(entry)
+    for name in GOLDEN_FILES
+    for entry in bundled_json(bundled_json(name)["catalog"])["entries"]
+]
+coefficients = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+def all_fractions(s: BigradedSeries) -> bool:
+    return all(type(c) is Fraction for row in s.coeffs for c in row)
+
+
+class TestExactCoefficientsProperty:
+    """Every series the kernel and the builders return holds Fractions only:
+    the constructor passes them through, so each route must produce them."""
+
+    @settings(max_examples=50)
+    @given(st.integers(1, 4), st.data())
+    def test_kernel_operations(self, r, data):
+        rows = st.lists(
+            st.lists(coefficients, min_size=7, max_size=7), min_size=r, max_size=r
+        )
+        a, b = BigradedSeries(r, data.draw(rows)), BigradedSeries(r, data.draw(rows))
+        d = Bidegree(data.draw(st.integers(1, 3)), data.draw(st.integers(0, r - 1)))
+        for s in (a, a.peel(d), a.divide_factor(d), a + b, a - b, a.collapse()):
+            assert all_fractions(s)
+
+    @settings(max_examples=25)
+    @given(st.sampled_from(COVERS), st.integers(0, 30))
+    def test_cover_builders(self, cover, trunc):
+        assert all_fractions(altinok_series(FanoData(cover.minus_k_cubed, cover.basket), trunc))
+        model = pfaffian_series if cover.structure == "pfaffian" else wci_series
+        assert all_fractions(model(cover.weights, cover.degrees, trunc))
+
+    @settings(max_examples=25)
+    @given(st.sampled_from(GOLDEN_ROWS), st.integers(0, 30))
+    def test_quotient_builders(self, row, trunc):
+        data = FanoEnriquesData.from_json(row)
+        assert all_fractions(bigraded_series(data, trunc))
+        generators = [Bidegree(n, i) for n, i in row["generators"]]
+        relations = [Bidegree(n, i) for n, i in row["relations"]]
+        assert all_fractions(presentation_series(generators, relations, data.r, trunc))

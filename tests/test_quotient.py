@@ -1,13 +1,20 @@
 """Tests for cover matching and the quotient search pipeline."""
 
+import copy
 import dataclasses
+import pickle
 from collections import Counter
 
 import pytest
 
 from fano_enriques.catalog import bundled_catalog, bundled_json
 from fano_enriques.enumeration import enumerate_bt
-from fano_enriques.errors import CatalogError, InconsistentDataError, OutOfRangeError
+from fano_enriques.errors import (
+    CatalogError,
+    InconsistentDataError,
+    MalformedInputError,
+    OutOfRangeError,
+)
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import Presentation
 from fano_enriques.hilbert import FanoEnriquesData
@@ -157,6 +164,12 @@ class TestCoverRecord:
             assert CoverRecord.from_json(rec.to_json()) == rec
         assert "structure" not in Y5.to_json()
         assert STANDIN.to_json()["structure"] == "pfaffian"
+
+    def test_json_float_k3_refused(self):
+        obj = Y5.to_json()
+        obj["minusK3"] = 2.5
+        with pytest.raises(MalformedInputError, match="not an exact rational: 2.5"):
+            CoverRecord.from_json(obj)
 
     def test_str(self):
         assert str(Y4) == "Y_{4} in P(1,1,1,1,1) = (4) in P(1,1,1,1,1)"
@@ -333,6 +346,15 @@ class TestSeriesMemo:
         # series can tell the replaced basket apart from the old one
         other = dataclasses.replace(rec, basket=Basket.parse("5x1/2(1,1,1)"))
         assert other.validate(24) != []
+
+    def test_validated_record_survives_pickle_and_copy(self):
+        # the memo holds series, which pickle and copy could not restore
+        rec = fresh(Y8)
+        assert rec.validate(12) == []
+        for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+            assert twin == rec
+            assert twin._altinok == rec._altinok and set(twin._altinok) == {12}
+            assert twin.validate(12) == []
 
     def test_search_same_with_memo_cold_warm_and_other_truncation(self):
         def run(catalog):

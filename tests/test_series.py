@@ -1,11 +1,16 @@
 """Tests for the truncated bigraded series container."""
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fano_enriques.errors import (
     IncompatibleSeriesError,
+    MalformedInputError,
     NonInvertibleFactorError,
     UnnormalizedResidualError,
 )
@@ -68,6 +73,33 @@ class TestConstruction:
         s = BigradedSeries.one(1, 2)
         with pytest.raises(AttributeError):
             s.r = 5
+
+    def test_fractions_pass_through_and_ints_become_fractions(self):
+        half = Fraction(1, 2)
+        s = BigradedSeries(2, [[1, half], (0, -3)])
+        assert s.coeffs[0][1] is half
+        assert s.coeffs == ((1, half), (0, -3))
+        assert all(type(c) is Fraction for row in s.coeffs for c in row)
+
+    @pytest.mark.parametrize("bad", [0.1, True, "1/2", None], ids=repr)
+    def test_inexact_coefficients_refused(self, bad):
+        # a float used to be stored as its binary value: 0.1 as
+        # 3602879701896397/36028797018963968
+        with pytest.raises(MalformedInputError, match="Fraction or an int"):
+            BigradedSeries(1, [[1, bad]])
+        with pytest.raises(MalformedInputError):
+            BigradedSeries(2, [[1, Fraction(1, 2)], [Fraction(0), bad]])
+
+
+class TestPickleAndCopy:
+    @settings(max_examples=30)
+    @given(series_strategy())
+    def test_round_trips(self, s):
+        for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert twin == s and hash(twin) == hash(s)
+            assert all(type(c) is Fraction for row in twin.coeffs for c in row)
+        with pytest.raises(AttributeError):
+            copy.copy(s).r = 5
 
 
 class TestArithmetic:
@@ -158,6 +190,13 @@ class TestSerialization:
     def test_round_trip(self):
         s = BigradedSeries(2, [[1, Rational(1, 2)], [0, -3]])
         assert BigradedSeries.from_json(s.to_json()) == s
+
+    @pytest.mark.parametrize(
+        "value", [12345678901234567891.0, 1e-400, 0.5, True, None, [1]], ids=repr
+    )
+    def test_non_exact_json_numbers_refused(self, value):
+        with pytest.raises(MalformedInputError, match="not an exact rational"):
+            BigradedSeries.from_json({"r": 1, "coeffs": [[1, value]]})
 
     def test_truncation_mismatch_detected(self):
         obj = {"r": 1, "trunc": 5, "coeffs": [["1", "2"]]}
