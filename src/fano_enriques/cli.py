@@ -200,7 +200,7 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _numerator(peeled: dict, r: int, length: int) -> BigradedSeries:
+def _peeled_series(peeled: dict, r: int, length: int) -> BigradedSeries:
     """A golden's peeled map, "m" or "m,i" -> coefficient, as a series."""
     rows = [["0"] * length for _ in range(r)]
     for key, value in peeled.items():
@@ -248,13 +248,13 @@ def _print_goldens():
     print(f"plain cover: -K^3 = {plain['minusK3']}, "
           f"basket {{{Basket.from_json(plain['basket'])}}}")
     print(f"  h^0(-nK), n = 0..{len(plain['coeffs']) - 1}: {', '.join(plain['coeffs'])}")
-    numerator = _numerator(plain["peeled"], 1, len(plain["coeffs"]))
+    numerator = _peeled_series(plain["peeled"], 1, len(plain["coeffs"]))
     print(f"  peel {plain['peel']} -> numerator {numerator}")
     print(f"order-{data['r']} quotient: -K^3 = {data['minusK3']}, "
           f"bt {{{Basket.from_json(data['bt'])}}}")
     for i, row in enumerate(twisted["components"]):
         print(f"  component {i}: {', '.join(row)}")
-    numerator = _numerator(twisted["peeled"], data["r"], len(twisted["components"][0]))
+    numerator = _peeled_series(twisted["peeled"], data["r"], len(twisted["components"][0]))
     print(f"  peel {twisted['peel']} -> numerator {numerator}")
 
 

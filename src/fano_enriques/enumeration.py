@@ -36,7 +36,7 @@ from math import gcd, lcm
 
 from .errors import OutOfRangeError
 from .exact import Rational, format_rational, is_integer, units
-from .hilbert import _delta_cycle_scaled, torsion_delta_at
+from .hilbert import MAX_TORSION, _delta_cycle_scaled, torsion_delta_at
 from .orbifold import Basket, MarkedSingularity, SingularityType, terminal_sum
 
 __all__ = [
@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 # R1 forces r_Q - 1/r_Q < 24, hence r_Q <= 24; R3 caps the torsion order
+# at hilbert.MAX_TORSION
 MAX_INDEX = 24
-MAX_TORSION = 24
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ One wrinkle: a codimension-3 model cut out by the five Pfaffians of a
 skew matrix has numerator 1 - sum t^{d_k} + sum t^{e-d_k} - t^e, whose
 positive middle terms are syzygies, not generators.  After five relations
 have been recorded, a positive deviation therefore first attempts to
-close the numerator against that shape before anything else.
+close the numerator against that shape before anything else: the
+residual is multiplied back by the five relations only then, and compared
+with pfaffian_numerator, the one builder of that shape (hilbert's
+pfaffian_series divides the same numerator by the weights).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "Presentation",
     "infer_presentation",
     "action_weights",
+    "pfaffian_numerator",
     "presentation_series",
 ]
 
@@ -80,27 +84,22 @@ def _validate_hilbert(s: BigradedSeries):
                 )
 
 
-def _pfaffian_closure(numerator: BigradedSeries, relations: Sequence[Bidegree]) -> Optional[int]:
-    """Try to read `numerator` as the Pfaffian shape over the 5 relations.
+def _pfaffian_closure(residual: BigradedSeries, relations: Sequence[Bidegree]) -> Optional[int]:
+    """Try to read residual * prod(1 - e^s t^d) over the 5 relations as
+    the Pfaffian numerator.
 
     Returns the top second degree on success, None if no match.
     """
-    r, trunc = numerator.r, numerator.trunc
+    r, trunc = residual.r, residual.trunc
     total = sum(q.n for q in relations)
-    if total % 2:
-        return None
     e = total // 2
-    if e > trunc:
+    if total % 2 or e > trunc or any(q.n > e for q in relations):
         return None
+    numerator = residual
+    for q in relations:
+        numerator = numerator.peel(q)
     for sbar in range(r):
-        candidate = BigradedSeries.one(r, trunc)
-        for q in relations:
-            candidate = candidate - BigradedSeries.monomial(r, trunc, q)
-            candidate = candidate + BigradedSeries.monomial(
-                r, trunc, Bidegree(e - q.n, (sbar - q.i) % r)
-            )
-        candidate = candidate - BigradedSeries.monomial(r, trunc, Bidegree(e, sbar))
-        if candidate == numerator:
+        if pfaffian_numerator(relations, Bidegree(e, sbar), r, trunc) == numerator:
             return sbar
     return None
 
@@ -115,15 +114,12 @@ def infer_presentation(s: BigradedSeries, max_degree: int = 24) -> Presentation:
     """
     nonnegative("max_degree", max_degree)
     _validate_hilbert(s)
-    working = s
-    numerator = s
+    residual = s
     generators: list[Bidegree] = []
     relations: list[Bidegree] = []
-    gen_t_degrees: set[int] = set()
-    rel_t_degrees: set[int] = set()
 
     while True:
-        deviation = working.first_deviation()
+        deviation = residual.first_deviation()
         if deviation is None:
             return Presentation(tuple(generators), tuple(relations), "clean")
         d, c = deviation
@@ -140,22 +136,19 @@ def infer_presentation(s: BigradedSeries, max_degree: int = 24) -> Presentation:
             )
 
         if c > 0:
-            if len(relations) == 5 and _pfaffian_closure(numerator, relations) is not None:
+            if len(relations) == 5 and _pfaffian_closure(residual, relations) is not None:
                 return Presentation(tuple(generators), tuple(relations), "clean")
             generators.extend([d] * c)
-            if d.n in rel_t_degrees:
+            if any(q.n == d.n for q in relations):
                 return Presentation(tuple(generators), tuple(relations), "special")
-            gen_t_degrees.add(d.n)
             for _ in range(c):
-                working = working.peel(d)
-                numerator = numerator.peel(d)
+                residual = residual.peel(d)
         else:
             relations.extend([d] * (-c))
-            if d.n in gen_t_degrees:
+            if any(g.n == d.n for g in generators):
                 return Presentation(tuple(generators), tuple(relations), "special")
-            rel_t_degrees.add(d.n)
             for _ in range(-c):
-                working = working.divide_factor(d)
+                residual = residual.divide_factor(d)
 
 
 def action_weights(p: Presentation) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -170,6 +163,26 @@ def action_weights(p: Presentation) -> tuple[tuple[tuple[int, int], ...], tuple[
     weights = tuple((g.n, g.i) for g in p.generators)
     second_degrees = tuple(q.i for q in p.relations)
     return weights, second_degrees
+
+
+def pfaffian_numerator(
+    relations: Sequence[Bidegree], top: Bidegree, r: int, trunc: int
+) -> BigradedSeries:
+    """Numerator of a codimension-3 model cut out by the five Pfaffians of
+    a skew 5x5 matrix, with relations (d, s) and top = (e, sbar):
+
+        1 - sum e^s t^d + sum e^{sbar - s} t^{e - d} - e^sbar t^e,
+
+    the middle sum being the syzygies.  Every relation needs d <= e.
+    """
+    e, sbar = top.n, top.i
+    total = BigradedSeries.one(r, trunc) - BigradedSeries.monomial(r, trunc, top)
+    for q in relations:
+        total = total - BigradedSeries.monomial(r, trunc, q)
+        total = total + BigradedSeries.monomial(
+            r, trunc, Bidegree(e - q.n, (sbar - q.i) % r)
+        )
+    return total
 
 
 def presentation_series(

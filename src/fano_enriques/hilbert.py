@@ -25,9 +25,11 @@ Three series builders live here:
 
 * wci_series / pfaffian_series -- independent oracles for covers: the
   Hilbert series a weighted complete intersection (or codimension-3
-  Pfaffian model) must have, straight from weights and degrees.  Both
-  divide one integer numerator (_model_numerator, which CoverRecord also
-  reads -K^3 from) by (1 - t^w) once per weight.
+  Pfaffian model) must have, straight from weights and degrees, after
+  checking that shape.  The complete intersection is
+  gradedrings.presentation_series of its weights and degrees; the
+  Pfaffian model divides gradedrings.pfaffian_numerator by (1 - t^w) once
+  per weight.  CoverRecord reads -K^3 from the same two numerators.
 
 Negative truncations raise OutOfRangeError.
 """
@@ -37,18 +39,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     InconsistentDataError,
     InconsistentMarkingError,
     InternalConsistencyError,
+    OutOfRangeError,
 )
 from .exact import Rational, format_rational, is_integer, nonnegative, rational_from_json, residue
+from .gradedrings import pfaffian_numerator, presentation_series
 from .orbifold import Basket, inverse_weight
 from .series import Bidegree, BigradedSeries, Scalar
 
 __all__ = [
+    "MAX_TORSION",
     "FanoData",
     "FanoEnriquesData",
     "parity_defect",
@@ -59,6 +64,9 @@ __all__ = [
     "wci_series",
     "pfaffian_series",
 ]
+
+# R3 of the census (a fixed point of the covering) bounds the torsion order
+MAX_TORSION = 24
 
 
 def parity_defect(minus_k_cubed: Rational, basket: Basket) -> Rational:
@@ -101,7 +109,8 @@ class FanoEnriquesData:
     """Numerical data of a Fano threefold with a torsion divisor of order r.
 
     bt holds the marked part of the basket (every l nonzero, stabilizer
-    order dividing r); be the unmarked remainder.
+    order dividing r); be the unmarked remainder.  -K^3 and the combined
+    basket must also pass FanoData.
     """
 
     r: int
@@ -110,13 +119,10 @@ class FanoEnriquesData:
     be: Basket = field(default_factory=Basket)
 
     def __post_init__(self):
-        object.__setattr__(self, "minus_k_cubed", Rational(self.minus_k_cubed))
         if self.r < 2:
             raise InconsistentDataError(f"torsion order must be >= 2, got {self.r}")
-        if self.minus_k_cubed <= 0:
-            raise InconsistentDataError(
-                f"-K^3 must be positive, got {self.minus_k_cubed}"
-            )
+        if self.r > MAX_TORSION:
+            raise OutOfRangeError(f"torsion order {self.r} outside [2, {MAX_TORSION}]")
         for entry in self.bt:
             if entry.l == 0:
                 raise InconsistentMarkingError(f"marked basket entry {entry} has l = 0")
@@ -130,12 +136,8 @@ class FanoEnriquesData:
                 raise InconsistentMarkingError(
                     f"unmarked basket entry {entry} carries a marking"
                 )
-        k = parity_defect(self.minus_k_cubed, self.combined_basket)
-        if not is_integer(k):
-            raise InconsistentDataError(
-                f"-K^3 = {format_rational(self.minus_k_cubed)} fails the parity "
-                f"constraint for basket {{{self.combined_basket}}} (defect {k})"
-            )
+        fano = FanoData(self.minus_k_cubed, self.combined_basket)
+        object.__setattr__(self, "minus_k_cubed", fano.minus_k_cubed)
 
     @property
     def combined_basket(self) -> Basket:
@@ -314,37 +316,13 @@ def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
     return BigradedSeries(data.r, rows)
 
 
-def _model_numerator(degrees: Sequence[int], pfaffian: bool = False) -> list[int]:
-    """Integer numerator of a model series, as a coefficient list.
-
-    prod (1 - t^d) for a complete intersection; for a Pfaffian model
-    1 - sum t^{d_k} + sum t^{e-d_k} - t^e with e = sum(degrees)/2.
-    """
-    if pfaffian:
-        e = sum(degrees) // 2
-        coeffs = [0] * (e + 1)
-        coeffs[0] += 1
-        coeffs[e] -= 1
-        for d in degrees:
-            coeffs[d] -= 1
-            coeffs[e - d] += 1
-        return coeffs
-    coeffs = [1]
-    for d in degrees:
-        nxt = [0] * (len(coeffs) + d)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c
-            nxt[k + d] -= c
-        coeffs = nxt
-    return coeffs
-
-
 def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) -> BigradedSeries:
     """prod (1 - t^d) / prod (1 - t^w), the series of a weighted complete
     intersection polarized by O(1).
 
     Anticanonical polarization (sum of weights minus sum of degrees = 1)
     is required; that is the only normalization the quotient search uses.
+    A degree 0 raises NonInvertibleFactorError.
     """
     nonnegative("trunc", trunc)
     if sum(weights) - sum(degrees) != 1:
@@ -352,27 +330,30 @@ def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) 
             f"weights {tuple(weights)} and degrees {tuple(degrees)} are not "
             f"anticanonically polarized"
         )
-    return _divided(_model_numerator(degrees), trunc, *weights)
+    return presentation_series(
+        [Bidegree(w) for w in weights], [Bidegree(d) for d in degrees], 1, trunc
+    )
 
 
 def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) -> BigradedSeries:
     """Series of a codimension-3 model cut out by the five Pfaffians of a
-    skew 5x5 matrix: numerator 1 - sum t^{d_k} + sum t^{e-d_k} - t^e with
-    e = sum(weights) - 1 = sum(degrees)/2.
+    skew 5x5 matrix: pfaffian_numerator, 1 - sum t^{d_k} + sum t^{e-d_k} - t^e
+    with e = sum(weights) - 1 = sum(degrees)/2, over prod (1 - t^w).
     """
     nonnegative("trunc", trunc)
     if len(degrees) != 5:
         raise InconsistentDataError(
-            f"a Pfaffian model has exactly 5 relations, got {len(degrees)}"
+            f"a Pfaffian model needs 5 degrees, got {len(degrees)}"
         )
     e = sum(weights) - 1
+    mismatch = f"Pfaffian degrees {tuple(degrees)} incompatible with weights {tuple(weights)}"
     if sum(degrees) != 2 * e:
         raise InconsistentDataError(
-            f"Pfaffian degrees {tuple(degrees)} do not satisfy "
-            f"sum = 2*(sum(weights) - 1) = {2 * e}"
+            f"{mismatch}: sum is not 2*(sum(weights) - 1) = {2 * e}"
         )
     if max(degrees) > e:
-        raise InconsistentDataError(
-            f"Pfaffian degrees {tuple(degrees)} exceed e = {e}"
-        )
-    return _divided(_model_numerator(degrees, pfaffian=True), trunc, *weights)
+        raise InconsistentDataError(f"{mismatch}: degrees exceed e = {e}")
+    total = pfaffian_numerator([Bidegree(d) for d in degrees], Bidegree(e), 1, trunc)
+    for w in weights:
+        total = total.divide_factor(Bidegree(w))
+    return total

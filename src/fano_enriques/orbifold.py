@@ -200,7 +200,8 @@ class Basket:
             if not token:
                 continue
             m = _POINT_RE.match(token)
-            if m is None:
+            # a count of 0 lists no point, so it is as unreadable as a typo
+            if m is None or int(m[1] or m[7] or 1) == 0:
                 raise NotTerminalError(f"cannot parse basket entry {token!r}")
             pre, r, w1, w2, w3, l, post = m.groups()
             count = int(pre or post or 1)

@@ -36,11 +36,16 @@ from .errors import (
     InternalConsistencyError,
 )
 from .exact import Rational, format_rational, is_integer, nonnegative, rational_from_json
-from .gradedrings import Presentation, action_weights, infer_presentation
+from .gradedrings import (
+    Presentation,
+    action_weights,
+    infer_presentation,
+    pfaffian_numerator,
+    presentation_series,
+)
 from .hilbert import (
     FanoData,
     FanoEnriquesData,
-    _model_numerator,
     altinok_series,
     bigraded_series,
     parity_defect,
@@ -48,7 +53,7 @@ from .hilbert import (
     wci_series,
 )
 from .orbifold import SMOOTH, Basket, MarkedSingularity, preimage_singularity
-from .series import BigradedSeries
+from .series import Bidegree, BigradedSeries
 
 __all__ = [
     "CoverRecord",
@@ -72,9 +77,11 @@ class CoverRecord:
 
     Complete intersections carry their equation degrees; codimension-3
     models cut out by the Pfaffians of a skew 5x5 matrix carry the five
-    Pfaffian degrees instead (structure = "pfaffian").  The basket is
-    stored explicitly and cross-checked against the model series rather
-    than derived from equations.
+    Pfaffian degrees instead (structure = "pfaffian").  The model series
+    comes from wci_series or pfaffian_series, which also enforce the shape
+    of weights and degrees; -K^3 is read off the same numerators.  The
+    basket is stored explicitly and cross-checked against the model series
+    rather than derived from equations.
 
     The Altinok series of the declared basket and -K^3 is computed at most
     once per truncation and kept on the record, so validate and the
@@ -126,10 +133,6 @@ class CoverRecord:
             return pfaffian_series(self.weights, self.degrees, trunc)
         return wci_series(self.weights, self.degrees, trunc)
 
-    def _numerator(self) -> list[int]:
-        """Numerator polynomial of the model series, as a coefficient list."""
-        return _model_numerator(self.degrees, self.structure == "pfaffian")
-
     def _orbifold_series(self, trunc: int) -> BigradedSeries:
         """altinok_series of the declared basket and -K^3, memoized per trunc."""
         series = self._altinok.get(trunc)
@@ -139,57 +142,48 @@ class CoverRecord:
         return series
 
     def implied_k_cubed(self) -> Rational:
-        """-K^3 the weights and degrees force.
+        """-K^3 the weights and degrees force, for a record of valid shape.
 
         The series has a pole of order 4 at t = 1 with leading coefficient
-        -K^3, so divide the numerator by (1-t) once per codimension and
-        evaluate at 1.  For a complete intersection this reduces to
-        prod(degrees)/prod(weights).
+        -K^3, so divide the model's numerator (of t-degree top) by (1-t)
+        once per codimension: that leaves a polynomial of degree
+        top - codimension exactly when the numerator vanishes to that order
+        at t = 1, and its value at 1 over prod(weights) is -K^3.  For a
+        complete intersection this reduces to prod(degrees)/prod(weights).
         """
-        coeffs = [Rational(c) for c in self._numerator()]
+        relations = [Bidegree(d) for d in self.degrees]
+        if self.structure == "pfaffian":
+            top = sum(self.weights) - 1
+            quotient = pfaffian_numerator(relations, Bidegree(top), 1, top)
+        else:
+            top = sum(self.degrees)
+            quotient = presentation_series((), relations, 1, top)
         for _ in range(self.codimension):
-            if sum(coeffs) != 0:
-                raise CatalogError(
-                    f"{self.name}: numerator does not vanish to order "
-                    f"{self.codimension} at t = 1"
-                )
-            # divide by (1 - t): running prefix sums
-            out, acc = [], Rational(0)
-            for c in coeffs[:-1]:
-                acc += c
-                out.append(acc)
-            coeffs = out
-        return sum(coeffs, Rational(0)) / prod(self.weights)
+            quotient = quotient.divide_factor(Bidegree(1))
+        coeffs = quotient.component(0)
+        if any(coeffs[top - self.codimension + 1 :]):
+            raise CatalogError(
+                f"{self.name}: numerator does not vanish to order "
+                f"{self.codimension} at t = 1"
+            )
+        return sum(coeffs) / prod(self.weights)
 
     def validate(self, trunc: int = 20) -> list[str]:
-        """All invariant violations, as human-readable strings."""
-        problems: list[str] = []
-        if self.structure == "ci":
-            if sum(self.weights) - sum(self.degrees) != 1:
-                problems.append(
-                    f"weights {self.weights} and degrees {self.degrees} "
-                    f"are not anticanonically polarized"
-                )
-        else:
-            if len(self.degrees) != 5:
-                problems.append(
-                    f"a Pfaffian model needs 5 degrees, got {len(self.degrees)}"
-                )
-            elif (
-                sum(self.degrees) != 2 * (sum(self.weights) - 1)
-                or max(self.degrees) > sum(self.weights) - 1
-            ):
-                problems.append(
-                    f"Pfaffian degrees {self.degrees} incompatible with "
-                    f"weights {self.weights}"
-                )
-        if problems:
-            return problems
+        """All invariant violations, as human-readable strings.
 
+        A shape the model builders refuse is reported alone, with their
+        message; otherwise -K^3 and parity are checked, then the series of
+        the declared basket is compared with the model series.
+        """
+        try:
+            model = self.series(trunc)
+        except InconsistentDataError as exc:
+            return [str(exc)]
         try:
             implied = self.implied_k_cubed()
         except CatalogError as exc:
             return [str(exc)]
+        problems: list[str] = []
         if implied != self.minus_k_cubed:
             problems.append(
                 f"declared -K^3 = {format_rational(self.minus_k_cubed)} but the "
@@ -208,7 +202,6 @@ class CoverRecord:
             orbifold = self._orbifold_series(trunc)
         except InconsistentDataError as exc:
             return [f"declared basket admits no series: {exc}"]
-        model = self.series(trunc)
         if orbifold != model:
             for n in range(trunc + 1):
                 a, b = orbifold.coefficient(n, 0), model.coefficient(n, 0)

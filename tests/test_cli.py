@@ -338,6 +338,40 @@ class TestBadInput:
             f'(not an exact rational: 2.5; write an integer or a "p/q" string)\n'
         )
 
+    def test_hilbert_zero_multiplicity(self, capsys):
+        # not the empty basket: a count of 0 is refused like any unreadable entry
+        code, out, err = run(capsys, "hilbert", "--k3", "2", "--basket", "1/2(1,1,1) x0")
+        assert code == 1
+        assert out == ""
+        assert err == "fano-enriques hilbert: cannot parse basket entry '1/2(1,1,1) x0'\n"
+
+    def test_bigraded_torsion_order_beyond_bound(self, capsys):
+        # R3 bounds r, so no series with a billion rows is attempted
+        code, out, err = run(capsys, "bigraded", "--r", "1000000000", "--k3", "2", "--bt", "")
+        assert code == 1
+        assert out == ""
+        assert err == "fano-enriques bigraded: torsion order 1000000000 outside [2, 24]\n"
+
+    def test_infer_relation_beyond_pfaffian_top(self, capsys, tmp_path):
+        # five relations of t-degrees 2,2,2,2,10 have no Pfaffian shape
+        # (10 > e = 9), so the closure must decline rather than fail
+        from fano_enriques.gradedrings import presentation_series
+        from fano_enriques.series import Bidegree
+
+        gens = [Bidegree(1)] * 9 + [Bidegree(11)]
+        rels = [Bidegree(2)] * 4 + [Bidegree(10)]
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(presentation_series(gens, rels, 1, 24).to_json()))
+        code, out, err = run(capsys, "infer", "--series", str(path), "--json")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out) == {
+            "generators": [[1, 0]] * 9 + [[11, 0]],
+            "relations": [[2, 0]] * 4 + [[10, 0]],
+            "status": "clean",
+            "codim": 6,
+        }
+
     def test_search_negative_max_degree(self, capsys):
         code, out, err = run(
             capsys, "search", "--catalog", "covers_codim1.json", "--r", "5",

@@ -14,6 +14,7 @@ from fano_enriques.gradedrings import (
     Presentation,
     action_weights,
     infer_presentation,
+    pfaffian_numerator,
     presentation_series,
 )
 from fano_enriques.hilbert import (
@@ -25,8 +26,9 @@ from fano_enriques.hilbert import (
     wci_series,
 )
 from fano_enriques.orbifold import Basket
+from fano_enriques.quotient import CoverRecord
 from fano_enriques.series import Bidegree, BigradedSeries
-from oracle import presentation
+from oracle import presentation, product
 
 
 def bd(pairs):
@@ -109,6 +111,45 @@ class TestInferPresentation:
         assert p.status == "clean"
         assert p.generators == bd([(1, 0), (1, 0), (2, 0), (2, 0), (3, 0), (3, 0), (3, 0)])
         assert p.relations == bd([(5, 0), (5, 0), (6, 0), (6, 0), (6, 0)])
+
+    def test_bigraded_pfaffian_closure(self):
+        # r = 2, top (e, sbar) = (14, 1): relation (d, s) has its syzygy at
+        # e^{sbar - s} t^{e - d}.  The numerator is built term by term and
+        # divided by the generators through the product oracle.
+        r, trunc, e, sbar = 2, 24, 14, 1
+        gens = bd([(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 1)])
+        rels = bd([(5, 0), (5, 0), (6, 0), (6, 1), (6, 1)])
+        numerator = BigradedSeries.one(r, trunc)
+        numerator = numerator - BigradedSeries.monomial(r, trunc, Bidegree(e, sbar))
+        for q in rels:
+            numerator = numerator - BigradedSeries.monomial(r, trunc, q)
+            numerator = numerator + BigradedSeries.monomial(
+                r, trunc, Bidegree(e - q.n, (sbar - q.i) % r)
+            )
+        assert pfaffian_numerator(rels, Bidegree(e, sbar), r, trunc) == numerator
+        p = infer_presentation(product(numerator, presentation(gens, (), r, trunc)))
+        assert p == Presentation(gens, rels, "clean")
+
+    def test_bundled_pfaffian_covers_close(self):
+        covers = [
+            CoverRecord.from_json(entry)
+            for entry in bundled_json("covers_codim3.json")["entries"]
+            if entry.get("structure") == "pfaffian"
+        ]
+        assert len(covers) == 3
+        for cover in covers:
+            p = infer_presentation(cover.series(24))
+            assert p.status == "clean"
+            assert p.generators == tuple(sorted(Bidegree(w, 0) for w in cover.weights))
+            assert p.relations == tuple(sorted(Bidegree(d, 0) for d in cover.degrees))
+
+    def test_relation_beyond_pfaffian_top(self):
+        # five relations 2,2,2,2,10 sum to 2e = 18 but 10 > e: no Pfaffian
+        # shape, so the next positive deviation is a generator
+        gens = [(1, 0)] * 9 + [(11, 0)]
+        rels = [(2, 0)] * 4 + [(10, 0)]
+        p = infer_presentation(presentation_series(bd(gens), bd(rels), 1, 24))
+        assert p == Presentation(bd(gens), bd(rels), "clean")
 
     def test_rejects_non_hilbert_input(self):
         with pytest.raises(InconsistentDataError):

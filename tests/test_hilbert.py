@@ -13,11 +13,14 @@ import pytest
 
 from fano_enriques.catalog import bundled_json
 from fano_enriques import hilbert
+import fano_enriques
+from fano_enriques import enumeration
 from fano_enriques.errors import (
     InconsistentDataError,
     InconsistentMarkingError,
     InternalConsistencyError,
     MalformedInputError,
+    NonInvertibleFactorError,
     OutOfRangeError,
 )
 from fano_enriques.exact import Rational
@@ -268,6 +271,24 @@ class TestFanoEnriquesData:
         with pytest.raises(InconsistentDataError):
             FanoEnriquesData(1, Rational(1, 2), Basket())
 
+    def test_rejects_torsion_order_beyond_bound(self):
+        # R3 bounds r by MAX_TORSION, defined once in hilbert
+        assert fano_enriques.MAX_TORSION == enumeration.MAX_TORSION == hilbert.MAX_TORSION == 24
+        FanoEnriquesData(hilbert.MAX_TORSION, Rational(2), Basket())
+        for r in (hilbert.MAX_TORSION + 1, 10**9):
+            with pytest.raises(OutOfRangeError, match=f"torsion order {r} outside \\[2, 24\\]"):
+                FanoEnriquesData(r, Rational(2), Basket())
+
+    @pytest.mark.parametrize(
+        "k3, basket", [(Rational(-1), ""), (Rational(1), "1/2(1,1,1)_1")], ids=["negative", "parity"]
+    )
+    def test_messages_are_fano_data_messages(self, k3, basket):
+        with pytest.raises(InconsistentDataError) as plain:
+            FanoData(k3, Basket.parse(basket))
+        with pytest.raises(InconsistentDataError) as torsion:
+            FanoEnriquesData(2, k3, Basket.parse(basket))
+        assert str(torsion.value) == str(plain.value)
+
     def test_rejects_unmarked_bt_entry(self):
         with pytest.raises(InconsistentMarkingError):
             FanoEnriquesData(2, Rational(1, 2), Basket.parse("1/2(1,1,1)"))
@@ -353,6 +374,21 @@ class TestModelOracles:
         with pytest.raises(InconsistentDataError):
             pfaffian_series((1, 1, 1, 1, 1, 1, 1), (2, 2, 2))
         with pytest.raises(InconsistentDataError):
+            pfaffian_series((1, 1, 2, 2, 3, 3, 3), (5, 5, 6, 6, 7))
+
+    def test_wci_rejects_degree_zero_relation(self):
+        # the factor 1 - t^0 = 0 would make the series 0
+        with pytest.raises(NonInvertibleFactorError):
+            wci_series((1, 1, 1, 1, 1), (4, 0))
+
+    def test_pfaffian_shape_messages(self):
+        with pytest.raises(InconsistentDataError, match="a Pfaffian model needs 5 degrees, got 3"):
+            pfaffian_series((1, 1, 1, 1, 1, 1, 1), (2, 2, 2))
+        with pytest.raises(
+            InconsistentDataError,
+            match=r"Pfaffian degrees \(5, 5, 6, 6, 7\) incompatible with weights "
+            r"\(1, 1, 2, 2, 3, 3, 3\): sum is not 2\*\(sum\(weights\) - 1\) = 28",
+        ):
             pfaffian_series((1, 1, 2, 2, 3, 3, 3), (5, 5, 6, 6, 7))
 
     def test_pfaffian_numerator_shape(self):

@@ -204,6 +204,14 @@ class TestBasket:
         with pytest.raises(NotTerminalError):
             Basket.parse("not a basket")
 
+    @pytest.mark.parametrize(
+        "text", ["0x1/2(1,1,1)", "1/2(1,1,1) x0", "1/3(1,1,2), 00x1/2(1,1,1)"]
+    )
+    def test_parse_rejects_zero_count(self, text):
+        # a count of 0 lists no point; dropping it would hide a typo
+        with pytest.raises(NotTerminalError, match="cannot parse basket entry"):
+            Basket.parse(text)
+
     def test_sorted_on_construction(self):
         b = Basket((mk(6, 1, 3), mk(2, 1, 1), mk(2, 1)))
         assert b.entries == (mk(2, 1), mk(2, 1, 1), mk(6, 1, 3))

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 from collections import Counter
+from math import prod
 
 import pytest
 
@@ -92,6 +93,39 @@ class TestCoverRecord:
         assert Y4.implied_k_cubed() == 4
         assert Y8.implied_k_cubed() == Rational(2, 3)
         assert STANDIN.implied_k_cubed() == 1
+
+    def test_implied_k_cubed_of_bundled_covers(self):
+        # a complete intersection forces prod(degrees)/prod(weights); a
+        # Pfaffian cover has no such product, so compare with its record
+        covers = [
+            cover
+            for name in ("covers_codim1.json", "covers_codim2.json", "covers_codim3.json")
+            for cover in bundled_catalog(name)
+        ]
+        ci = [c for c in covers if c.structure == "ci"]
+        pfaffian = [c for c in covers if c.structure == "pfaffian"]
+        assert (len(ci), len(pfaffian)) == (45, 3)
+        for cover in ci:
+            assert cover.implied_k_cubed() == Rational(prod(cover.degrees), prod(cover.weights))
+        for cover in pfaffian:
+            assert cover.implied_k_cubed() == cover.minus_k_cubed
+
+    def test_numerator_not_vanishing_to_codimension(self):
+        # polarized, but one degree for codimension 2: 1 - t^5 has a simple zero
+        rec = CoverRecord("bad", (1, 1, 1, 1, 1, 1), (5,), Basket(), Rational(1))
+        message = "bad: numerator does not vanish to order 2 at t = 1"
+        with pytest.raises(CatalogError, match=message):
+            rec.implied_k_cubed()
+        assert rec.validate() == [message]
+
+    def test_validate_reports_the_builder_message(self):
+        rec = CoverRecord(
+            "bad", (1, 1, 2, 2, 3, 3, 3), (5, 5, 6, 6, 7), Basket(), Rational(1),
+            structure="pfaffian",
+        )
+        with pytest.raises(InconsistentDataError) as exc:
+            rec.series()
+        assert rec.validate() == [str(exc.value)]
 
     def test_codimension(self):
         assert Y4.codimension == 1
