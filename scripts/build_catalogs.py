@@ -4,15 +4,14 @@
 The cover catalogs covers_codim{1,2,3}.json are curated inputs: the
 script reads and validates them and never writes them.  Every golden
 (the census, the worked series examples, the quotient tables with their
-decoys' rejection reasons) is recomputed by the same routes that
-`fano_enriques.catalog.verify_fixtures` uses and cross-checked against
-the curated annotations below (expected torsion data, generator and
-relation bidegrees, series coefficients).  The script exits nonzero on
-the first inconsistency, and writes no golden until every one is built
-and checked, so a failed run leaves the data directory untouched and a
-successful run means the shipped fixtures and the engine agree.  It
-reads and writes the data directory of the checkout it sits in, even
-when the package is installed elsewhere.
+decoys' rejection reasons) is built from one `catalog.reproduce()` and
+cross-checked against the curated annotations below (expected torsion
+data, generator and relation bidegrees, series coefficients).  The
+script exits nonzero on the first inconsistency and writes no golden
+until every one is built and checked, so a failed run leaves the data
+directory untouched; it then checks the written files against that same
+reproduction.  The package must read its data from the directory the
+script writes, this checkout's; else the script stops before writing.
 
 Run from the repository root:
 
@@ -27,26 +26,14 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from fano_enriques.catalog import (
-    FORMAT_VERSION,
-    candidate_row,
-    census_baskets,
-    load_catalog,
-    reasons_by_cover,
-    verify_fixtures,
-    worked_example,
-)
-from fano_enriques.enumeration import BtCandidate, MAX_TORSION, canonicalize, enumerate_bt
-from fano_enriques.exact import format_rational, parse_rational, units
-from fano_enriques.hilbert import FanoData, FanoEnriquesData
+from fano_enriques import catalog
+from fano_enriques.enumeration import BtCandidate, MAX_TORSION, canonicalize
+from fano_enriques.exact import parse_rational, units
 from fano_enriques.orbifold import Basket
-from fano_enriques.quotient import CROSS_CODIMENSION, search
+from fano_enriques.quotient import CROSS_CODIMENSION
 
-# the checkout's data directory, wherever the package itself is installed
+# the checkout's data directory, which the package must read as well
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "fano_enriques" / "data"
-
-TRUNC = 24
-MAX_DEGREE = 24
 
 
 # --------------------------------------------------------------------------
@@ -373,17 +360,17 @@ def bidegrees_match(r, got_gens, got_rels, want_gens, want_rels) -> bool:
     return False
 
 
-def build_quotients(census, rows, specials_extra, covers_name, golden_name):
-    """Run the search on one bundled catalog and freeze the outcome as a golden:
+def build_quotients(rep, golden_name, rows, specials_extra):
+    """Freeze one search of the reproduction as a golden:
     (file name, payload, summary line)."""
-    records = load_catalog(DATA_DIR / covers_name, trunc=TRUNC)
-    names = [rec.name for rec in records]
+    covers_name = catalog.SEARCHES[golden_name]
+    names = [entry["name"] for entry in catalog.bundled_json(covers_name)["entries"]]
     missing = DECOYS[covers_name].difference(names)
     if missing:
         fail(f"{covers_name}: decoys {sorted(missing)} not in catalog")
     decoys = [name for name in names if name in DECOYS[covers_name]]
 
-    result = search(records, census, trunc=TRUNC, max_degree=MAX_DEGREE)
+    result = rep.searches[golden_name]
     by_key = {}
     for c in result:
         key = (c.cover.name, c.data.r, basket_key(c.data.bt))
@@ -426,7 +413,7 @@ def build_quotients(census, rows, specials_extra, covers_name, golden_name):
             fail(f"{tag}: presentation {got_g} / {got_q} does not match "
                  f"{sorted(gens)} / {sorted(rels)} up to unit rescale")
 
-        row = candidate_row(c)
+        row = catalog.candidate_row(c)
         if label is not None:
             row["label"] = label
         if notes:
@@ -442,7 +429,7 @@ def build_quotients(census, rows, specials_extra, covers_name, golden_name):
             got_q = sorted((q.n, q.i) for q in c.presentation.relations)
             fail(f"{golden_name}: unexpected clean candidate {key[0]} r={key[1]} "
                  f"bt={c.data.bt} be={c.data.be} {got_g} / {got_q}")
-        row = candidate_row(c)
+        row = catalog.candidate_row(c)
         row["notes"] = (
             "additional special-status candidate surfaced by the search; "
             "kept so the golden freezes the full outcome"
@@ -450,7 +437,7 @@ def build_quotients(census, rows, specials_extra, covers_name, golden_name):
         specials_out.append(row)
 
     clean_names = {c.cover.name for c in result.clean()}
-    decoy_reasons = reasons_by_cover(result)
+    decoy_reasons = rep.reasons(golden_name)
     decoys_out = []
     for name in decoys:
         if name in clean_names:
@@ -461,10 +448,10 @@ def build_quotients(census, rows, specials_extra, covers_name, golden_name):
         decoys_out.append({"cover": name, "reasons": reasons})
 
     return golden_name, {
-        "format_version": FORMAT_VERSION,
+        "format_version": catalog.FORMAT_VERSION,
         "catalog": covers_name,
-        "trunc": TRUNC,
-        "max_degree": MAX_DEGREE,
+        "trunc": catalog.TRUNC,
+        "max_degree": catalog.MAX_DEGREE,
         "rows": rows_out,
         "special_cases": specials_out,
         "decoys": decoys_out,
@@ -472,88 +459,57 @@ def build_quotients(census, rows, specials_extra, covers_name, golden_name):
         f"{len(decoys_out)} decoys, {len(result.rejections)} rejections")
 
 
-def build_torsion(census):
-    baskets = census_baskets(census)
-    transcribed = Counter(r for r, _ in BT.values())
-    for r in range(2, MAX_TORSION + 1):
-        found = len(baskets.get(str(r), []))
-        if transcribed[r] != found:
-            fail(f"torsion: order {r} has {found} baskets, transcription "
-                 f"lists {transcribed[r]}")
-    want = {basket_key(Basket(bt_candidate(label).entries)) for label in BT}
-    got = {basket_key(c.entries) for c in census}
+def build_torsion(rep):
+    want = Counter((btc.r, basket_key(btc.entries)) for btc in map(bt_candidate, BT))
+    got = Counter((c.r, basket_key(c.entries)) for c in rep.census)
     if want != got:
-        fail("torsion: transcribed baskets differ from the enumeration")
-    return "torsion_baskets.json", {
-        "max_order": MAX_TORSION,
-        "baskets": baskets,
-    }, f"  torsion_baskets.json: {len(census)} baskets"
+        orders = sorted({r for r, _ in (want - got) + (got - want)})
+        fail(f"torsion: transcribed baskets differ from the enumeration at orders {orders}")
+    summary = f"  torsion_baskets.json: {len(rep.census)} baskets"
+    return "torsion_baskets.json", {"max_order": MAX_TORSION, "baskets": rep.baskets()}, summary
 
 
-def build_series_examples():
+def build_series_examples(rep):
     # hypersurface quotient pair: the bigraded components of the order-5
     # quotient must sum to the plain series of its cover, degree by degree
-    plain_data = FanoData(Fraction(5, 2), Basket.parse("1/2(1,1,1)"))
-    peel_plain = [[1, 0], [1, 0], [1, 0], [1, 0], [2, 0]]
-    (coeffs,), peeled = worked_example(plain_data, 9, peel_plain)
+    plain, twisted = rep.examples["untwisted"], rep.examples["bigraded"]
+    coeffs, components = plain["coeffs"], twisted["components"]
     if coeffs != [str(c) for c in (1, 4, 11, 24, 46, 79, 126, 189, 271, 374)]:
         fail("series examples: untwisted coefficients moved")
-    if peeled != {"0": "1", "5": "-1"}:
-        fail(f"series examples: untwisted peel is not 1 - t^5 ({peeled})")
-
-    fe = FanoEnriquesData(5, Fraction(1, 2), Basket.parse("1/10(1,3,7)_6, 2x1/5(1,2,3)_1"))
-    peel_twisted = [[1, 0], [1, 1], [1, 3], [1, 4], [2, 2]]
-    components, tpeeled = worked_example(fe, 9, peel_twisted)
+    if plain["peeled"] != {"0": "1", "5": "-1"}:
+        fail(f"series examples: untwisted peel is not 1 - t^5 ({plain['peeled']})")
     if components[0] != [str(c) for c in (1, 1, 2, 5, 9, 16, 25, 38, 54, 74)]:
         fail("series examples: bigraded component 0 moved")
     for m in range(10):
         total = sum(parse_rational(row[m]) for row in components)
         if total != parse_rational(coeffs[m]):
             fail(f"series examples: component sum differs from cover at t^{m}")
-    if tpeeled != {"0,0": "1", "5,0": "-1"}:
-        fail(f"series examples: bigraded peel is not 1 - t^5 ({tpeeled})")
-
-    return "series_examples.json", {
-        "untwisted": {
-            "minusK3": format_rational(plain_data.minus_k_cubed),
-            "basket": plain_data.basket.to_json(),
-            "coeffs": coeffs,
-            "peel": peel_plain,
-            "peeled": peeled,
-        },
-        "bigraded": {
-            "data": fe.to_json(),
-            "components": components,
-            "peel": peel_twisted,
-            "peeled": tpeeled,
-        },
-    }, "  series_examples.json: written"
-
-
-def write_json(name: str, obj):
-    path = DATA_DIR / name
-    path.write_text(json.dumps(obj, indent=1) + "\n")
+    if twisted["peeled"] != {"0,0": "1", "5,0": "-1"}:
+        fail(f"series examples: bigraded peel is not 1 - t^5 ({twisted['peeled']})")
+    return "series_examples.json", rep.examples, "  series_examples.json: written"
 
 
 def main():
+    package_data = catalog._data_root()
+    if Path(str(package_data)).resolve() != DATA_DIR.resolve():
+        fail(f"the package reads {package_data}, not this checkout's {DATA_DIR}; "
+             f"put the checkout's src/ first on the path")
     print("building bundled fixtures ...")
-    census = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
+    rep = catalog.reproduce()
     built = [
-        build_torsion(census),
-        build_series_examples(),
-        build_quotients(census, ROWS_CODIM1, [], "covers_codim1.json", "quotients_codim1.json"),
-        build_quotients(census, ROWS_CODIM2, [], "covers_codim2.json", "quotients_codim2.json"),
-        build_quotients(
-            census, ROWS_CODIM3, SPECIALS_CODIM3, "covers_codim3.json", "quotients_codim3.json"
-        ),
+        build_torsion(rep),
+        build_series_examples(rep),
+        build_quotients(rep, "quotients_codim1.json", ROWS_CODIM1, []),
+        build_quotients(rep, "quotients_codim2.json", ROWS_CODIM2, []),
+        build_quotients(rep, "quotients_codim3.json", ROWS_CODIM3, SPECIALS_CODIM3),
     ]
     # every golden is built and checked before the first is written, so a
     # failed build leaves the data directory as it was
     for name, payload, summary in built:
-        write_json(name, payload)
+        (DATA_DIR / name).write_text(json.dumps(payload, indent=1) + "\n")
         print(summary)
 
-    problems = verify_fixtures()
+    problems = rep.mismatches()
     if problems:
         fail("verify_fixtures: " + "; ".join(problems))
     print("verify_fixtures: all bundled fixtures check out")

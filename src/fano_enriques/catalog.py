@@ -16,27 +16,30 @@ Bundled under data/:
   torsion_baskets.json    the 39 admissible marked baskets, by order
   series_examples.json    frozen series values for the worked examples
 
-verify_fixtures() recomputes everything the goldens freeze and returns
-the list of mismatches (empty means all good).  The cover catalogs are
-curated by hand, laid out as save_catalog writes them; the other files
-are regenerated by scripts/build_catalogs.py, which reads the covers
-and uses the same public recomputation helpers (candidate_row,
-reasons_by_cover, census_baskets, worked_example).
+reproduce() runs the paper's computation once from the cover catalogs
+and the fixed inputs below, never from a golden: the census of marked
+baskets, the search of each cover catalog against it, and the worked
+series examples.  verify_fixtures() compares one reproduction with the
+goldens and returns the mismatches (empty means all good).  The cover
+catalogs are curated by hand, laid out as save_catalog writes them; the
+other files are written from one reproduction by
+scripts/build_catalogs.py, which then checks them against it.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence, Union
 
 from .enumeration import MAX_TORSION, BtCandidate, enumerate_bt
 from .errors import CatalogError
-from .exact import format_rational, parse_rational
+from .exact import Rational, format_rational
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from .orbifold import Basket
-from .quotient import CoverRecord, QuotientCandidate, search
+from .quotient import CoverRecord, QuotientCandidate, SearchResult, search
 from .series import Bidegree
 
 __all__ = [
@@ -47,18 +50,27 @@ __all__ = [
     "bundled_json",
     "verify_fixtures",
     "candidate_row",
-    "reasons_by_cover",
-    "census_baskets",
-    "worked_example",
+    "Reproduction",
+    "reproduce",
 ]
 
 FORMAT_VERSION = "1"
 
-GOLDEN_FILES = (
-    "quotients_codim1.json",
-    "quotients_codim2.json",
-    "quotients_codim3.json",
-)
+# The reproduction's fixed inputs: the cover catalog each quotient golden
+# searches, one truncation and degree bound for every search, and the two
+# worked examples (a quotient of order 5 and its cover), each a data set
+# whose series to t^9 is peeled by the listed bidegrees in turn.
+SEARCHES = {f"quotients_codim{c}.json": f"covers_codim{c}.json" for c in (1, 2, 3)}
+GOLDEN_FILES = tuple(SEARCHES)
+TRUNC = MAX_DEGREE = 24
+EXAMPLE_TRUNC = 9
+EXAMPLES = {
+    "untwisted": (FanoData(Rational(5, 2), Basket.parse("1/2(1,1,1)")), [(1, 0)] * 4 + [(2, 0)]),
+    "bigraded": (
+        FanoEnriquesData(5, Rational(1, 2), Basket.parse("1/10(1,3,7)_6, 2x1/5(1,2,3)_1")),
+        [(1, 0), (1, 1), (1, 3), (1, 4), (2, 2)],
+    ),
+}
 
 
 def _parse_file(source: Union[str, Path]) -> dict:
@@ -183,48 +195,81 @@ def candidate_row(c: QuotientCandidate) -> dict:
     }
 
 
-def reasons_by_cover(result) -> dict[str, list[str]]:
-    """Each cover's distinct rejection reasons, sorted as decoys list them."""
-    reasons: dict[str, set] = {}
-    for rej in result.rejections:
-        reasons.setdefault(rej.cover, set()).add(rej.reason)
-    return {cover: sorted(seen) for cover, seen in reasons.items()}
-
-
-def census_baskets(census: Sequence[BtCandidate]) -> dict[str, list]:
-    """The census as torsion_baskets.json stores it: each order that has
-    baskets, mapped to them in census order."""
-    baskets: dict[str, list] = {}
-    for c in census:
-        baskets.setdefault(str(c.r), []).append(c.entries.to_json())
-    return baskets
-
-
-def worked_example(data, trunc: int, peel) -> tuple[list, dict]:
+def _worked_example(data, peel) -> dict:
     """A worked series example of FanoData (r = 1) or FanoEnriquesData as
-    series_examples.json stores it: the component rows, and the nonzero
-    coefficients left after peeling each (n, i) in turn, keyed "m" or "m,i"."""
+    series_examples.json stores it: its inputs, its component rows, and the
+    nonzero coefficients left after peeling each (n, i) in turn, keyed "m"
+    or "m,i"."""
     bigraded = isinstance(data, FanoEnriquesData)
-    series = (bigraded_series if bigraded else altinok_series)(data, trunc)
+    series = (bigraded_series if bigraded else altinok_series)(data, EXAMPLE_TRUNC)
     rows = [[format_rational(c) for c in series.component(i)] for i in range(series.r)]
     for n, i in peel:
         series = series.peel(Bidegree(n, i))
     peeled = {(f"{m},{i}" if bigraded else str(m)): format_rational(c)
               for i in range(series.r) for m, c in enumerate(series.component(i)) if c}
-    return rows, peeled
+    peel = [list(d) for d in peel]
+    if bigraded:
+        return {"data": data.to_json(), "components": rows, "peel": peel, "peeled": peeled}
+    return {"minusK3": format_rational(data.minus_k_cubed), "basket": data.basket.to_json(),
+            "coeffs": rows[0], "peel": peel, "peeled": peeled}
 
 
-def _verify_quotients(golden_name: str, census: Sequence[BtCandidate]) -> list[str]:
+@dataclass(frozen=True)
+class Reproduction:
+    """One run of what the goldens freeze: the census of orders 2..24, one
+    search per quotient golden, the worked examples as stored."""
+
+    census: list[BtCandidate]
+    searches: dict[str, SearchResult]
+    examples: dict[str, dict]
+
+    def baskets(self) -> dict[str, list]:
+        """The census as torsion_baskets.json stores it, by order."""
+        baskets: dict[str, list] = {}
+        for c in self.census:
+            baskets.setdefault(str(c.r), []).append(c.entries.to_json())
+        return baskets
+
+    def reasons(self, golden_name: str) -> dict[str, list[str]]:
+        """Each cover's distinct rejection reasons in one search, sorted."""
+        reasons: dict[str, set] = {}
+        for rej in self.searches[golden_name].rejections:
+            reasons.setdefault(rej.cover, set()).add(rej.reason)
+        return {cover: sorted(seen) for cover, seen in reasons.items()}
+
+    def mismatches(self) -> list[str]:
+        """Every difference between this run and the bundled goldens."""
+        problems = _verify_series_examples(self)
+        problems += _verify_baskets(self)
+        for name in GOLDEN_FILES:
+            problems += _verify_quotients(name, self)
+        return problems
+
+
+def reproduce() -> Reproduction:
+    """The census, the three catalog searches and the worked examples, from
+    the cover catalogs and the fixed inputs above; no golden is read."""
+    census = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
+    examples = {name: _worked_example(data, peel) for name, (data, peel) in EXAMPLES.items()}
+    searches = {
+        golden: search(
+            bundled_catalog(covers, trunc=TRUNC), census, trunc=TRUNC, max_degree=MAX_DEGREE
+        )
+        for golden, covers in SEARCHES.items()
+    }
+    return Reproduction(census, searches, examples)
+
+
+def _verify_quotients(golden_name: str, rep: Reproduction) -> list[str]:
     golden = bundled_json(golden_name)
-    catalog = bundled_catalog(golden["catalog"], trunc=golden.get("trunc", 24))
-    result = search(
-        catalog,
-        census,
-        trunc=golden.get("trunc", 24),
-        max_degree=golden.get("max_degree", 24),
-    )
-
-    problems = []
+    problems = [
+        f"{golden_name}: {key} {golden.get(key)!r}, the reproduction uses {want!r}"
+        for key, want in (
+            ("catalog", SEARCHES[golden_name]), ("trunc", TRUNC), ("max_degree", MAX_DEGREE)
+        )
+        if golden.get(key) != want
+    ]
+    result = rep.searches[golden_name]
     for missing, kind, computed, expected in (
         ("expected row", "row", result.clean(), golden["rows"]),
         ("special case", "special case", result.special(), golden.get("special_cases", [])),
@@ -239,7 +284,7 @@ def _verify_quotients(golden_name: str, census: Sequence[BtCandidate]) -> list[s
                 problems.append(f"{golden_name}: unexpected {kind} {k[0]} r={k[1]}")
 
     clean_covers = {c.cover.name for c in result.clean()}
-    reasons = reasons_by_cover(result)
+    reasons = rep.reasons(golden_name)
     for decoy in golden.get("decoys", []):
         name = decoy["cover"]
         if name in clean_covers:
@@ -260,9 +305,9 @@ def _verify_quotients(golden_name: str, census: Sequence[BtCandidate]) -> list[s
     return problems
 
 
-def _verify_baskets(census: Sequence[BtCandidate]) -> list[str]:
+def _verify_baskets(rep: Reproduction) -> list[str]:
     golden = bundled_json("torsion_baskets.json")
-    baskets = census_baskets(census)
+    baskets = rep.baskets()
     problems = []
     for r in range(2, golden.get("max_order", 24) + 1):
         computed = sorted(map(_basket_key, baskets.get(str(r), [])))
@@ -272,7 +317,7 @@ def _verify_baskets(census: Sequence[BtCandidate]) -> list[str]:
                 f"torsion_baskets.json: order {r} has {len(computed)} baskets, "
                 f"golden lists {len(want)} (or contents differ)"
             )
-    total = len(census)
+    total = len(rep.census)
     want_total = sum(len(v) for v in golden["baskets"].values())
     if total != want_total:
         problems.append(
@@ -282,47 +327,37 @@ def _verify_baskets(census: Sequence[BtCandidate]) -> list[str]:
     return problems
 
 
-def _verify_series_examples() -> list[str]:
+def _verify_series_examples(rep: Reproduction) -> list[str]:
     golden = bundled_json("series_examples.json")
-    problems = []
+    problems = [
+        f"series_examples.json: {name} inputs differ from the reproduction's"
+        for name, example in rep.examples.items()
+        if any(golden[name].get(k) != example.get(k) for k in ("minusK3", "basket", "data", "peel"))
+    ]
 
-    plain = golden["untwisted"]
-    data = FanoData(parse_rational(plain["minusK3"]), Basket.from_json(plain["basket"]))
-    (coeffs,), peeled = worked_example(data, len(plain["coeffs"]) - 1, plain["peel"])
-    if coeffs != plain["coeffs"]:
+    plain, want = rep.examples["untwisted"], golden["untwisted"]
+    if plain["coeffs"] != want["coeffs"]:
         problems.append("series_examples.json: untwisted coefficients differ")
-    for m in range(len(coeffs)):
-        if peeled.get(str(m), "0") != plain["peeled"].get(str(m), "0"):
-            problems.append(
-                f"series_examples.json: peeled untwisted series differs at t^{m}"
-            )
-            break
+    problems += [
+        f"series_examples.json: peeled untwisted series differs at t^{m}"
+        for m in range(len(plain["coeffs"]))
+        if plain["peeled"].get(str(m), "0") != want["peeled"].get(str(m), "0")
+    ][:1]
 
-    twisted = golden["bigraded"]
-    fe = FanoEnriquesData.from_json(twisted["data"])
-    rows, peeled = worked_example(fe, len(twisted["components"][0]) - 1, twisted["peel"])
-    for i, row in enumerate(twisted["components"]):
-        if rows[i % fe.r] != row:
-            problems.append(f"series_examples.json: bigraded component {i} differs")
-    for i in range(fe.r):
-        for m in range(len(rows[i])):
-            key = f"{m},{i}"
-            if peeled.get(key, "0") != twisted["peeled"].get(key, "0"):
-                problems.append(
-                    f"series_examples.json: peeled bigraded series differs "
-                    f"at t^{m} e^{i}"
-                )
+    twisted, frozen = rep.examples["bigraded"], golden["bigraded"]
+    rows = twisted["components"]
+    problems += [
+        f"series_examples.json: bigraded component {i} differs"
+        for i, row in enumerate(frozen["components"]) if rows[i % len(rows)] != row
+    ]
+    problems += [
+        f"series_examples.json: peeled bigraded series differs at t^{m} e^{i}"
+        for i in range(len(rows)) for m in range(len(rows[i]))
+        if twisted["peeled"].get(f"{m},{i}", "0") != frozen["peeled"].get(f"{m},{i}", "0")
+    ]
     return problems
 
 
 def verify_fixtures() -> list[str]:
-    """Recompute every bundled golden file; returns all mismatches found.
-
-    The census is enumerated once and feeds both its own golden and the
-    three catalog searches."""
-    census = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
-    problems = _verify_series_examples()
-    problems += _verify_baskets(census)
-    for name in GOLDEN_FILES:
-        problems += _verify_quotients(name, census)
-    return problems
+    """Reproduce everything the bundled goldens freeze; returns all mismatches."""
+    return reproduce().mismatches()

@@ -32,6 +32,7 @@ from .errors import (
     IncompatibleSeriesError,
     MalformedInputError,
     NonInvertibleFactorError,
+    OutOfRangeError,
     UnnormalizedResidualError,
 )
 from .exact import Rational, format_rational, rational_from_json
@@ -71,9 +72,9 @@ class Bidegree:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError(f"t-degree must be nonnegative, got {self.n}")
+            raise OutOfRangeError(f"t-degree must be >= 0, got {self.n}")
         if self.i < 0:
-            raise ValueError(f"e-degree must be nonnegative, got {self.i}")
+            raise OutOfRangeError(f"e-degree must be >= 0, got {self.i}")
 
     def __str__(self):
         return f"({self.n},{self.i})"

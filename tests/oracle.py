@@ -8,27 +8,41 @@ that shares none of its code.  The file name does not match test_*.py, so
 pytest imports it from the test modules but never collects it.
 """
 
+from fractions import Fraction
+from math import lcm
+
 from fano_enriques.series import Bidegree, BigradedSeries
 
 
+def _integer_rows(s: BigradedSeries, n: int) -> tuple[int, list[list[int]]]:
+    """s to t^n over one common denominator d: (d, the rows times d)."""
+    d = lcm(*(c.denominator for row in s.coeffs for c in row[: n + 1]))
+    return d, [[c.numerator * (d // c.denominator) for c in row[: n + 1]] for row in s.coeffs]
+
+
 def product(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
-    """a * b in Z[[t]][e]/(e^r - 1), truncated at the shorter operand."""
+    """a * b in Z[[t]][e]/(e^r - 1), truncated at the shorter operand: the
+    integer rows of a and b multiplied, then divided once by both
+    denominators."""
     if a.r != b.r:
         raise ValueError(f"grading moduli differ: {a.r} vs {b.r}")
     r, n = a.r, min(a.trunc, b.trunc)
+    da, rows_a = _integer_rows(a, n)
+    db, rows_b = _integer_rows(b, n)
     rows = [[0] * (n + 1) for _ in range(r)]
-    for i, row_a in enumerate(a.coeffs):
+    for i, row_a in enumerate(rows_a):
         for m in range(n + 1):
             x = row_a[m]
             if not x:
                 continue
-            for j, row_b in enumerate(b.coeffs):
+            for j, row_b in enumerate(rows_b):
                 out = rows[(i + j) % r]
                 for k in range(n + 1 - m):
                     y = row_b[k]
                     if y:
                         out[m + k] += x * y
-    return BigradedSeries(r, rows)
+    d = da * db
+    return BigradedSeries(r, [[Fraction(c, d) for c in row] for row in rows])
 
 
 def binomial(r: int, trunc: int, d: Bidegree) -> BigradedSeries:

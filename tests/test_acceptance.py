@@ -59,10 +59,8 @@ from fano_enriques.orbifold import (
     normalize_type,
     preimage_singularity,
 )
-from fano_enriques.quotient import Rejection, forced_preimage, search
+from fano_enriques.quotient import Rejection, forced_preimage
 from fano_enriques.series import Bidegree
-
-CENSUS = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
 
 QUOTIENT_GOLDENS = (
     "quotients_codim1.json",
@@ -170,10 +168,9 @@ def test_torsion_basket_census():
 # -- 4 -----------------------------------------------------------------------
 
 
-def test_hypersurface_catalog_search():
+def test_hypersurface_catalog_search(reproduction):
     golden = bundled_json("quotients_codim1.json")
-    records = bundled_catalog(golden["catalog"], trunc=golden["trunc"])
-    result = search(records, CENSUS, trunc=golden["trunc"], max_degree=golden["max_degree"])
+    result = reproduction.searches["quotients_codim1.json"]
 
     assert len(golden["rows"]) == 12
     assert {row["label"] for row in golden["rows"]} == {str(k) for k in range(1, 13)}
@@ -194,7 +191,7 @@ def test_hypersurface_catalog_search():
 # -- 5 -----------------------------------------------------------------------
 
 
-def test_codim2_and_codim3_catalog_searches():
+def test_codim2_and_codim3_catalog_searches(reproduction):
     g2 = bundled_json("quotients_codim2.json")
     labeled_special = [row for row in g2["special_cases"] if "label" in row]
     labeled_clean = [row for row in g2["rows"] if "label" in row]
@@ -203,8 +200,7 @@ def test_codim2_and_codim3_catalog_searches():
     for row in labeled_special:
         assert "cross-codimension" in row["flags"]
 
-    records = bundled_catalog(g2["catalog"], trunc=g2["trunc"])
-    result = search(records, CENSUS, trunc=g2["trunc"], max_degree=g2["max_degree"])
+    result = reproduction.searches["quotients_codim2.json"]
     assert sorted(_row_key(candidate_row(c)) for c in result.clean()) == sorted(
         _row_key(row) for row in g2["rows"]
     )
@@ -218,8 +214,7 @@ def test_codim2_and_codim3_catalog_searches():
     (row_1c,) = [row for row in g3["rows"] if row["label"] == "1c"]
     assert sorted(i for _, i in row_1c["relations"]) == [0, 2, 4]
 
-    records = bundled_catalog(g3["catalog"], trunc=g3["trunc"])
-    result = search(records, CENSUS, trunc=g3["trunc"], max_degree=g3["max_degree"])
+    result = reproduction.searches["quotients_codim3.json"]
     assert sorted(_row_key(candidate_row(c)) for c in result.clean()) == sorted(
         _row_key(row) for row in g3["rows"]
     )

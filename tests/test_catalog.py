@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fano_enriques import catalog
+from fano_enriques import catalog, quotient
 from fano_enriques.catalog import (
     FORMAT_VERSION,
     GOLDEN_FILES,
@@ -19,7 +19,6 @@ from fano_enriques.catalog import (
     resolve_catalog,
     save_catalog,
 )
-from fano_enriques.enumeration import MAX_TORSION, enumerate_bt
 from fano_enriques.errors import CatalogError
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import Presentation
@@ -32,8 +31,6 @@ Y4 = CoverRecord("Y_{4} in P(1,1,1,1,1)", (1, 1, 1, 1, 1), (4,), Basket(), Ratio
 Y5 = CoverRecord(
     "Y_{5} in P(1,1,1,1,2)", (1, 1, 1, 1, 2), (5,), Basket.parse("1/2(1,1,1)"), Rational(5, 2)
 )
-
-CENSUS = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
 
 BUNDLED = (
     "covers_codim1.json",
@@ -224,7 +221,7 @@ class TestGoldenComparison:
             catalog, "bundled_json", lambda n: tampered if n == name else real(n)
         )
 
-    def test_reports_every_kind_of_mismatch(self, monkeypatch):
+    def test_reports_every_kind_of_mismatch(self, monkeypatch, reproduction):
         # a codim-3 golden that swaps its first clean row and its special
         # case for invented ones and names the dropped row's cover as a
         # decoy: each comparison reports both directions
@@ -239,7 +236,7 @@ class TestGoldenComparison:
             decoys=golden["decoys"] + [{"cover": dropped["cover"], "reasons": []}],
         )
         self._tamper(monkeypatch, "quotients_codim3.json", tampered)
-        assert catalog._verify_quotients("quotients_codim3.json", CENSUS) == [
+        assert catalog._verify_quotients("quotients_codim3.json", reproduction) == [
             "quotients_codim3.json: missing expected row Y_{row} in P(1,1,1,1,1,1,1) r=2",
             "quotients_codim3.json: unexpected row Y_{2,2,2} in P(1,1,1,1,1,1,1) r=2",
             "quotients_codim3.json: missing special case Y_{special} in P(1,1,1,1,1,1,1) r=7",
@@ -247,20 +244,20 @@ class TestGoldenComparison:
             "quotients_codim3.json: decoy Y_{2,2,2} in P(1,1,1,1,1,1,1) produced a clean row",
         ]
 
-    def test_reports_decoy_reasons_never_seen(self, monkeypatch):
+    def test_reports_decoy_reasons_never_seen(self, monkeypatch, reproduction):
         golden = bundled_json("quotients_codim3.json")
         first = golden["decoys"][0]
         decoys = [dict(first, reasons=first["reasons"] + ["inconsistent-data"])]
         decoys += [{"cover": "Y_{none} in P(1,1,1,1,1,1,1)", "reasons": ["parity-fail"]}]
         self._tamper(monkeypatch, "quotients_codim3.json", dict(golden, decoys=decoys))
-        assert catalog._verify_quotients("quotients_codim3.json", CENSUS) == [
+        assert catalog._verify_quotients("quotients_codim3.json", reproduction) == [
             f"quotients_codim3.json: decoy {first['cover']} never rejected with "
             f"'inconsistent-data' (saw {first['reasons']})",
             "quotients_codim3.json: decoy Y_{none} in P(1,1,1,1,1,1,1) never "
             "rejected with 'parity-fail' (saw nothing)",
         ]
 
-    def test_reports_decoy_reasons_the_golden_does_not_list(self, monkeypatch):
+    def test_reports_decoy_reasons_the_golden_does_not_list(self, monkeypatch, reproduction):
         # the first decoy loses 'parity-fail' from its golden reasons, which
         # the search still produces: reasons are compared both ways
         golden = bundled_json("quotients_codim3.json")
@@ -269,12 +266,28 @@ class TestGoldenComparison:
         reasons = [x for x in first["reasons"] if x != "parity-fail"]
         decoys = [dict(first, reasons=reasons)] + golden["decoys"][1:]
         self._tamper(monkeypatch, "quotients_codim3.json", dict(golden, decoys=decoys))
-        assert catalog._verify_quotients("quotients_codim3.json", CENSUS) == [
+        assert catalog._verify_quotients("quotients_codim3.json", reproduction) == [
             f"quotients_codim3.json: decoy {first['cover']} rejected with "
             f"unexpected 'parity-fail'",
         ]
 
-    def test_reports_census_mismatches_per_order_and_in_total(self, monkeypatch):
+    def test_reports_search_inputs_the_reproduction_does_not_use(
+        self, monkeypatch, reproduction
+    ):
+        # a golden naming another catalog or other bounds is reported, not
+        # followed: its rows are still compared with the fixed search
+        golden = bundled_json("quotients_codim3.json")
+        tampered = dict(golden, catalog="covers_codim2.json", trunc=20)
+        del tampered["max_degree"]
+        self._tamper(monkeypatch, "quotients_codim3.json", tampered)
+        assert catalog._verify_quotients("quotients_codim3.json", reproduction) == [
+            "quotients_codim3.json: catalog 'covers_codim2.json', "
+            "the reproduction uses 'covers_codim3.json'",
+            "quotients_codim3.json: trunc 20, the reproduction uses 24",
+            "quotients_codim3.json: max_degree None, the reproduction uses 24",
+        ]
+
+    def test_reports_census_mismatches_per_order_and_in_total(self, monkeypatch, reproduction):
         # order 2 loses a basket and order 5 swaps one for an order-4 basket
         golden = bundled_json("torsion_baskets.json")
         baskets = dict(golden["baskets"])
@@ -283,23 +296,38 @@ class TestGoldenComparison:
         self._tamper(
             monkeypatch, "torsion_baskets.json", dict(golden, baskets=baskets)
         )
-        assert catalog._verify_baskets(CENSUS) == [
+        assert catalog._verify_baskets(reproduction) == [
             "torsion_baskets.json: order 2 has 20 baskets, golden lists 19 (or contents differ)",
             "torsion_baskets.json: order 5 has 4 baskets, golden lists 4 (or contents differ)",
             "torsion_baskets.json: 39 baskets enumerated, golden freezes 38",
         ]
 
-    def test_reports_census_total_beyond_the_enumerated_orders(self, monkeypatch):
+    def test_reports_census_total_beyond_the_enumerated_orders(self, monkeypatch, reproduction):
         golden = bundled_json("torsion_baskets.json")
         baskets = dict(golden["baskets"], **{"25": [golden["baskets"]["2"][0]]})
         self._tamper(
             monkeypatch, "torsion_baskets.json", dict(golden, baskets=baskets)
         )
-        assert catalog._verify_baskets(CENSUS) == [
+        assert catalog._verify_baskets(reproduction) == [
             "torsion_baskets.json: 39 baskets enumerated, golden freezes 40",
         ]
 
-    def test_reports_every_kind_of_series_mismatch(self, monkeypatch):
+    def test_reports_worked_example_inputs_the_reproduction_does_not_use(
+        self, monkeypatch, reproduction
+    ):
+        golden = bundled_json("series_examples.json")
+        plain, twisted = golden["untwisted"], golden["bigraded"]
+        tampered = {
+            "untwisted": dict(plain, peel=plain["peel"][1:]),
+            "bigraded": dict(twisted, data=dict(twisted["data"], minusK3="1")),
+        }
+        self._tamper(monkeypatch, "series_examples.json", tampered)
+        assert catalog._verify_series_examples(reproduction) == [
+            "series_examples.json: untwisted inputs differ from the reproduction's",
+            "series_examples.json: bigraded inputs differ from the reproduction's",
+        ]
+
+    def test_reports_every_kind_of_series_mismatch(self, monkeypatch, reproduction):
         # the untwisted peel differs at t^3 and t^5 (only the first is
         # reported); the bigraded peel at three positions (all reported)
         golden = bundled_json("series_examples.json")
@@ -319,7 +347,7 @@ class TestGoldenComparison:
             ),
         }
         self._tamper(monkeypatch, "series_examples.json", tampered)
-        assert catalog._verify_series_examples() == [
+        assert catalog._verify_series_examples(reproduction) == [
             "series_examples.json: untwisted coefficients differ",
             "series_examples.json: peeled untwisted series differs at t^3",
             "series_examples.json: bigraded component 2 differs",
@@ -361,15 +389,24 @@ def load_build_script():
 
 
 class TestBuildScript:
-    def test_failed_build_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        script = load_build_script()
+    GOLDENS = ("torsion_baskets.json", "series_examples.json", *GOLDEN_FILES)
+
+    def stale_copy(self, tmp_path, script):
+        """A copy of the data directory whose goldens are all stale: a build
+        that wrote any of them would change these bytes, and one that read
+        any of them would fail."""
         data = tmp_path / "data"
         shutil.copytree(script.DATA_DIR, data)
-        # stale goldens: a build that wrote any of them would change these bytes
-        for name in ("torsion_baskets.json", "series_examples.json", *GOLDEN_FILES):
+        for name in self.GOLDENS:
             (data / name).write_text('{"stale": true}\n')
+        return data
+
+    def test_failed_build_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        script = load_build_script()
+        data = self.stale_copy(tmp_path, script)
         before = {path.name: path.read_bytes() for path in data.iterdir()}
         monkeypatch.setattr(script, "DATA_DIR", data)
+        monkeypatch.setattr(catalog, "_data_root", lambda: data)
         decoys = script.DECOYS["covers_codim2.json"] | {"Y_{99} in P(1,1,1,1,98)"}
         monkeypatch.setitem(script.DECOYS, "covers_codim2.json", decoys)
 
@@ -380,3 +417,41 @@ class TestBuildScript:
             "FAIL: covers_codim2.json: decoys ['Y_{99} in P(1,1,1,1,98)'] not in catalog\n"
         )
         assert {path.name: path.read_bytes() for path in data.iterdir()} == before
+
+    def test_refuses_a_package_reading_other_data(self, tmp_path, monkeypatch, capsys):
+        # the package still reads the bundled files while the script would
+        # write the copy: checking the one against the other proves nothing
+        script = load_build_script()
+        data = self.stale_copy(tmp_path, script)
+        before = {path.name: path.read_bytes() for path in data.iterdir()}
+        monkeypatch.setattr(script, "DATA_DIR", data)
+
+        with pytest.raises(SystemExit) as stop:
+            script.main()
+        assert stop.value.code == 1
+        assert capsys.readouterr().err.startswith(
+            f"FAIL: the package reads {catalog._data_root()}, not this checkout's {data}"
+        )
+        assert {path.name: path.read_bytes() for path in data.iterdir()} == before
+
+    def test_build_rewrites_every_golden_from_one_reproduction(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        script = load_build_script()
+        bundled = {name: (catalog._data_root() / name).read_bytes() for name in BUNDLED}
+        data = self.stale_copy(tmp_path, script)
+        monkeypatch.setattr(script, "DATA_DIR", data)
+        monkeypatch.setattr(catalog, "_data_root", lambda: data)
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return quotient.search(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "search", counted)
+        script.main()
+        assert capsys.readouterr().out.endswith(
+            "verify_fixtures: all bundled fixtures check out\n"
+        )
+        assert {path.name: path.read_bytes() for path in data.iterdir()} == bundled
+        assert len(searches) == 3

@@ -12,9 +12,13 @@ from fano_enriques.errors import (
     IncompatibleSeriesError,
     MalformedInputError,
     NonInvertibleFactorError,
+    OutOfRangeError,
     UnnormalizedResidualError,
 )
 from fano_enriques.exact import Rational
+from fano_enriques.hilbert import wci_series
+from fano_enriques.orbifold import Basket
+from fano_enriques.quotient import CoverRecord
 from fano_enriques.series import Bidegree, BigradedSeries
 from oracle import binomial, geometric, product
 
@@ -38,10 +42,26 @@ class TestBidegree:
         assert Bidegree(1, 0) < Bidegree(1, 1) < Bidegree(2, 0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError, match="t-degree must be >= 0, got -1"):
             Bidegree(-1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError, match="e-degree must be >= 0, got -2"):
             Bidegree(0, -2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # a relation of degree 12 above the Pfaffian's top degree 8
+            lambda: CoverRecord(
+                "x", (1, 1, 1, 1, 1, 1, 3), (1, 1, 1, 1, 12), Basket(), 1,
+                structure="pfaffian",
+            ).implied_k_cubed(),
+            lambda: wci_series((1,) * 6, (-1, 1, 5)),
+        ],
+        ids=["pfaffian-implied-k-cubed", "wci-negative-degree"],
+    )
+    def test_negative_degree_in_a_builder_is_typed(self, build):
+        with pytest.raises(OutOfRangeError):
+            build()
 
     def test_str(self):
         assert str(Bidegree(4, 2)) == "(4,2)"
