@@ -163,21 +163,33 @@ def resolve_catalog(source: str, trunc: int = 20) -> list[CoverRecord]:
 # golden verification
 
 
-def _basket_key(basket: list) -> tuple:
-    return tuple(tuple(sorted(e.items())) for e in basket)
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+_ROW_FIELDS = {"cover": str, "r": int, "minusK3": str, "bt": list, "be": list,
+               "generators": list, "relations": list, "flags": list}
+
+
+def _shape(where: str, obj, fields: dict) -> list[str]:
+    """One problem line per key of a golden object that is missing, or not
+    of the JSON type that the comparison and the printed tables read."""
+    if not isinstance(obj, dict):
+        return [f"{where}: not {_JSON_TYPES[dict]}"]
+    return [
+        f"{where}: missing key {key!r}" if key not in obj
+        else f"{where}: key {key!r} is not {_JSON_TYPES[kind]}"
+        for key, kind in fields.items()
+        if not isinstance(obj.get(key), kind)
+    ]
+
+
+def _json_key(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
 
 
 def _row_key(obj: dict) -> tuple:
-    return (
-        obj["cover"],
-        obj["r"],
-        obj["minusK3"],
-        _basket_key(obj["bt"]),
-        _basket_key(obj["be"]),
-        tuple(tuple(g) for g in obj["generators"]),
-        tuple(tuple(q) for q in obj["relations"]),
-        tuple(sorted(obj.get("flags", ()))),
-    )
+    """A row's cover and order, then the rest it is compared on, as JSON."""
+    rest = [obj[k] for k in ("minusK3", "bt", "be", "generators", "relations")]
+    rest.append(sorted(map(_json_key, obj["flags"])))
+    return obj["cover"], obj["r"], _json_key(rest)
 
 
 def candidate_row(c: QuotientCandidate) -> dict:
@@ -262,6 +274,14 @@ def reproduce() -> Reproduction:
 
 def _verify_quotients(golden_name: str, rep: Reproduction) -> list[str]:
     golden = bundled_json(golden_name)
+    problems = _shape(golden_name, golden, {"rows": list, "special_cases": list, "decoys": list})
+    if not problems:
+        for key, fields in (("rows", _ROW_FIELDS), ("special_cases", _ROW_FIELDS),
+                            ("decoys", {"cover": str, "reasons": list})):
+            for k, entry in enumerate(golden[key]):
+                problems += _shape(f"{golden_name} {key}[{k}]", entry, fields)
+    if problems:
+        return problems
     problems = [
         f"{golden_name}: {key} {golden.get(key)!r}, the reproduction uses {want!r}"
         for key, want in (
@@ -272,7 +292,7 @@ def _verify_quotients(golden_name: str, rep: Reproduction) -> list[str]:
     result = rep.searches[golden_name]
     for missing, kind, computed, expected in (
         ("expected row", "row", result.clean(), golden["rows"]),
-        ("special case", "special case", result.special(), golden.get("special_cases", [])),
+        ("special case", "special case", result.special(), golden["special_cases"]),
     ):
         got = sorted(_row_key(candidate_row(c)) for c in computed)
         want = sorted(_row_key(row) for row in expected)
@@ -285,12 +305,12 @@ def _verify_quotients(golden_name: str, rep: Reproduction) -> list[str]:
 
     clean_covers = {c.cover.name for c in result.clean()}
     reasons = rep.reasons(golden_name)
-    for decoy in golden.get("decoys", []):
+    for decoy in golden["decoys"]:
         name = decoy["cover"]
         if name in clean_covers:
             problems.append(f"{golden_name}: decoy {name} produced a clean row")
         seen = reasons.get(name, [])
-        expected = decoy.get("reasons", [])
+        expected = decoy["reasons"]
         for reason in expected:
             if reason not in seen:
                 problems.append(
@@ -307,18 +327,23 @@ def _verify_quotients(golden_name: str, rep: Reproduction) -> list[str]:
 
 def _verify_baskets(rep: Reproduction) -> list[str]:
     golden = bundled_json("torsion_baskets.json")
+    problems = _shape("torsion_baskets.json", golden, {"max_order": int, "baskets": dict})
+    if not problems:
+        frozen = golden["baskets"]
+        problems = _shape("torsion_baskets.json baskets", frozen, dict.fromkeys(frozen, list))
+    if problems:
+        return problems
     baskets = rep.baskets()
-    problems = []
-    for r in range(2, golden.get("max_order", 24) + 1):
-        computed = sorted(map(_basket_key, baskets.get(str(r), [])))
-        want = sorted(map(_basket_key, golden["baskets"].get(str(r), [])))
+    for r in range(2, golden["max_order"] + 1):
+        computed = sorted(map(_json_key, baskets.get(str(r), [])))
+        want = sorted(map(_json_key, frozen.get(str(r), [])))
         if computed != want:
             problems.append(
                 f"torsion_baskets.json: order {r} has {len(computed)} baskets, "
                 f"golden lists {len(want)} (or contents differ)"
             )
     total = len(rep.census)
-    want_total = sum(len(v) for v in golden["baskets"].values())
+    want_total = sum(len(v) for v in frozen.values())
     if total != want_total:
         problems.append(
             f"torsion_baskets.json: {total} baskets enumerated, "
@@ -329,6 +354,13 @@ def _verify_baskets(rep: Reproduction) -> list[str]:
 
 def _verify_series_examples(rep: Reproduction) -> list[str]:
     golden = bundled_json("series_examples.json")
+    problems = _shape("series_examples.json", golden, {"untwisted": dict, "bigraded": dict})
+    if not problems:
+        for name, values in (("untwisted", "coeffs"), ("bigraded", "components")):
+            problems += _shape(f"series_examples.json {name}", golden[name],
+                               {values: list, "peeled": dict})
+    if problems:
+        return problems
     problems = [
         f"series_examples.json: {name} inputs differ from the reproduction's"
         for name, example in rep.examples.items()
@@ -346,9 +378,12 @@ def _verify_series_examples(rep: Reproduction) -> list[str]:
 
     twisted, frozen = rep.examples["bigraded"], golden["bigraded"]
     rows = twisted["components"]
+    if len(frozen["components"]) != len(rows):
+        problems.append(f"series_examples.json: bigraded has {len(frozen['components'])} "
+                        f"components, the reproduction {len(rows)}")
     problems += [
         f"series_examples.json: bigraded component {i} differs"
-        for i, row in enumerate(frozen["components"]) if rows[i % len(rows)] != row
+        for i, (row, want) in enumerate(zip(rows, frozen["components"])) if row != want
     ]
     problems += [
         f"series_examples.json: peeled bigraded series differs at t^{m} e^{i}"

@@ -17,6 +17,13 @@ depth-first walk over nondecreasing item sequences with a running budget
 is exhaustive.  Candidates are reported up to rescaling of the torsion
 generator (sigma -> u*sigma multiplies every marking by u).
 
+The walk cuts on R3 as well (the witness bound): while the chosen prefix
+has no entry of stabilizer order r, it stops at item k once the R1 budget
+cannot pay for the cheapest such entry at or after k.  This is exact:
+items come in order of index, so R1 costs never fall, every extension
+needs a witness from k on, and a node without a witness is never a
+candidate.
+
 The walk tests R4/R5 in Python ints, from the per-entry integer delta
 cycles of hilbert._delta_cycle_scaled (computed directly from the local
 kernel, and the same cycles the series builders tile);
@@ -229,12 +236,18 @@ def _census(r: int) -> tuple[BtCandidate, ...]:
         for it in items
     ]
     is_witness = [it.alpha == r for it in items]
+    # cheapest[k]: the least R1 cost of a witness item j >= k (budget if none)
+    cheapest = [budget] * (len(items) + 1)
+    for k in range(len(items) - 1, -1, -1):
+        cheapest[k] = min(cheapest[k + 1], cost1[k]) if is_witness[k] else cheapest[k + 1]
 
     found: set[tuple[MarkedSingularity, ...]] = set()
     chosen: list[MarkedSingularity] = []
 
     def walk(start: int, s1: int, s2: int, witness: bool):
         for k in range(start, len(items)):
+            if not witness and s1 + cheapest[k] >= budget:
+                break  # R3 needs a witness from k on, and none is affordable
             n1 = s1 + cost1[k]
             if n1 >= budget:
                 break  # items are sorted by index, so cost1 only grows

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fano_enriques import catalog, quotient
+from fano_enriques import catalog, cli, quotient
 from fano_enriques.catalog import (
     FORMAT_VERSION,
     GOLDEN_FILES,
@@ -325,6 +325,56 @@ class TestGoldenComparison:
         assert catalog._verify_series_examples(reproduction) == [
             "series_examples.json: untwisted inputs differ from the reproduction's",
             "series_examples.json: bigraded inputs differ from the reproduction's",
+        ]
+
+    def test_reports_missing_and_ill_typed_keys(self, monkeypatch, reproduction, capsys):
+        # goldens that are valid JSON but not in the stored layout: one
+        # problem line per key, and verify-fixtures exits 2, not a KeyError
+        codim3 = bundled_json("quotients_codim3.json")
+        rows = [{k: v for k, v in codim3["rows"][0].items() if k != "cover"}]
+        decoys = [dict(codim3["decoys"][0], reasons="parity-fail")]
+        examples = bundled_json("series_examples.json")
+        twisted = {k: v for k, v in examples["bigraded"].items() if k != "peeled"}
+        codim1 = {k: v for k, v in bundled_json("quotients_codim1.json").items()
+                  if k != "special_cases"}
+        for name, tampered in (
+            ("quotients_codim1.json", codim1),
+            ("quotients_codim2.json", {"stale": True}),
+            ("quotients_codim3.json", dict(codim3, rows=rows + [7], decoys=decoys)),
+            ("torsion_baskets.json", {"max_order": 24, "baskets": {"2": {}}}),
+            ("series_examples.json", dict(examples, bigraded=dict(twisted, components="1"))),
+        ):
+            self._tamper(monkeypatch, name, tampered)
+        expected = [
+            "series_examples.json bigraded: key 'components' is not an array",
+            "series_examples.json bigraded: missing key 'peeled'",
+            "torsion_baskets.json baskets: key '2' is not an array",
+            "quotients_codim1.json: missing key 'special_cases'",
+            "quotients_codim2.json: missing key 'rows'",
+            "quotients_codim2.json: missing key 'special_cases'",
+            "quotients_codim2.json: missing key 'decoys'",
+            "quotients_codim3.json rows[0]: missing key 'cover'",
+            "quotients_codim3.json rows[1]: not an object",
+            "quotients_codim3.json decoys[0]: key 'reasons' is not an array",
+        ]
+        assert reproduction.mismatches() == expected
+
+        monkeypatch.setattr(catalog, "reproduce", lambda: reproduction)
+        assert cli.main(["verify-fixtures"]) == 2
+        assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize("keep", [0, 4, 6])
+    def test_reports_a_component_count_the_reproduction_does_not_have(
+        self, monkeypatch, reproduction, keep
+    ):
+        # fewer components than r, or one repeated past it, is not a match
+        golden = bundled_json("series_examples.json")
+        twisted = golden["bigraded"]
+        components = (twisted["components"] * 2)[:keep]
+        self._tamper(monkeypatch, "series_examples.json",
+                     dict(golden, bigraded=dict(twisted, components=components)))
+        assert catalog._verify_series_examples(reproduction) == [
+            f"series_examples.json: bigraded has {keep} components, the reproduction 5",
         ]
 
     def test_reports_every_kind_of_series_mismatch(self, monkeypatch, reproduction):

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from fano_enriques import cli
+from fano_enriques import catalog, cli
 from fano_enriques.cli import main
 
 
@@ -177,7 +177,13 @@ class TestSearch:
 
 
 class TestVerifyFixtures:
-    def test_all_goldens_check_out(self, capsys):
+    @pytest.fixture
+    def shared_run(self, monkeypatch, reproduction):
+        # the real verify-fixtures, comparing the session's reproduction
+        # with the goldens instead of computing another
+        monkeypatch.setattr(catalog, "reproduce", lambda: reproduction)
+
+    def test_all_goldens_check_out(self, capsys, shared_run):
         code, out, _ = run(capsys, "verify-fixtures")
         assert code == 0
         assert "all bundled fixtures verified" in out
@@ -195,7 +201,7 @@ class TestVerifyFixtures:
         assert code == 2
         assert out == problem + "\n"
 
-    def test_json_mode(self, capsys):
+    def test_json_mode(self, capsys, shared_run):
         code, out, _ = run(capsys, "verify-fixtures", "--json")
         assert code == 0
         assert json.loads(out) == {"ok": True, "problems": []}

@@ -1,5 +1,6 @@
 """Tests for the admissible marked basket enumeration."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from fano_enriques.enumeration import (
     MAX_INDEX,
     MAX_TORSION,
     BtCandidate,
+    _admissible_items,
     canonicalize,
     check_restrictions,
     enumerate_bt,
@@ -184,3 +186,44 @@ class TestCensusCache:
         first.clear()
         assert enumerate_bt(5, strict_chi=strict) == expected
         assert len(expected) == 4
+
+
+def _oracle_census(r):
+    """(plain, strict) census of order r by brute force: every nondecreasing
+    multiset of admissible items within the R1 and R2 budgets, summed in
+    Fractions with no break and no pruning, kept when check_restrictions
+    admits it, canonicalized."""
+    items = _admissible_items(r)
+    costs = [
+        (Fraction(it.type.r**2 - 1, it.type.r), Fraction((r // it.alpha) * (it.d**2 - 1), it.d))
+        for it in items
+    ]
+    plain, strict, visited = set(), set(), [0]
+
+    def extend(start, chosen, left1, left2):
+        for k in range(start, len(items)):
+            c1, c2 = costs[k]
+            if c1 >= left1 or c2 >= left2:
+                continue
+            visited[0] += 1
+            c = BtCandidate(r, chosen + (items[k],))
+            if check_restrictions(c).admissible:
+                plain.add(canonicalize(c).entries.entries)
+                if check_restrictions(c, strict_chi=True).admissible:
+                    strict.add(canonicalize(c).entries.entries)
+            extend(k, c.entries.entries, left1 - c1, left2 - c2)
+
+    extend(0, (), Fraction(24), Fraction(24))
+    return sorted(plain), sorted(strict), visited[0]
+
+
+class TestCensusCompleteness:
+    """The pruned census walk against a brute-force oracle that shares
+    nothing with it but the item list and check_restrictions."""
+
+    @pytest.mark.parametrize("r, multisets", [(2, 648), (3, 1112), (4, 3942), (5, 1050), (7, 1707)])
+    def test_walk_finds_every_admissible_multiset(self, r, multisets):
+        plain, strict, visited = _oracle_census(r)
+        assert visited == multisets
+        assert [c.entries.entries for c in enumerate_bt(r)] == plain
+        assert [c.entries.entries for c in enumerate_bt(r, strict_chi=True)] == strict
