@@ -2,16 +2,19 @@
 """Regenerate the bundled goldens under src/fano_enriques/data/.
 
 The cover catalogs covers_codim{1,2,3}.json are curated inputs: the
-script reads and validates them and never writes them.  Every golden
-(the census, the worked series examples, the quotient tables with their
-decoys' rejection reasons) is built from one `catalog.reproduce()` and
-cross-checked against the curated annotations below (expected torsion
-data, generator and relation bidegrees, series coefficients).  The
-script exits nonzero on the first inconsistency and writes no golden
-until every one is built and checked, so a failed run leaves the data
-directory untouched; it then checks the written files against that same
-reproduction.  The package must read its data from the directory the
-script writes, this checkout's; else the script stops before writing.
+script reads and validates them and never writes them.  Every golden is
+`Reproduction.payload()` of one `catalog.reproduce()`, the JSON that
+`fano-enriques verify-fixtures` compares against.  The script only puts
+in its own rows, the same rows with curated labels and notes in the
+order of the annotations below, after checking each search candidate
+against them (expected torsion data, generator and relation bidegrees),
+and checks the census and the worked series against their transcriptions.
+It exits nonzero on the first inconsistency and writes no golden until
+every one is built and checked, so a failed run leaves the data
+directory untouched; it then compares the written files with that same
+reproduction, exactly apart from the curated fields and row order.  The
+package must read its data from the directory the script writes, this
+checkout's; else the script stops before writing.
 
 Run from the repository root:
 
@@ -27,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from fano_enriques import catalog
-from fano_enriques.enumeration import BtCandidate, MAX_TORSION, canonicalize
+from fano_enriques.enumeration import BtCandidate, canonicalize
 from fano_enriques.exact import parse_rational, units
 from fano_enriques.orbifold import Basket
 from fano_enriques.quotient import CROSS_CODIMENSION
@@ -125,8 +128,10 @@ DECOYS = {
 # --------------------------------------------------------------------------
 # Quotient row annotations.  Each row: (label, cover name, r, bt key,
 # be basket string, kx string, generator bidegrees, relation bidegrees,
-# status, flags, notes).  Generator/relation bidegrees are matched against
-# the engine output up to a simultaneous unit rescale of second degrees.
+# status, flags, notes); a row that is not a source row has label None.
+# Generator/relation bidegrees are matched against the engine output up
+# to a simultaneous unit rescale of second degrees.  Rows are written in
+# this order; special candidates that no row annotates follow them.
 # --------------------------------------------------------------------------
 
 CLEAN: tuple = ("clean", (), "")
@@ -319,15 +324,11 @@ ROWS_CODIM3 = [
     ("2", "Y_{4,4,4,4,4} in P(1,1,1,2,2,2,2)", 5, "5.3", "1/2(1,1,1)", "1/2",
      [(1, 0), (1, 1), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4)],
      [(4, 0), (4, 1), (4, 2), (4, 3), (4, 4)], *CLEAN),
-]
-
-
-SPECIALS_CODIM3 = [
-    # (cover name, r, bt key, be, kx, gens, rels, note)
-    ("Y_{5,5,6,6,6} in P(1,1,2,2,3,3,3)", 2, "2.18",
+    (None, "Y_{5,5,6,6,6} in P(1,1,2,2,3,3,3)", 2, "2.18",
      "1/2(1,1,1), 1/3(1,1,2)", "1/2",
      [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 1), (4, 1)],
      [(4, 0)],
+     "special", (CROSS_CODIMENSION,),
      "the only candidate this cover admits; the series forces a degree-4 "
      "generator and a degree-4 relation with different second degrees, so "
      "the quotient is expected to live in higher codimension"),
@@ -344,14 +345,16 @@ def fail(msg: str):
     sys.exit(1)
 
 
-def basket_key(basket: Basket) -> tuple:
-    return tuple(sorted(tuple(sorted(e.items())) for e in basket.to_json()))
+def degrees(c) -> str:
+    gens, rels = ([(d.n, d.i) for d in ds] for ds in (c.presentation.generators,
+                                                      c.presentation.relations))
+    return f"{sorted(gens)} / {sorted(rels)}"
 
 
-def bidegrees_match(r, got_gens, got_rels, want_gens, want_rels) -> bool:
+def bidegrees_match(r, presentation, want_gens, want_rels) -> bool:
     """Engine output vs annotation, up to one unit rescale of all second degrees."""
-    gg = Counter((g.n, g.i) for g in got_gens)
-    gq = Counter((q.n, q.i) for q in got_rels)
+    gg = Counter((g.n, g.i) for g in presentation.generators)
+    gq = Counter((q.n, q.i) for q in presentation.relations)
     for u in units(r):
         wg = Counter((n, (u * i) % r) for n, i in want_gens)
         wq = Counter((n, (u * i) % r) for n, i in want_rels)
@@ -360,7 +363,7 @@ def bidegrees_match(r, got_gens, got_rels, want_gens, want_rels) -> bool:
     return False
 
 
-def build_quotients(rep, golden_name, rows, specials_extra):
+def build_quotients(rep, golden_name, rows):
     """Freeze one search of the reproduction as a golden:
     (file name, payload, summary line)."""
     covers_name = catalog.SEARCHES[golden_name]
@@ -373,19 +376,13 @@ def build_quotients(rep, golden_name, rows, specials_extra):
     result = rep.searches[golden_name]
     by_key = {}
     for c in result:
-        key = (c.cover.name, c.data.r, basket_key(c.data.bt))
+        key = (c.cover.name, c.data.r, c.data.bt)
         if key in by_key:
-            fail(f"{golden_name}: duplicate candidate {key}")
+            fail(f"{golden_name}: duplicate candidate {key[0]} r={key[1]} bt={key[2]}")
         by_key[key] = c
 
-    rows_out, specials_out, matched = [], [], set()
-    annotations = list(rows) + [
-        (None, cover, r, btkey, be, kx, gens, rels, "special",
-         (CROSS_CODIMENSION,), note)
-        for (cover, r, btkey, be, kx, gens, rels, note) in specials_extra
-    ]
-
-    for label, cover, r, btkey, be_str, kx_str, gens, rels, status, flags, notes in annotations:
+    rows_out, specials_out = [], []
+    for label, cover, r, btkey, be_str, kx_str, gens, rels, status, flags, notes in rows:
         tag = f"{golden_name} row {label or cover}"
         if cover not in names:
             fail(f"{tag}: cover not in catalog")
@@ -395,22 +392,19 @@ def build_quotients(rep, golden_name, rows, specials_extra):
         be = Basket.parse(be_str)
         kx = Fraction(kx_str)
 
-        c = by_key.get((cover, r, basket_key(Basket(btc.entries))))
+        c = by_key.pop((cover, r, btc.entries), None)
         if c is None:
             fail(f"{tag}: search produced no candidate")
         if c.status != status:
             fail(f"{tag}: status {c.status}, expected {status}")
-        if basket_key(c.data.be) != basket_key(be):
+        if c.data.be != be:
             fail(f"{tag}: be {c.data.be} != {be}")
         if c.data.minus_k_cubed != kx:
             fail(f"{tag}: kx {c.data.minus_k_cubed} != {kx}")
         if tuple(sorted(c.diagnostics)) != tuple(sorted(flags)):
             fail(f"{tag}: flags {c.diagnostics} != {flags}")
-        if not bidegrees_match(r, c.presentation.generators,
-                               c.presentation.relations, gens, rels):
-            got_g = sorted((g.n, g.i) for g in c.presentation.generators)
-            got_q = sorted((q.n, q.i) for q in c.presentation.relations)
-            fail(f"{tag}: presentation {got_g} / {got_q} does not match "
+        if not bidegrees_match(r, c.presentation, gens, rels):
+            fail(f"{tag}: presentation {degrees(c)} does not match "
                  f"{sorted(gens)} / {sorted(rels)} up to unit rescale")
 
         row = catalog.candidate_row(c)
@@ -419,16 +413,12 @@ def build_quotients(rep, golden_name, rows, specials_extra):
         if notes:
             row["notes"] = notes
         (rows_out if status == "clean" else specials_out).append(row)
-        matched.add((cover, r, basket_key(c.data.bt)))
 
-    for key, c in sorted(by_key.items()):
-        if key in matched:
-            continue
+    # what no row annotates, by cover, order and basket (a Basket is not orderable)
+    for (cover, r, bt), c in sorted(by_key.items(), key=lambda kv: (*kv[0][:2], kv[0][2].entries)):
         if c.status == "clean":
-            got_g = sorted((g.n, g.i) for g in c.presentation.generators)
-            got_q = sorted((q.n, q.i) for q in c.presentation.relations)
-            fail(f"{golden_name}: unexpected clean candidate {key[0]} r={key[1]} "
-                 f"bt={c.data.bt} be={c.data.be} {got_g} / {got_q}")
+            fail(f"{golden_name}: unexpected clean candidate {cover} r={r} "
+                 f"bt={bt} be={c.data.be} {degrees(c)}")
         row = catalog.candidate_row(c)
         row["notes"] = (
             "additional special-status candidate surfaced by the search; "
@@ -436,37 +426,27 @@ def build_quotients(rep, golden_name, rows, specials_extra):
         )
         specials_out.append(row)
 
-    clean_names = {c.cover.name for c in result.clean()}
-    decoy_reasons = rep.reasons(golden_name)
-    decoys_out = []
+    payload = rep.payload(golden_name, decoys)
+    reasons = {decoy["cover"]: decoy["reasons"] for decoy in payload["decoys"]}
     for name in decoys:
-        if name in clean_names:
+        if name not in reasons:
             fail(f"{golden_name}: decoy {name} produced a clean candidate")
-        reasons = decoy_reasons.get(name)
-        if not reasons:
+        if not reasons[name]:
             fail(f"{golden_name}: decoy {name} was never rejected")
-        decoys_out.append({"cover": name, "reasons": reasons})
-
-    return golden_name, {
-        "format_version": catalog.FORMAT_VERSION,
-        "catalog": covers_name,
-        "trunc": catalog.TRUNC,
-        "max_degree": catalog.MAX_DEGREE,
-        "rows": rows_out,
-        "special_cases": specials_out,
-        "decoys": decoys_out,
-    }, (f"  {golden_name}: {len(rows_out)} clean rows, {len(specials_out)} special, "
-        f"{len(decoys_out)} decoys, {len(result.rejections)} rejections")
+    payload.update(rows=rows_out, special_cases=specials_out)
+    return golden_name, payload, (
+        f"  {golden_name}: {len(rows_out)} clean rows, {len(specials_out)} special, "
+        f"{len(decoys)} decoys, {len(result.rejections)} rejections")
 
 
 def build_torsion(rep):
-    want = Counter((btc.r, basket_key(btc.entries)) for btc in map(bt_candidate, BT))
-    got = Counter((c.r, basket_key(c.entries)) for c in rep.census)
+    want = Counter((btc.r, btc.entries) for btc in map(bt_candidate, BT))
+    got = Counter((c.r, c.entries) for c in rep.census)
     if want != got:
         orders = sorted({r for r, _ in (want - got) + (got - want)})
         fail(f"torsion: transcribed baskets differ from the enumeration at orders {orders}")
     summary = f"  torsion_baskets.json: {len(rep.census)} baskets"
-    return "torsion_baskets.json", {"max_order": MAX_TORSION, "baskets": rep.baskets()}, summary
+    return "torsion_baskets.json", rep.payload("torsion_baskets.json"), summary
 
 
 def build_series_examples(rep):
@@ -486,7 +466,8 @@ def build_series_examples(rep):
             fail(f"series examples: component sum differs from cover at t^{m}")
     if twisted["peeled"] != {"0,0": "1", "5,0": "-1"}:
         fail(f"series examples: bigraded peel is not 1 - t^5 ({twisted['peeled']})")
-    return "series_examples.json", rep.examples, "  series_examples.json: written"
+    name = "series_examples.json"
+    return name, rep.payload(name), f"  {name}: written"
 
 
 def main():
@@ -499,9 +480,9 @@ def main():
     built = [
         build_torsion(rep),
         build_series_examples(rep),
-        build_quotients(rep, "quotients_codim1.json", ROWS_CODIM1, []),
-        build_quotients(rep, "quotients_codim2.json", ROWS_CODIM2, []),
-        build_quotients(rep, "quotients_codim3.json", ROWS_CODIM3, SPECIALS_CODIM3),
+        build_quotients(rep, "quotients_codim1.json", ROWS_CODIM1),
+        build_quotients(rep, "quotients_codim2.json", ROWS_CODIM2),
+        build_quotients(rep, "quotients_codim3.json", ROWS_CODIM3),
     ]
     # every golden is built and checked before the first is written, so a
     # failed build leaves the data directory as it was

@@ -19,11 +19,13 @@ Bundled under data/:
 reproduce() runs the paper's computation once from the cover catalogs
 and the fixed inputs below, never from a golden: the census of marked
 baskets, the search of each cover catalog against it, and the worked
-series examples.  verify_fixtures() compares one reproduction with the
-goldens and returns the mismatches (empty means all good).  The cover
-catalogs are curated by hand, laid out as save_catalog writes them; the
-other files are written from one reproduction by
-scripts/build_catalogs.py, which then checks them against it.
+series examples.  Its payload() is each golden's JSON as that run
+determines it.  scripts/build_catalogs.py writes the payloads, with
+curated labels and notes added to the rows in its own order, and
+verify_fixtures() compares the bundled goldens with them exactly, apart
+from those curated fields and the order of rows, special cases and
+decoys; it returns one line per difference (empty means all good).  The
+cover catalogs are curated by hand, laid out as save_catalog writes them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .enumeration import MAX_TORSION, BtCandidate, enumerate_bt
-from .errors import CatalogError
+from .errors import CatalogError, EngineError
 from .exact import Rational, format_rational
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from .orbifold import Basket
@@ -62,6 +64,7 @@ FORMAT_VERSION = "1"
 # whose series to t^9 is peeled by the listed bidegrees in turn.
 SEARCHES = {f"quotients_codim{c}.json": f"covers_codim{c}.json" for c in (1, 2, 3)}
 GOLDEN_FILES = tuple(SEARCHES)
+GOLDENS = ("series_examples.json", "torsion_baskets.json", *GOLDEN_FILES)
 TRUNC = MAX_DEGREE = 24
 EXAMPLE_TRUNC = 9
 EXAMPLES = {
@@ -159,39 +162,6 @@ def resolve_catalog(source: str, trunc: int = 20) -> list[CoverRecord]:
     return bundled_catalog(source, trunc)
 
 
-# ---------------------------------------------------------------------------
-# golden verification
-
-
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
-_ROW_FIELDS = {"cover": str, "r": int, "minusK3": str, "bt": list, "be": list,
-               "generators": list, "relations": list, "flags": list}
-
-
-def _shape(where: str, obj, fields: dict) -> list[str]:
-    """One problem line per key of a golden object that is missing, or not
-    of the JSON type that the comparison and the printed tables read."""
-    if not isinstance(obj, dict):
-        return [f"{where}: not {_JSON_TYPES[dict]}"]
-    return [
-        f"{where}: missing key {key!r}" if key not in obj
-        else f"{where}: key {key!r} is not {_JSON_TYPES[kind]}"
-        for key, kind in fields.items()
-        if not isinstance(obj.get(key), kind)
-    ]
-
-
-def _json_key(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
-def _row_key(obj: dict) -> tuple:
-    """A row's cover and order, then the rest it is compared on, as JSON."""
-    rest = [obj[k] for k in ("minusK3", "bt", "be", "generators", "relations")]
-    rest.append(sorted(map(_json_key, obj["flags"])))
-    return obj["cover"], obj["r"], _json_key(rest)
-
-
 def candidate_row(c: QuotientCandidate) -> dict:
     """A search candidate as the quotient goldens store a row, before any
     label or notes are added."""
@@ -235,26 +205,41 @@ class Reproduction:
     searches: dict[str, SearchResult]
     examples: dict[str, dict]
 
-    def baskets(self) -> dict[str, list]:
-        """The census as torsion_baskets.json stores it, by order."""
-        baskets: dict[str, list] = {}
-        for c in self.census:
-            baskets.setdefault(str(c.r), []).append(c.entries.to_json())
-        return baskets
-
-    def reasons(self, golden_name: str) -> dict[str, list[str]]:
-        """Each cover's distinct rejection reasons in one search, sorted."""
-        reasons: dict[str, set] = {}
-        for rej in self.searches[golden_name].rejections:
-            reasons.setdefault(rej.cover, set()).add(rej.reason)
-        return {cover: sorted(seen) for cover, seen in reasons.items()}
+    def payload(self, name: str, decoys: Sequence[str] = ()) -> dict:
+        """A golden's JSON as this run determines it.  A quotient golden
+        gets the search's rows and special cases, unlabelled and in search
+        order, and the distinct rejection reasons of each named decoy that
+        produced no clean row."""
+        if name == "torsion_baskets.json":
+            baskets: dict[str, list] = {}
+            for c in self.census:
+                baskets.setdefault(str(c.r), []).append(c.entries.to_json())
+            return {"max_order": MAX_TORSION, "baskets": baskets}
+        if name == "series_examples.json":
+            return self.examples
+        result = self.searches[name]
+        clean = {c.cover.name for c in result.clean()}
+        reasons: dict[str, set] = {d: set() for d in decoys if d not in clean}
+        for rej in result.rejections:
+            if rej.cover in reasons:
+                reasons[rej.cover].add(rej.reason)
+        return {
+            "format_version": FORMAT_VERSION,
+            "catalog": SEARCHES[name],
+            "trunc": TRUNC,
+            "max_degree": MAX_DEGREE,
+            "rows": [candidate_row(c) for c in result.clean()],
+            "special_cases": [candidate_row(c) for c in result.special()],
+            "decoys": [{"cover": d, "reasons": sorted(seen)} for d, seen in reasons.items()],
+        }
 
     def mismatches(self) -> list[str]:
-        """Every difference between this run and the bundled goldens."""
-        problems = _verify_series_examples(self)
-        problems += _verify_baskets(self)
-        for name in GOLDEN_FILES:
-            problems += _verify_quotients(name, self)
+        """Every difference between the bundled goldens and this run's
+        payloads, one line per key path."""
+        problems: list[str] = []
+        for name in GOLDENS:
+            golden = bundled_json(name)
+            problems += _diff(name, "", golden, self.payload(name, _decoy_names(golden)))
         return problems
 
 
@@ -272,125 +257,79 @@ def reproduce() -> Reproduction:
     return Reproduction(census, searches, examples)
 
 
-def _verify_quotients(golden_name: str, rep: Reproduction) -> list[str]:
-    golden = bundled_json(golden_name)
-    problems = _shape(golden_name, golden, {"rows": list, "special_cases": list, "decoys": list})
-    if not problems:
-        for key, fields in (("rows", _ROW_FIELDS), ("special_cases", _ROW_FIELDS),
-                            ("decoys", {"cover": str, "reasons": list})):
-            for k, entry in enumerate(golden[key]):
-                problems += _shape(f"{golden_name} {key}[{k}]", entry, fields)
-    if problems:
-        return problems
-    problems = [
-        f"{golden_name}: {key} {golden.get(key)!r}, the reproduction uses {want!r}"
-        for key, want in (
-            ("catalog", SEARCHES[golden_name]), ("trunc", TRUNC), ("max_degree", MAX_DEGREE)
-        )
-        if golden.get(key) != want
-    ]
-    result = rep.searches[golden_name]
-    for missing, kind, computed, expected in (
-        ("expected row", "row", result.clean(), golden["rows"]),
-        ("special case", "special case", result.special(), golden["special_cases"]),
-    ):
-        got = sorted(_row_key(candidate_row(c)) for c in computed)
-        want = sorted(_row_key(row) for row in expected)
-        for k in want:
-            if k not in got:
-                problems.append(f"{golden_name}: missing {missing} {k[0]} r={k[1]}")
-        for k in got:
-            if k not in want:
-                problems.append(f"{golden_name}: unexpected {kind} {k[0]} r={k[1]}")
+# ---------------------------------------------------------------------------
+# golden comparison
 
-    clean_covers = {c.cover.name for c in result.clean()}
-    reasons = rep.reasons(golden_name)
-    for decoy in golden["decoys"]:
-        name = decoy["cover"]
-        if name in clean_covers:
-            problems.append(f"{golden_name}: decoy {name} produced a clean row")
-        seen = reasons.get(name, [])
-        expected = decoy["reasons"]
-        for reason in expected:
-            if reason not in seen:
-                problems.append(
-                    f"{golden_name}: decoy {name} never rejected with "
-                    f"{reason!r} (saw {seen or 'nothing'})"
-                )
-        if name not in clean_covers:  # else its clean row is the problem
-            problems += [
-                f"{golden_name}: decoy {name} rejected with unexpected {reason!r}"
-                for reason in seen if reason not in expected
-            ]
-    return problems
+# The golden lists matched by key rather than position, and the row fields
+# that scripts/build_catalogs.py curates by hand, which no run derives.
+KEYED = ("rows", "special_cases", "decoys")
+CURATED = ("label", "notes")
+_ABSENT = object()
 
 
-def _verify_baskets(rep: Reproduction) -> list[str]:
-    golden = bundled_json("torsion_baskets.json")
-    problems = _shape("torsion_baskets.json", golden, {"max_order": int, "baskets": dict})
-    if not problems:
-        frozen = golden["baskets"]
-        problems = _shape("torsion_baskets.json baskets", frozen, dict.fromkeys(frozen, list))
-    if problems:
-        return problems
-    baskets = rep.baskets()
-    for r in range(2, golden["max_order"] + 1):
-        computed = sorted(map(_json_key, baskets.get(str(r), [])))
-        want = sorted(map(_json_key, frozen.get(str(r), [])))
-        if computed != want:
-            problems.append(
-                f"torsion_baskets.json: order {r} has {len(computed)} baskets, "
-                f"golden lists {len(want)} (or contents differ)"
-            )
-    total = len(rep.census)
-    want_total = sum(len(v) for v in frozen.values())
-    if total != want_total:
-        problems.append(
-            f"torsion_baskets.json: {total} baskets enumerated, "
-            f"golden freezes {want_total}"
-        )
-    return problems
+def _decoy_names(golden) -> list[str]:
+    """The covers a quotient golden names as decoys, as far as it is well formed."""
+    decoys = golden.get("decoys") if isinstance(golden, dict) else None
+    if not isinstance(decoys, list):
+        return []
+    return [d["cover"] for d in decoys if isinstance(d, dict) and isinstance(d.get("cover"), str)]
 
 
-def _verify_series_examples(rep: Reproduction) -> list[str]:
-    golden = bundled_json("series_examples.json")
-    problems = _shape("series_examples.json", golden, {"untwisted": dict, "bigraded": dict})
-    if not problems:
-        for name, values in (("untwisted", "coeffs"), ("bigraded", "components")):
-            problems += _shape(f"series_examples.json {name}", golden[name],
-                               {values: list, "peeled": dict})
-    if problems:
-        return problems
-    problems = [
-        f"series_examples.json: {name} inputs differ from the reproduction's"
-        for name, example in rep.examples.items()
-        if any(golden[name].get(k) != example.get(k) for k in ("minusK3", "basket", "data", "peel"))
-    ]
+def _by_key(field: str, entries: list) -> dict:
+    """A keyed golden list as an object.  A row or special case is keyed
+    `cover r=N bt {basket}`, a decoy by its cover; an entry without them,
+    or a repeated key, is keyed by its position."""
+    out = {}
+    for k, entry in enumerate(entries):
+        key = str(k)
+        if isinstance(entry, dict) and isinstance(entry.get("cover"), str):
+            if field == "decoys":
+                key = entry["cover"]
+            elif "r" in entry and "bt" in entry:
+                try:
+                    bt = str(Basket.from_json(entry["bt"]))
+                except (EngineError, LookupError, TypeError):
+                    bt = json.dumps(entry["bt"])
+                key = f"{entry['cover']} r={entry['r']} bt {{{bt}}}"
+        out[f"{key}, again at {k}" if key in out else key] = entry
+    return out
 
-    plain, want = rep.examples["untwisted"], golden["untwisted"]
-    if plain["coeffs"] != want["coeffs"]:
-        problems.append("series_examples.json: untwisted coefficients differ")
-    problems += [
-        f"series_examples.json: peeled untwisted series differs at t^{m}"
-        for m in range(len(plain["coeffs"]))
-        if plain["peeled"].get(str(m), "0") != want["peeled"].get(str(m), "0")
-    ][:1]
 
-    twisted, frozen = rep.examples["bigraded"], golden["bigraded"]
-    rows = twisted["components"]
-    if len(frozen["components"]) != len(rows):
-        problems.append(f"series_examples.json: bigraded has {len(frozen['components'])} "
-                        f"components, the reproduction {len(rows)}")
-    problems += [
-        f"series_examples.json: bigraded component {i} differs"
-        for i, (row, want) in enumerate(zip(rows, frozen["components"])) if row != want
-    ]
-    problems += [
-        f"series_examples.json: peeled bigraded series differs at t^{m} e^{i}"
-        for i in range(len(rows)) for m in range(len(rows[i]))
-        if twisted["peeled"].get(f"{m},{i}", "0") != frozen["peeled"].get(f"{m},{i}", "0")
-    ]
-    return problems
+def _brief(value) -> str:
+    """A value as a problem line shows it: a list by its length."""
+    if value is _ABSENT:
+        return "nothing"
+    if isinstance(value, list):
+        return f"{len(value)} item{'s' * (len(value) != 1)}"
+    return "an object" if isinstance(value, dict) else json.dumps(value)
+
+
+def _dump(value) -> str:
+    """Equal for equal JSON values only: 1, 1.0 and true differ."""
+    return "" if value is _ABSENT else json.dumps(value, sort_keys=True)
+
+
+def _diff(name: str, path: str, golden, run) -> list[str]:
+    """One line per key path at which a golden differs from the run: rows,
+    special cases and decoys are matched by key, all else exactly."""
+    step = "{}.{}" if path else "{}{}"
+    if path in KEYED and isinstance(golden, list) and isinstance(run, list):
+        golden, run = ([{f: v for f, v in e.items() if f not in CURATED}
+                        if isinstance(e, dict) else e for e in side] for side in (golden, run))
+        if sorted(map(_dump, golden)) == sorted(map(_dump, run)):
+            return []
+        golden, run, step = _by_key(path, golden), _by_key(path, run), "{}[{}]"
+    if path and _dump(golden) == _dump(run):  # a whole quotient golden never matches
+        return []
+    if isinstance(golden, dict) and isinstance(run, dict):
+        keys = [*golden, *(key for key in run if key not in golden)]
+        return [line for key in keys for line in _diff(
+            name, step.format(path, key), golden.get(key, _ABSENT), run.get(key, _ABSENT))]
+    if isinstance(golden, list) and isinstance(run, list) and len(golden) == len(run):
+        return [line for k, (g, r) in enumerate(zip(golden, run))
+                for line in _diff(name, f"{path}[{k}]", g, r)]
+    where = f"{name} {path}" if path else name
+    return [f"{where}: golden {_brief(golden)}, run {_brief(run)}"]
 
 
 def verify_fixtures() -> list[str]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .errors import InconsistentMarkingError, MalformedInputError, NotTerminalError
 from .exact import Rational, mod_inverse, units
@@ -108,20 +108,10 @@ class MarkedSingularity:
         return f"{self.type}_{self.l}"
 
 
-PointLike = Union[SingularityType, MarkedSingularity]
-
 _POINT_RE = re.compile(
     r"^(?:(\d+)\s*x\s*)?1/(\d+)\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)(?:_(\d+))?"
     r"(?:\s*x\s*(\d+))?$"
 )
-
-
-def _as_marked(entry: PointLike) -> MarkedSingularity:
-    if isinstance(entry, MarkedSingularity):
-        return entry
-    if isinstance(entry, SingularityType):
-        return MarkedSingularity(entry, 0)
-    raise TypeError(f"not a singularity entry: {entry!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +121,10 @@ class Basket:
     entries: tuple[MarkedSingularity, ...] = ()
 
     def __post_init__(self):
-        normalized = tuple(sorted(_as_marked(e) for e in self.entries))
-        object.__setattr__(self, "entries", normalized)
+        for e in self.entries:
+            if not isinstance(e, MarkedSingularity):
+                raise TypeError(f"not a singularity entry: {e!r}")
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     def __iter__(self) -> Iterator[MarkedSingularity]:
         return iter(self.entries)
@@ -145,10 +137,6 @@ class Basket:
 
     def __add__(self, other: "Basket") -> "Basket":
         return Basket(self.entries + tuple(other))
-
-    def types(self) -> tuple[SingularityType, ...]:
-        """The underlying types with multiplicity, markings dropped."""
-        return tuple(e.type for e in self.entries)
 
     def counts(self) -> dict[MarkedSingularity, int]:
         out: dict[MarkedSingularity, int] = {}
@@ -258,11 +246,11 @@ def inverse_weight(s: SingularityType) -> int:
     return mod_inverse(s.a, s.r)
 
 
-def terminal_sum(basket: Union[Basket, Iterable[PointLike]]) -> Rational:
+def terminal_sum(basket: Basket) -> Rational:
     """Sum of r - 1/r over the basket; bounded by 24 for actual Fanos."""
     total = Rational(0)
     for entry in basket:
-        r = _as_marked(entry).type.r
+        r = entry.type.r
         total += Rational(r * r - 1, r)
     return total
 
@@ -293,7 +281,9 @@ def preimage_singularity(m: MarkedSingularity, r: int) -> tuple[int, object]:
     Returns (count, fiber type).  The marking determines the stabilizer
     order alpha = r_Q/gcd(r_Q, l); alpha must divide the torsion order r,
     and the fiber consists of r/alpha identical points whose type is the
-    reduction of the exponent triple mod d = gcd(r_Q, l).
+    reduction of the exponent triple mod d = gcd(r_Q, l).  As gcd(a, r_Q)
+    = 1 and d | r_Q, 1/r_Q(1, a, r_Q - a) reduces to 1/d(1, a', d - a')
+    with a' = a mod d, canonical once a' <= d/2.
     """
     d = m.d
     alpha = m.alpha
@@ -302,5 +292,6 @@ def preimage_singularity(m: MarkedSingularity, r: int) -> tuple[int, object]:
             f"{m} has stabilizer order {alpha}, incompatible with torsion order {r}"
         )
     count = r // alpha
-    fiber = normalize_type(d, m.type.exponents) if d > 1 else SMOOTH
+    a = m.type.a
+    fiber = SingularityType(d, min(a % d, d - a % d)) if d > 1 else SMOOTH
     return count, fiber

@@ -304,10 +304,6 @@ class QuotientCandidate:
     def status(self) -> str:
         return self.presentation.status
 
-    def matches_cover_shape(self) -> bool:
-        """Do the inferred degrees reproduce the cover's weighted space?"""
-        return _same_shape(self.cover, self.presentation)
-
     def to_json(self) -> dict:
         obj = {
             "cover": self.cover.name,

@@ -26,12 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from fano_enriques.catalog import (
-    _row_key,
-    bundled_catalog,
-    bundled_json,
-    candidate_row,
-)
+from fano_enriques.catalog import _diff, bundled_catalog, bundled_json
 from fano_enriques.enumeration import MAX_TORSION, enumerate_bt
 from fano_enriques.errors import InconsistentDataError
 from fano_enriques.gradedrings import (
@@ -174,8 +169,8 @@ def test_hypersurface_catalog_search(reproduction):
 
     assert len(golden["rows"]) == 12
     assert {row["label"] for row in golden["rows"]} == {str(k) for k in range(1, 13)}
-    computed = sorted(_row_key(candidate_row(c)) for c in result.clean())
-    assert computed == sorted(_row_key(row) for row in golden["rows"])
+    computed = reproduction.payload("quotients_codim1.json")
+    assert _diff("quotients_codim1.json", "rows", golden["rows"], computed["rows"]) == []
 
     decoys = golden["decoys"]
     assert decoys
@@ -200,13 +195,9 @@ def test_codim2_and_codim3_catalog_searches(reproduction):
     for row in labeled_special:
         assert "cross-codimension" in row["flags"]
 
-    result = reproduction.searches["quotients_codim2.json"]
-    assert sorted(_row_key(candidate_row(c)) for c in result.clean()) == sorted(
-        _row_key(row) for row in g2["rows"]
-    )
-    assert sorted(_row_key(candidate_row(c)) for c in result.special()) == sorted(
-        _row_key(row) for row in g2["special_cases"]
-    )
+    computed = reproduction.payload("quotients_codim2.json")
+    for field in ("rows", "special_cases"):
+        assert _diff("quotients_codim2.json", field, g2[field], computed[field]) == [], field
 
     g3 = bundled_json("quotients_codim3.json")
     assert len(g3["rows"]) == 4
@@ -214,13 +205,9 @@ def test_codim2_and_codim3_catalog_searches(reproduction):
     (row_1c,) = [row for row in g3["rows"] if row["label"] == "1c"]
     assert sorted(i for _, i in row_1c["relations"]) == [0, 2, 4]
 
-    result = reproduction.searches["quotients_codim3.json"]
-    assert sorted(_row_key(candidate_row(c)) for c in result.clean()) == sorted(
-        _row_key(row) for row in g3["rows"]
-    )
-    assert sorted(_row_key(candidate_row(c)) for c in result.special()) == sorted(
-        _row_key(row) for row in g3["special_cases"]
-    )
+    computed = reproduction.payload("quotients_codim3.json")
+    for field in ("rows", "special_cases"):
+        assert _diff("quotients_codim3.json", field, g3[field], computed[field]) == [], field
 
     # documented repairs stay documented: every row or cover whose source
     # entry needed fixing carries an errata note in the fixture

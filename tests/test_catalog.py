@@ -11,7 +11,7 @@ from fano_enriques import catalog, cli, quotient
 from fano_enriques.catalog import (
     FORMAT_VERSION,
     GOLDEN_FILES,
-    _row_key,
+    _diff,
     bundled_catalog,
     bundled_json,
     candidate_row,
@@ -182,6 +182,9 @@ class TestResolveCatalog:
         assert any(r.name.startswith("Y_{4}") for r in records)
 
 
+Y5_ROW = "Y_{5} in P(1,1,1,1,2) r=5 bt {1/5(1,2,3)_1 x2, 1/10(1,3,7)_6}"
+
+
 class TestRowKeys:
     def _row(self):
         data = FanoEnriquesData(
@@ -206,25 +209,43 @@ class TestRowKeys:
     def test_row_key_ignores_annotations(self):
         row = self._row()
         annotated = dict(row, label="1", notes="source row 1")
-        assert _row_key(annotated) == _row_key(row)
+        assert _diff("g.json", "", {"rows": [annotated]}, {"rows": [row]}) == []
 
     def test_row_key_sees_flags(self):
         row = self._row()
         flagged = dict(row, flags=["cross-codimension"])
-        assert _row_key(flagged) != _row_key(row)
+        assert _diff("g.json", "", {"rows": [flagged]}, {"rows": [row]}) == [
+            f"g.json rows[{Y5_ROW}].flags: golden 1 item, run 0 items"
+        ]
+
+    def test_other_lists_compare_by_position_and_type(self):
+        assert _diff("g.json", "", {"a": [1, 2], "b": 1}, {"a": [2, 1], "b": True}) == [
+            "g.json a[0]: golden 1, run 2",
+            "g.json a[1]: golden 2, run 1",
+            "g.json b: golden 1, run true",
+        ]
 
 
 class TestGoldenComparison:
-    def _tamper(self, monkeypatch, name, tampered):
+    def _problems(self, monkeypatch, capsys, reproduction, tampered: dict) -> list[str]:
+        """The mismatches of the session run against the bundled goldens with
+        `tampered` (file name -> JSON) in place of some; verify-fixtures must
+        print the same lines and exit 2."""
         real = catalog.bundled_json
         monkeypatch.setattr(
-            catalog, "bundled_json", lambda n: tampered if n == name else real(n)
+            catalog, "bundled_json", lambda n: tampered[n] if n in tampered else real(n)
         )
+        problems = reproduction.mismatches()
+        monkeypatch.setattr(catalog, "reproduce", lambda: reproduction)
+        assert cli.main(["verify-fixtures"]) == 2
+        out = capsys.readouterr()
+        assert (out.out.splitlines(), out.err) == (problems, "")
+        return problems
 
-    def test_reports_every_kind_of_mismatch(self, monkeypatch, reproduction):
+    def test_reports_every_kind_of_mismatch(self, monkeypatch, capsys, reproduction):
         # a codim-3 golden that swaps its first clean row and its special
         # case for invented ones and names the dropped row's cover as a
-        # decoy: each comparison reports both directions
+        # decoy: each keyed list reports both directions
         golden = bundled_json("quotients_codim3.json")
         dropped, special = golden["rows"][0], golden["special_cases"][0]
         invented_row = dict(dropped, cover="Y_{row} in P(1,1,1,1,1,1,1)")
@@ -235,29 +256,42 @@ class TestGoldenComparison:
             special_cases=[invented_special],
             decoys=golden["decoys"] + [{"cover": dropped["cover"], "reasons": []}],
         )
-        self._tamper(monkeypatch, "quotients_codim3.json", tampered)
-        assert catalog._verify_quotients("quotients_codim3.json", reproduction) == [
-            "quotients_codim3.json: missing expected row Y_{row} in P(1,1,1,1,1,1,1) r=2",
-            "quotients_codim3.json: unexpected row Y_{2,2,2} in P(1,1,1,1,1,1,1) r=2",
-            "quotients_codim3.json: missing special case Y_{special} in P(1,1,1,1,1,1,1) r=7",
-            f"quotients_codim3.json: unexpected special case {special['cover']} r={special['r']}",
-            "quotients_codim3.json: decoy Y_{2,2,2} in P(1,1,1,1,1,1,1) produced a clean row",
+        octic = "bt {1/2(1,1,1)_1 x8}"
+        special_bt = "bt {1/2(1,1,1)_1 x5, 1/6(1,1,5)_3}"
+        assert self._problems(
+            monkeypatch, capsys, reproduction, {"quotients_codim3.json": tampered}
+        ) == [
+            f"quotients_codim3.json rows[Y_{{row}} in P(1,1,1,1,1,1,1) r=2 {octic}]: "
+            "golden an object, run nothing",
+            f"quotients_codim3.json rows[Y_{{2,2,2}} in P(1,1,1,1,1,1,1) r=2 {octic}]: "
+            "golden nothing, run an object",
+            "quotients_codim3.json special_cases[Y_{special} in P(1,1,1,1,1,1,1) r=7 "
+            f"{special_bt}]: golden an object, run nothing",
+            f"quotients_codim3.json special_cases[{special['cover']} r=2 {special_bt}]: "
+            "golden nothing, run an object",
+            # the decoy produced a clean row, so the run has no decoy entry
+            "quotients_codim3.json decoys[Y_{2,2,2} in P(1,1,1,1,1,1,1)]: "
+            "golden an object, run nothing",
         ]
 
-    def test_reports_decoy_reasons_never_seen(self, monkeypatch, reproduction):
+    def test_reports_decoy_reasons_never_seen(self, monkeypatch, capsys, reproduction):
         golden = bundled_json("quotients_codim3.json")
         first = golden["decoys"][0]
         decoys = [dict(first, reasons=first["reasons"] + ["inconsistent-data"])]
         decoys += [{"cover": "Y_{none} in P(1,1,1,1,1,1,1)", "reasons": ["parity-fail"]}]
-        self._tamper(monkeypatch, "quotients_codim3.json", dict(golden, decoys=decoys))
-        assert catalog._verify_quotients("quotients_codim3.json", reproduction) == [
-            f"quotients_codim3.json: decoy {first['cover']} never rejected with "
-            f"'inconsistent-data' (saw {first['reasons']})",
-            "quotients_codim3.json: decoy Y_{none} in P(1,1,1,1,1,1,1) never "
-            "rejected with 'parity-fail' (saw nothing)",
+        assert self._problems(
+            monkeypatch, capsys, reproduction,
+            {"quotients_codim3.json": dict(golden, decoys=decoys)},
+        ) == [
+            f"quotients_codim3.json decoys[{first['cover']}].reasons: "
+            "golden 4 items, run 3 items",
+            "quotients_codim3.json decoys[Y_{none} in P(1,1,1,1,1,1,1)].reasons: "
+            "golden 1 item, run 0 items",
         ]
 
-    def test_reports_decoy_reasons_the_golden_does_not_list(self, monkeypatch, reproduction):
+    def test_reports_decoy_reasons_the_golden_does_not_list(
+        self, monkeypatch, capsys, reproduction
+    ):
         # the first decoy loses 'parity-fail' from its golden reasons, which
         # the search still produces: reasons are compared both ways
         golden = bundled_json("quotients_codim3.json")
@@ -265,55 +299,92 @@ class TestGoldenComparison:
         assert "parity-fail" in first["reasons"]
         reasons = [x for x in first["reasons"] if x != "parity-fail"]
         decoys = [dict(first, reasons=reasons)] + golden["decoys"][1:]
-        self._tamper(monkeypatch, "quotients_codim3.json", dict(golden, decoys=decoys))
-        assert catalog._verify_quotients("quotients_codim3.json", reproduction) == [
-            f"quotients_codim3.json: decoy {first['cover']} rejected with "
-            f"unexpected 'parity-fail'",
+        assert self._problems(
+            monkeypatch, capsys, reproduction,
+            {"quotients_codim3.json": dict(golden, decoys=decoys)},
+        ) == [
+            f"quotients_codim3.json decoys[{first['cover']}].reasons: "
+            "golden 2 items, run 3 items",
         ]
 
     def test_reports_search_inputs_the_reproduction_does_not_use(
-        self, monkeypatch, reproduction
+        self, monkeypatch, capsys, reproduction
     ):
         # a golden naming another catalog or other bounds is reported, not
         # followed: its rows are still compared with the fixed search
         golden = bundled_json("quotients_codim3.json")
         tampered = dict(golden, catalog="covers_codim2.json", trunc=20)
         del tampered["max_degree"]
-        self._tamper(monkeypatch, "quotients_codim3.json", tampered)
-        assert catalog._verify_quotients("quotients_codim3.json", reproduction) == [
-            "quotients_codim3.json: catalog 'covers_codim2.json', "
-            "the reproduction uses 'covers_codim3.json'",
-            "quotients_codim3.json: trunc 20, the reproduction uses 24",
-            "quotients_codim3.json: max_degree None, the reproduction uses 24",
+        assert self._problems(
+            monkeypatch, capsys, reproduction, {"quotients_codim3.json": tampered}
+        ) == [
+            'quotients_codim3.json catalog: golden "covers_codim2.json", '
+            'run "covers_codim3.json"',
+            "quotients_codim3.json trunc: golden 20, run 24",
+            "quotients_codim3.json max_degree: golden nothing, run 24",
         ]
 
-    def test_reports_census_mismatches_per_order_and_in_total(self, monkeypatch, reproduction):
+    @pytest.mark.parametrize("version", ["2", 1])
+    def test_reports_another_format_version(self, monkeypatch, capsys, reproduction, version):
+        golden = bundled_json("quotients_codim1.json")
+        assert self._problems(
+            monkeypatch, capsys, reproduction,
+            {"quotients_codim1.json": dict(golden, format_version=version)},
+        ) == [f'quotients_codim1.json format_version: golden {json.dumps(version)}, run "1"']
+
+    def test_reports_a_repeated_clean_row(self, monkeypatch, capsys, reproduction):
+        # the printed table would list the row twice and count 13 clean rows
+        golden = bundled_json("quotients_codim1.json")
+        row = golden["rows"][3]
+        assert self._problems(
+            monkeypatch, capsys, reproduction,
+            {"quotients_codim1.json": dict(golden, rows=golden["rows"] + [row])},
+        ) == [
+            f"quotients_codim1.json rows[{row['cover']} r=2 bt {{1/2(1,1,1)_1 x8}}, "
+            "again at 12]: golden an object, run nothing",
+        ]
+
+    def test_reports_census_mismatches_per_order_and_in_total(
+        self, monkeypatch, capsys, reproduction
+    ):
         # order 2 loses a basket and order 5 swaps one for an order-4 basket
         golden = bundled_json("torsion_baskets.json")
         baskets = dict(golden["baskets"])
         baskets["2"] = baskets["2"][1:]
         baskets["5"] = [baskets["4"][0]] + baskets["5"][1:]
-        self._tamper(
-            monkeypatch, "torsion_baskets.json", dict(golden, baskets=baskets)
-        )
-        assert catalog._verify_baskets(reproduction) == [
-            "torsion_baskets.json: order 2 has 20 baskets, golden lists 19 (or contents differ)",
-            "torsion_baskets.json: order 5 has 4 baskets, golden lists 4 (or contents differ)",
-            "torsion_baskets.json: 39 baskets enumerated, golden freezes 38",
+        assert self._problems(
+            monkeypatch, capsys, reproduction,
+            {"torsion_baskets.json": dict(golden, baskets=baskets)},
+        ) == [
+            "torsion_baskets.json baskets.2: golden 19 items, run 20 items",
+            "torsion_baskets.json baskets.5[0]: golden 6 items, run 4 items",
         ]
 
-    def test_reports_census_total_beyond_the_enumerated_orders(self, monkeypatch, reproduction):
+    def test_reports_census_total_beyond_the_enumerated_orders(
+        self, monkeypatch, capsys, reproduction
+    ):
         golden = bundled_json("torsion_baskets.json")
         baskets = dict(golden["baskets"], **{"25": [golden["baskets"]["2"][0]]})
-        self._tamper(
-            monkeypatch, "torsion_baskets.json", dict(golden, baskets=baskets)
+        assert self._problems(
+            monkeypatch, capsys, reproduction,
+            {"torsion_baskets.json": dict(golden, baskets=baskets)},
+        ) == ["torsion_baskets.json baskets.25: golden 1 item, run nothing"]
+
+    def test_reports_baskets_out_of_enumeration_order(self, monkeypatch, capsys, reproduction):
+        # the census table numbers baskets r.k by enumeration position, so
+        # the same baskets in another order are a mismatch
+        golden = bundled_json("torsion_baskets.json")
+        baskets = dict(golden["baskets"], **{"2": golden["baskets"]["2"][::-1]})
+        problems = self._problems(
+            monkeypatch, capsys, reproduction,
+            {"torsion_baskets.json": dict(golden, baskets=baskets)},
         )
-        assert catalog._verify_baskets(reproduction) == [
-            "torsion_baskets.json: 39 baskets enumerated, golden freezes 40",
-        ]
+        assert problems[0] == "torsion_baskets.json baskets.2[0]: golden 2 items, run 8 items"
+        assert len(problems) == 34
+        assert all(line.startswith("torsion_baskets.json baskets.2[") for line in problems)
 
     def test_reports_worked_example_inputs_the_reproduction_does_not_use(
-        self, monkeypatch, reproduction
+        self, monkeypatch, capsys, reproduction
     ):
         golden = bundled_json("series_examples.json")
         plain, twisted = golden["untwisted"], golden["bigraded"]
@@ -321,15 +392,16 @@ class TestGoldenComparison:
             "untwisted": dict(plain, peel=plain["peel"][1:]),
             "bigraded": dict(twisted, data=dict(twisted["data"], minusK3="1")),
         }
-        self._tamper(monkeypatch, "series_examples.json", tampered)
-        assert catalog._verify_series_examples(reproduction) == [
-            "series_examples.json: untwisted inputs differ from the reproduction's",
-            "series_examples.json: bigraded inputs differ from the reproduction's",
+        assert self._problems(
+            monkeypatch, capsys, reproduction, {"series_examples.json": tampered}
+        ) == [
+            "series_examples.json untwisted.peel: golden 4 items, run 5 items",
+            'series_examples.json bigraded.data.minusK3: golden "1", run "1/2"',
         ]
 
     def test_reports_missing_and_ill_typed_keys(self, monkeypatch, reproduction, capsys):
         # goldens that are valid JSON but not in the stored layout: one
-        # problem line per key, and verify-fixtures exits 2, not a KeyError
+        # problem line per key path, and verify-fixtures exits 2, not a KeyError
         codim3 = bundled_json("quotients_codim3.json")
         rows = [{k: v for k, v in codim3["rows"][0].items() if k != "cover"}]
         decoys = [dict(codim3["decoys"][0], reasons="parity-fail")]
@@ -337,49 +409,67 @@ class TestGoldenComparison:
         twisted = {k: v for k, v in examples["bigraded"].items() if k != "peeled"}
         codim1 = {k: v for k, v in bundled_json("quotients_codim1.json").items()
                   if k != "special_cases"}
-        for name, tampered in (
-            ("quotients_codim1.json", codim1),
-            ("quotients_codim2.json", {"stale": True}),
-            ("quotients_codim3.json", dict(codim3, rows=rows + [7], decoys=decoys)),
-            ("torsion_baskets.json", {"max_order": 24, "baskets": {"2": {}}}),
-            ("series_examples.json", dict(examples, bigraded=dict(twisted, components="1"))),
-        ):
-            self._tamper(monkeypatch, name, tampered)
-        expected = [
-            "series_examples.json bigraded: key 'components' is not an array",
-            "series_examples.json bigraded: missing key 'peeled'",
-            "torsion_baskets.json baskets: key '2' is not an array",
-            "quotients_codim1.json: missing key 'special_cases'",
-            "quotients_codim2.json: missing key 'rows'",
-            "quotients_codim2.json: missing key 'special_cases'",
-            "quotients_codim2.json: missing key 'decoys'",
-            "quotients_codim3.json rows[0]: missing key 'cover'",
-            "quotients_codim3.json rows[1]: not an object",
-            "quotients_codim3.json decoys[0]: key 'reasons' is not an array",
+        tampered = {
+            "quotients_codim1.json": codim1,
+            "quotients_codim2.json": {"stale": True},
+            "quotients_codim3.json": dict(codim3, rows=rows + [7], decoys=decoys),
+            "torsion_baskets.json": {"max_order": 24, "baskets": {"2": {}}},
+            "series_examples.json": dict(examples, bigraded=dict(twisted, components="1")),
+        }
+        quadrics = "Y_{2,2,2} in P(1,1,1,1,1,1,1)"
+        codim3_rows = [  # in search order
+            f"{quadrics} r=2 bt {{1/2(1,1,1)_1 x8}}",
+            f"{quadrics} r=4 bt {{1/2(1,1,1)_1 x2, 1/4(1,1,3)_1 x2, 1/4(1,1,3)_3 x2}}",
+            "Y_{4,4,4,4,4} in P(1,1,1,2,2,2,2) r=5 "
+            "bt {1/5(1,1,4)_1, 1/5(1,1,4)_4, 1/5(1,2,3)_1, 1/5(1,2,3)_4}",
+            f"{quadrics} r=8 bt {{1/2(1,1,1)_1, 1/4(1,1,3)_1, 1/8(1,3,5)_3, 1/8(1,3,5)_7}}",
         ]
-        assert reproduction.mismatches() == expected
+        assert self._problems(monkeypatch, capsys, reproduction, tampered) == [
+            'series_examples.json bigraded.components: golden "1", run 5 items',
+            "series_examples.json bigraded.peeled: golden nothing, run an object",
+            "torsion_baskets.json baskets.2: golden an object, run 20 items",
+            *(f"torsion_baskets.json baskets.{r}: golden nothing, run {n} item{'s' * (n > 1)}"
+              for r, n in ((3, 7), (4, 5), (5, 4), (6, 2), (8, 1))),
+            "quotients_codim1.json special_cases: golden nothing, run 2 items",
+            "quotients_codim2.json stale: golden true, run nothing",
+            'quotients_codim2.json format_version: golden nothing, run "1"',
+            'quotients_codim2.json catalog: golden nothing, run "covers_codim2.json"',
+            "quotients_codim2.json trunc: golden nothing, run 24",
+            "quotients_codim2.json max_degree: golden nothing, run 24",
+            "quotients_codim2.json rows: golden nothing, run 43 items",
+            "quotients_codim2.json special_cases: golden nothing, run 2 items",
+            "quotients_codim2.json decoys: golden nothing, run 0 items",
+            "quotients_codim3.json rows[0]: golden an object, run nothing",
+            "quotients_codim3.json rows[1]: golden 7, run nothing",
+            *(f"quotients_codim3.json rows[{key}]: golden nothing, run an object"
+              for key in codim3_rows),
+            f"quotients_codim3.json decoys[{codim3['decoys'][0]['cover']}].reasons: "
+            'golden "parity-fail", run 3 items',
+        ]
 
-        monkeypatch.setattr(catalog, "reproduce", lambda: reproduction)
-        assert cli.main(["verify-fixtures"]) == 2
-        assert capsys.readouterr().out.splitlines() == expected
+    def test_reports_a_golden_that_is_not_an_object(self, monkeypatch, capsys, reproduction):
+        assert self._problems(
+            monkeypatch, capsys, reproduction, {"quotients_codim2.json": [7]}
+        ) == ["quotients_codim2.json: golden 1 item, run an object"]
 
     @pytest.mark.parametrize("keep", [0, 4, 6])
     def test_reports_a_component_count_the_reproduction_does_not_have(
-        self, monkeypatch, reproduction, keep
+        self, monkeypatch, capsys, reproduction, keep
     ):
         # fewer components than r, or one repeated past it, is not a match
         golden = bundled_json("series_examples.json")
         twisted = golden["bigraded"]
         components = (twisted["components"] * 2)[:keep]
-        self._tamper(monkeypatch, "series_examples.json",
-                     dict(golden, bigraded=dict(twisted, components=components)))
-        assert catalog._verify_series_examples(reproduction) == [
-            f"series_examples.json: bigraded has {keep} components, the reproduction 5",
+        assert self._problems(
+            monkeypatch, capsys, reproduction,
+            {"series_examples.json": dict(golden, bigraded=dict(twisted, components=components))},
+        ) == [
+            f"series_examples.json bigraded.components: golden {keep} items, run 5 items",
         ]
 
-    def test_reports_every_kind_of_series_mismatch(self, monkeypatch, reproduction):
-        # the untwisted peel differs at t^3 and t^5 (only the first is
-        # reported); the bigraded peel at three positions (all reported)
+    def test_reports_every_kind_of_series_mismatch(self, monkeypatch, capsys, reproduction):
+        # every coefficient that differs is reported, in both series, and
+        # each peeled key that one side has and the other has not
         golden = bundled_json("series_examples.json")
         plain, twisted = golden["untwisted"], golden["bigraded"]
         coeffs = list(plain["coeffs"])
@@ -396,14 +486,16 @@ class TestGoldenComparison:
                 peeled={"0,0": "1", "2,1": "3", "7,3": "1"},
             ),
         }
-        self._tamper(monkeypatch, "series_examples.json", tampered)
-        assert catalog._verify_series_examples(reproduction) == [
-            "series_examples.json: untwisted coefficients differ",
-            "series_examples.json: peeled untwisted series differs at t^3",
-            "series_examples.json: bigraded component 2 differs",
-            "series_examples.json: peeled bigraded series differs at t^5 e^0",
-            "series_examples.json: peeled bigraded series differs at t^2 e^1",
-            "series_examples.json: peeled bigraded series differs at t^7 e^3",
+        assert self._problems(
+            monkeypatch, capsys, reproduction, {"series_examples.json": tampered}
+        ) == [
+            'series_examples.json untwisted.coeffs[4]: golden "47", run "46"',
+            'series_examples.json untwisted.peeled.3: golden "2", run nothing',
+            'series_examples.json untwisted.peeled.5: golden "1", run "-1"',
+            'series_examples.json bigraded.components[2][3]: golden "6", run "5"',
+            'series_examples.json bigraded.peeled.2,1: golden "3", run nothing',
+            'series_examples.json bigraded.peeled.7,3: golden "1", run nothing',
+            'series_examples.json bigraded.peeled.5,0: golden nothing, run "-1"',
         ]
 
 

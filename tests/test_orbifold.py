@@ -146,6 +146,22 @@ class TestPreimageSingularity:
         with pytest.raises(InconsistentMarkingError):
             preimage_singularity(mk(3, 1, 1), 2)
 
+    def test_fiber_type_is_the_reduced_exponent_triple(self):
+        # the closed form 1/d(1, a', d - a'), a' = a mod d, against the
+        # general reduction of 1/r_Q(1, a, r_Q - a) mod d: every canonical
+        # type with r_Q <= 24 and every divisor d > 1, marked l = d mod r_Q
+        checked = 0
+        for r_q in range(2, 25):
+            for a in range(1, r_q // 2 + 1):
+                if gcd(a, r_q) != 1:
+                    continue
+                for d in (d for d in range(2, r_q + 1) if r_q % d == 0):
+                    count, fiber = preimage_singularity(mk(r_q, a, d % r_q), r_q // d)
+                    assert count == 1
+                    assert fiber == normalize_type(d, (1, a, r_q - a)), (r_q, a, d)
+                    checked += 1
+        assert checked == 212
+
     def test_inverts_composition(self):
         # going down by compose_actions and back up must recover the point
         m = mk(10, 3, 6)
@@ -212,6 +228,11 @@ class TestBasket:
         with pytest.raises(NotTerminalError, match="cannot parse basket entry"):
             Basket.parse(text)
 
+    def test_entries_must_be_marked(self):
+        # a bare type has no marking; Basket.parse gives unmarked points l = 0
+        with pytest.raises(TypeError, match="not a singularity entry"):
+            Basket((SingularityType(2, 1),))
+
     def test_sorted_on_construction(self):
         b = Basket((mk(6, 1, 3), mk(2, 1, 1), mk(2, 1)))
         assert b.entries == (mk(2, 1), mk(2, 1, 1), mk(6, 1, 3))
@@ -251,6 +272,6 @@ class TestBasket:
     def test_concatenation_and_views(self):
         b = Basket.parse("1/2(1,1,1)_1") + Basket.parse("1/3(1,1,2)")
         assert len(b) == 2
-        assert b.types() == (SingularityType(2, 1), SingularityType(3, 1))
+        assert tuple(e.type for e in b) == (SingularityType(2, 1), SingularityType(3, 1))
         assert b.counts() == {mk(2, 1, 1): 1, mk(3, 1): 1}
         assert bool(Basket()) is False

@@ -268,7 +268,7 @@ class TestQuotientCandidate:
             QuotientCandidate(Y4, data, pres)
 
     def test_matches_cover_shape(self):
-        assert self._candidate().matches_cover_shape()
+        assert CROSS_CODIMENSION not in self._candidate().diagnostics
 
     def test_cross_codimension_flag(self):
         c = self._candidate((CROSS_CODIMENSION,))
@@ -305,7 +305,7 @@ class TestSearch:
             [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4)]
         )
         assert quartic.presentation.relations == bd([(4, 0)])
-        assert quartic.matches_cover_shape()
+        assert CROSS_CODIMENSION not in quartic.diagnostics
 
         quintic = by_cover["Y_{5} in P(1,1,1,1,2)"]
         assert quintic.data.bt == WORKED_BT
@@ -405,7 +405,8 @@ class TestSeriesMemo:
         assert any(rec._altinok for rec in cold)
         assert run(cold) == expected
         assert run(bundled_catalog("covers_codim1.json", trunc=24)) == expected
-        # the CLI validates at min(trunc, 20) and then searches at 24
+        # a catalog validated at truncation 20 (the library default; the CLI
+        # validates at --trunc) and then searched at 24 gives the same output
         assert run(bundled_catalog("covers_codim1.json", trunc=20)) == expected
 
 
