@@ -407,7 +407,7 @@ def build_quotients(rep, golden_name, rows):
             fail(f"{tag}: presentation {degrees(c)} does not match "
                  f"{sorted(gens)} / {sorted(rels)} up to unit rescale")
 
-        row = catalog.candidate_row(c)
+        row = c.to_json()
         if label is not None:
             row["label"] = label
         if notes:
@@ -419,7 +419,7 @@ def build_quotients(rep, golden_name, rows):
         if c.status == "clean":
             fail(f"{golden_name}: unexpected clean candidate {cover} r={r} "
                  f"bt={bt} be={c.data.be} {degrees(c)}")
-        row = catalog.candidate_row(c)
+        row = c.to_json()
         row["notes"] = (
             "additional special-status candidate surfaced by the search; "
             "kept so the golden freezes the full outcome"

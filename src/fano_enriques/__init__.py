@@ -61,7 +61,6 @@ from .hilbert import (
 )
 from .gradedrings import (
     Presentation,
-    action_weights,
     infer_presentation,
     presentation_series,
 )

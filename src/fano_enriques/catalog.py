@@ -20,7 +20,9 @@ reproduce() runs the paper's computation once from the cover catalogs
 and the fixed inputs below, never from a golden: the census of marked
 baskets, the search of each cover catalog against it, and the worked
 series examples.  Its payload() is each golden's JSON as that run
-determines it.  scripts/build_catalogs.py writes the payloads, with
+determines it; the rows and special cases of a quotient golden are the
+search candidates' to_json(), the rows `search --json` prints for the
+same catalog.  scripts/build_catalogs.py writes the payloads, with
 curated labels and notes added to the rows in its own order, and
 verify_fixtures() compares the bundled goldens with them exactly, apart
 from those curated fields and the order of rows, special cases and
@@ -41,7 +43,7 @@ from .errors import CatalogError, EngineError
 from .exact import Rational, format_rational
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from .orbifold import Basket
-from .quotient import CoverRecord, QuotientCandidate, SearchResult, search
+from .quotient import CoverRecord, SearchResult, search
 from .series import Bidegree
 
 __all__ = [
@@ -51,7 +53,6 @@ __all__ = [
     "bundled_catalog",
     "bundled_json",
     "verify_fixtures",
-    "candidate_row",
     "Reproduction",
     "reproduce",
 ]
@@ -59,13 +60,14 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 # The reproduction's fixed inputs: the cover catalog each quotient golden
-# searches, one truncation and degree bound for every search, and the two
+# searches, one truncation for every search (inference runs up to it, so
+# the goldens record it as their max_degree too), and the two
 # worked examples (a quotient of order 5 and its cover), each a data set
 # whose series to t^9 is peeled by the listed bidegrees in turn.
 SEARCHES = {f"quotients_codim{c}.json": f"covers_codim{c}.json" for c in (1, 2, 3)}
 GOLDEN_FILES = tuple(SEARCHES)
 GOLDENS = ("series_examples.json", "torsion_baskets.json", *GOLDEN_FILES)
-TRUNC = MAX_DEGREE = 24
+TRUNC = 24
 EXAMPLE_TRUNC = 9
 EXAMPLES = {
     "untwisted": (FanoData(Rational(5, 2), Basket.parse("1/2(1,1,1)")), [(1, 0)] * 4 + [(2, 0)]),
@@ -162,21 +164,6 @@ def resolve_catalog(source: str, trunc: int = 20) -> list[CoverRecord]:
     return bundled_catalog(source, trunc)
 
 
-def candidate_row(c: QuotientCandidate) -> dict:
-    """A search candidate as the quotient goldens store a row, before any
-    label or notes are added."""
-    return {
-        "cover": c.cover.name,
-        "r": c.data.r,
-        "minusK3": format_rational(c.data.minus_k_cubed),
-        "bt": c.data.bt.to_json(),
-        "be": c.data.be.to_json(),
-        "generators": [[g.n, g.i] for g in c.presentation.generators],
-        "relations": [[q.n, q.i] for q in c.presentation.relations],
-        "flags": sorted(c.diagnostics),
-    }
-
-
 def _worked_example(data, peel) -> dict:
     """A worked series example of FanoData (r = 1) or FanoEnriquesData as
     series_examples.json stores it: its inputs, its component rows, and the
@@ -227,9 +214,9 @@ class Reproduction:
             "format_version": FORMAT_VERSION,
             "catalog": SEARCHES[name],
             "trunc": TRUNC,
-            "max_degree": MAX_DEGREE,
-            "rows": [candidate_row(c) for c in result.clean()],
-            "special_cases": [candidate_row(c) for c in result.special()],
+            "max_degree": TRUNC,
+            "rows": [c.to_json() for c in result.clean()],
+            "special_cases": [c.to_json() for c in result.special()],
             "decoys": [{"cover": d, "reasons": sorted(seen)} for d, seen in reasons.items()],
         }
 
@@ -249,9 +236,7 @@ def reproduce() -> Reproduction:
     census = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
     examples = {name: _worked_example(data, peel) for name, (data, peel) in EXAMPLES.items()}
     searches = {
-        golden: search(
-            bundled_catalog(covers, trunc=TRUNC), census, trunc=TRUNC, max_degree=MAX_DEGREE
-        )
+        golden: search(bundled_catalog(covers, trunc=TRUNC), census, trunc=TRUNC)
         for golden, covers in SEARCHES.items()
     }
     return Reproduction(census, searches, examples)

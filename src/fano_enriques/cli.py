@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .catalog import GOLDEN_FILES, bundled_json, resolve_catalog, verify_fixtures
 from .enumeration import MAX_TORSION, BtCandidate, enumerate_bt
 from .errors import EngineError
-from .exact import format_rational, nonnegative, parse_rational
+from .exact import format_rational, nonnegative, parse_rational, truncation
 from .gradedrings import infer_presentation
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from .orbifold import Basket
@@ -36,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _output_flags(sub: argparse.ArgumentParser):
-    mode = sub.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    mode.add_argument(
-        "--table", action="store_true", help="human-readable output (default)"
-    )
 
 
 def _build_parser() -> _Parser:
@@ -62,7 +52,6 @@ def _build_parser() -> _Parser:
         "--basket", default="", help='basket, e.g. "1/2(1,1,1), 2x1/5(1,2,3)"'
     )
     p.add_argument("--trunc", type=int, default=20, help="truncation degree")
-    _output_flags(p)
 
     p = sub.add_parser("bigraded", help="component series with a torsion divisor")
     p.add_argument("--r", type=int, required=True, help="torsion order")
@@ -72,7 +61,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--be", default="", help="unmarked basket part")
     p.add_argument("--trunc", type=int, default=20)
-    _output_flags(p)
 
     p = sub.add_parser("infer", help="presentation from a series")
     p.add_argument(
@@ -81,7 +69,6 @@ def _build_parser() -> _Parser:
         help="JSON file with fields r and coeffs, or - for stdin",
     )
     p.add_argument("--max-degree", type=int, default=24)
-    _output_flags(p)
 
     p = sub.add_parser("enumerate-bt", help="admissible marked baskets")
     which = p.add_mutually_exclusive_group(required=True)
@@ -94,24 +81,22 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="require chi(i*sigma) = 0 for i != 0 instead of >= 0",
     )
-    _output_flags(p)
 
     p = sub.add_parser("search", help="quotient search over a catalog")
     p.add_argument(
         "--catalog", required=True, help="catalog file path or bundled name"
     )
     p.add_argument("--r", type=int, help="restrict to one torsion order")
-    p.add_argument("--trunc", type=int, default=24)
-    p.add_argument("--max-degree", type=int, default=24)
+    p.add_argument("--trunc", type=int, default=24, help="truncation, to which inference runs")
     p.add_argument("--strict-r5", action="store_true")
     p.add_argument(
         "--rejections", action="store_true", help="also list every rejection"
     )
-    _output_flags(p)
 
-    p = sub.add_parser("verify-fixtures", help="recompute every bundled golden")
-    _output_flags(p)
+    sub.add_parser("verify-fixtures", help="recompute every bundled golden")
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable JSON output")
     return parser
 
 
@@ -124,7 +109,7 @@ def _print_single(series: BigradedSeries, as_json: bool):
 
 def _cmd_hilbert(args) -> int:
     data = FanoData(parse_rational(args.k3), Basket.parse(args.basket))
-    trunc = nonnegative("--trunc", args.trunc)
+    trunc = truncation("--trunc", args.trunc)
     _print_single(altinok_series(data, trunc=trunc), args.json)
     return 0
 
@@ -133,7 +118,7 @@ def _cmd_bigraded(args) -> int:
     data = FanoEnriquesData(
         args.r, parse_rational(args.k3), Basket.parse(args.bt), Basket.parse(args.be)
     )
-    series = bigraded_series(data, trunc=nonnegative("--trunc", args.trunc))
+    series = bigraded_series(data, trunc=truncation("--trunc", args.trunc))
     if args.json:
         print(json.dumps({"data": data.to_json(), "series": series.to_json()}))
     else:
@@ -179,13 +164,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    trunc = nonnegative("--trunc", args.trunc)
-    max_degree = nonnegative("--max-degree", args.max_degree)
+    trunc = truncation("--trunc", args.trunc)
     catalog = resolve_catalog(args.catalog, trunc=trunc)
-    result = search(catalog, _census(args), trunc=trunc, max_degree=max_degree)
+    result = search(catalog, _census(args), trunc=trunc)
     if args.json:
+        # the rows and special cases as a quotient golden stores them
         payload = {
-            "candidates": [c.to_json() for c in result],
+            "rows": [c.to_json() for c in result.clean()],
+            "special_cases": [c.to_json() for c in result.special()],
             "rejections": [rej.to_json() for rej in result.rejections],
         }
         print(json.dumps(payload))
@@ -229,7 +215,7 @@ def _print_goldens():
         rows += [("*", row) for row in golden["special_cases"]]
         for star, row in rows:
             flags = f"  [{', '.join(row['flags'])}]" if row["flags"] else ""
-            print(f"{star}{row.get('label') or '-':>3}  {row['cover']:<34} "
+            print(f"{star}{row.get('label') or '-'!s:>3}  {row['cover']:<34} "
                   f"r={row['r']}  -K^3={row['minusK3']:>5}")
             print(f"      bt: {Basket.from_json(row['bt'])}")
             if row["be"]:

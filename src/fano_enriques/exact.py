@@ -8,6 +8,7 @@ ever need to change.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction as Rational
 from math import gcd
 
@@ -59,6 +60,14 @@ def nonnegative(name: str, value: int) -> int:
     """value itself, or OutOfRangeError naming it when it is negative."""
     if value < 0:
         raise OutOfRangeError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def truncation(name: str, value: int) -> int:
+    """A series truncation: nonnegative, and small enough to index the list
+    of its coefficients (at most sys.maxsize), else OutOfRangeError."""
+    if nonnegative(name, value) > sys.maxsize:
+        raise OutOfRangeError(f"{name} must be <= {sys.maxsize}, got {value}")
     return value
 
 

@@ -29,13 +29,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InconsistentDataError, InferenceFailureError
-from .exact import is_integer, nonnegative
+from .exact import is_integer, nonnegative, truncation
 from .series import Bidegree, BigradedSeries
 
 __all__ = [
     "Presentation",
     "infer_presentation",
-    "action_weights",
     "pfaffian_numerator",
     "presentation_series",
 ]
@@ -151,20 +150,6 @@ def infer_presentation(s: BigradedSeries, max_degree: int = 24) -> Presentation:
                 residual = residual.divide_factor(d)
 
 
-def action_weights(p: Presentation) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Ambient weights with their action exponents, plus relation second degrees.
-
-    Read directly off the presentation: coordinate k has weight n_k and the
-    torsion generator acts on it with exponent i_k; each relation carries
-    the second degree of its equation.
-    """
-    if p.status == "inconclusive":
-        raise InferenceFailureError("no action data for an inconclusive presentation")
-    weights = tuple((g.n, g.i) for g in p.generators)
-    second_degrees = tuple(q.i for q in p.relations)
-    return weights, second_degrees
-
-
 def pfaffian_numerator(
     relations: Sequence[Bidegree], top: Bidegree, r: int, trunc: int
 ) -> BigradedSeries:
@@ -196,7 +181,7 @@ def presentation_series(
     each relation peeled from 1, then each generator divided out, every
     step one O(rN) binomial shift.  A bidegree of t-degree 0 raises
     NonInvertibleFactorError."""
-    total = BigradedSeries.one(r, nonnegative("trunc", trunc))
+    total = BigradedSeries.one(r, truncation("trunc", trunc))
     for q in relations:
         total = total.peel(q)
     for g in generators:

@@ -47,7 +47,7 @@ from .errors import (
     InternalConsistencyError,
     OutOfRangeError,
 )
-from .exact import Rational, format_rational, is_integer, nonnegative, rational_from_json, residue
+from .exact import Rational, format_rational, is_integer, rational_from_json, residue, truncation
 from .gradedrings import pfaffian_numerator, presentation_series
 from .orbifold import Basket, inverse_weight
 from .series import Bidegree, BigradedSeries, Scalar
@@ -184,7 +184,7 @@ def altinok_series(data: FanoData, trunc: int = 20) -> BigradedSeries:
     nonnegative integers: the basket / -K^3 pair then belongs to no
     actual variety (a sharper sieve than the parity check).
     """
-    n = nonnegative("trunc", trunc)
+    n = truncation("trunc", trunc)
     half_k = data.minus_k_cubed / 2
     total = _divided([1, 1], n, 1, 1) + _divided([0, half_k, half_k], n, 1, 1, 1, 1)
 
@@ -278,7 +278,7 @@ def _tiled_delta(bt: Basket, i: int, trunc: int) -> list[Rational]:
 def torsion_delta_series(bt: Basket, i: int, trunc: int = 20) -> BigradedSeries:
     """Series sum_n (chi(-nK + i*sigma) - chi(-nK)) t^n, tiled from one
     reconciled integer period (_torsion_cycle)."""
-    return BigradedSeries(1, [_tiled_delta(bt, i, nonnegative("trunc", trunc))])
+    return BigradedSeries(1, [_tiled_delta(bt, i, truncation("trunc", trunc))])
 
 
 def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
@@ -291,7 +291,7 @@ def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
     (h^0 of a nontrivial torsion class vanishes); anything else raises
     InconsistentDataError.
     """
-    nonnegative("trunc", trunc)
+    truncation("trunc", trunc)
     base = altinok_series(
         FanoData(data.minus_k_cubed, data.combined_basket), trunc
     ).component(0)
@@ -324,7 +324,7 @@ def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) 
     is required; that is the only normalization the quotient search uses.
     A degree 0 raises NonInvertibleFactorError.
     """
-    nonnegative("trunc", trunc)
+    truncation("trunc", trunc)
     if sum(weights) - sum(degrees) != 1:
         raise InconsistentDataError(
             f"weights {tuple(weights)} and degrees {tuple(degrees)} are not "
@@ -340,7 +340,7 @@ def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int =
     skew 5x5 matrix: pfaffian_numerator, 1 - sum t^{d_k} + sum t^{e-d_k} - t^e
     with e = sum(weights) - 1 = sum(degrees)/2, over prod (1 - t^w).
     """
-    nonnegative("trunc", trunc)
+    truncation("trunc", trunc)
     if len(degrees) != 5:
         raise InconsistentDataError(
             f"a Pfaffian model needs 5 degrees, got {len(degrees)}"

@@ -17,8 +17,10 @@ numerical data of a hypothetical quotient is forced.
      candidate as special (a generator and relation in the same degree).
 
 Steps 2-4 are match_cover; search drives the whole pipeline over a
-catalog and a census of admissible (r, bt), collecting typed rejections
-for the pairs that fail.
+catalog and a census of admissible (r, bt), inferring each presentation
+up to the series' own truncation and collecting typed rejections for the
+pairs that fail.  An accepted candidate serializes as one row of a
+quotient golden, the row `search --json` prints as well.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .errors import (
     InconsistentDataError,
     InferenceFailureError,
     InternalConsistencyError,
+    OutOfRangeError,
 )
-from .exact import Rational, format_rational, is_integer, nonnegative, rational_from_json
+from .exact import Rational, format_rational, is_integer, rational_from_json, truncation
 from .gradedrings import (
     Presentation,
-    action_weights,
     infer_presentation,
     pfaffian_numerator,
     presentation_series,
@@ -152,11 +154,12 @@ class CoverRecord:
         complete intersection this reduces to prod(degrees)/prod(weights).
         """
         relations = [Bidegree(d) for d in self.degrees]
-        if self.structure == "pfaffian":
-            top = sum(self.weights) - 1
+        pfaffian = self.structure == "pfaffian"
+        top = sum(self.weights) - 1 if pfaffian else sum(self.degrees)
+        truncation("numerator degree", top)
+        if pfaffian:
             quotient = pfaffian_numerator(relations, Bidegree(top), 1, top)
         else:
-            top = sum(self.degrees)
             quotient = presentation_series((), relations, 1, top)
         for _ in range(self.codimension):
             quotient = quotient.divide_factor(Bidegree(1))
@@ -181,7 +184,7 @@ class CoverRecord:
             return [str(exc)]
         try:
             implied = self.implied_k_cubed()
-        except CatalogError as exc:
+        except (CatalogError, OutOfRangeError) as exc:
             return [str(exc)]
         problems: list[str] = []
         if implied != self.minus_k_cubed:
@@ -261,7 +264,6 @@ class Rejection:
         "parity-fail",
         "inconsistent-data",
         "inference-failure",
-        "inference-inconclusive",
     )
 
     def __post_init__(self):
@@ -305,21 +307,19 @@ class QuotientCandidate:
         return self.presentation.status
 
     def to_json(self) -> dict:
-        obj = {
+        """The candidate as a quotient golden stores a row, before any
+        curated label or notes: each generator and relation is its
+        bidegree (n, i), i the exponent of the torsion action."""
+        return {
             "cover": self.cover.name,
             "r": self.data.r,
             "minusK3": format_rational(self.data.minus_k_cubed),
             "bt": self.data.bt.to_json(),
             "be": self.data.be.to_json(),
-            "presentation": self.presentation.to_json(),
+            "generators": [[g.n, g.i] for g in self.presentation.generators],
+            "relations": [[q.n, q.i] for q in self.presentation.relations],
+            "flags": sorted(self.diagnostics),
         }
-        if self.presentation.status != "inconclusive":
-            weights, second_degrees = action_weights(self.presentation)
-            obj["action"] = [list(pair) for pair in weights]
-            obj["relation_second_degrees"] = list(second_degrees)
-        if self.diagnostics:
-            obj["diagnostics"] = list(self.diagnostics)
-        return obj
 
     def __str__(self):
         be = str(self.data.be) if self.data.be else "-"
@@ -410,19 +410,18 @@ def search(
     catalog: Sequence[CoverRecord],
     census: Sequence[BtCandidate],
     trunc: int = 24,
-    max_degree: int = 24,
 ) -> SearchResult:
     """Try every cover against every marked basket of the census.
 
     The census is a sequence of distinct BtCandidates, each carrying its
     own order r, such as enumerate_bt returns; rejections come in census
     order, then catalog order.  Accepted candidates get a bigraded series
-    and an inferred presentation; the collapse of the series is checked
+    and a presentation inferred up to the same truncation, so inference
+    never stops short as inconclusive; the collapse of the series is checked
     against the cover's own series, which is an arithmetic identity for
     correctly assembled data and hence an engine guard, not a data filter.
     """
-    nonnegative("trunc", trunc)
-    nonnegative("max_degree", max_degree)
+    truncation("trunc", trunc)
     candidates: list[QuotientCandidate] = []
     rejections: list[Rejection] = []
 
@@ -451,18 +450,10 @@ def search(
                 )
 
             try:
-                pres = infer_presentation(series, max_degree)
+                pres = infer_presentation(series, trunc)
             except InferenceFailureError as exc:
                 rejections.append(
                     Rejection(cover.name, r, bt, "inference-failure", str(exc))
-                )
-                continue
-            if pres.status == "inconclusive":
-                rejections.append(
-                    Rejection(
-                        cover.name, r, bt, "inference-inconclusive",
-                        f"undecided beyond degree {max_degree}",
-                    )
                 )
                 continue
 

@@ -14,7 +14,6 @@ from fano_enriques.catalog import (
     _diff,
     bundled_catalog,
     bundled_json,
-    candidate_row,
     load_catalog,
     resolve_catalog,
     save_catalog,
@@ -195,10 +194,13 @@ class TestRowKeys:
             (Bidegree(5, 0),),
             "clean",
         )
-        return candidate_row(QuotientCandidate(Y5, data, pres))
+        return QuotientCandidate(Y5, data, pres).to_json()
 
     def test_candidate_row_fields(self):
         row = self._row()
+        assert list(row) == [
+            "cover", "r", "minusK3", "bt", "be", "generators", "relations", "flags"
+        ]
         assert row["cover"] == "Y_{5} in P(1,1,1,1,2)"
         assert row["r"] == 5
         assert row["minusK3"] == "1/2"

@@ -2,10 +2,12 @@
 
 import json
 import re
+import sys
 
 import pytest
 
 from fano_enriques import catalog, cli
+from fano_enriques.catalog import CURATED, SEARCHES, _diff, bundled_json
 from fano_enriques.cli import main
 
 
@@ -126,8 +128,8 @@ class TestSearch:
         )
         assert code == 0
         obj = json.loads(out)
-        assert obj["candidates"]
-        assert all(c["r"] == 5 for c in obj["candidates"])
+        assert obj["rows"]
+        assert all(c["r"] == 5 for c in obj["rows"] + obj["special_cases"])
 
     def test_local_catalog_path(self, capsys, tmp_path):
         from fano_enriques.catalog import save_catalog
@@ -165,10 +167,25 @@ class TestSearch:
     def test_strict_r5_changes_nothing(self, capsys):
         argv = ("search", "--catalog", "covers_codim2.json", "--r", "3", "--json")
         code, plain, _ = run(capsys, *argv)
-        assert code == 0 and json.loads(plain)["candidates"]
+        assert code == 0 and json.loads(plain)["rows"]
         code, strict, _ = run(capsys, *argv, "--strict-r5")
         assert code == 0
         assert strict == plain
+
+    @pytest.mark.parametrize("golden", sorted(SEARCHES))
+    def test_json_prints_golden_rows(self, capsys, reproduction, golden):
+        # a fresh search of the golden's catalog prints its rows and special
+        # cases, curated fields apart, and the shared run's rejections
+        code, out, _ = run(capsys, "search", "--catalog", SEARCHES[golden], "--json")
+        assert code == 0
+        printed, frozen = json.loads(out), bundled_json(golden)
+        assert list(printed) == ["rows", "special_cases", "rejections"]
+        lists = ("rows", "special_cases")
+        assert _diff(golden, "", {k: frozen[k] for k in lists}, {k: printed[k] for k in lists}) == []
+        assert not any(field in row for row in printed["rows"] for field in CURATED)
+        assert printed["rejections"] == [
+            r.to_json() for r in reproduction.searches[golden].rejections
+        ]
 
     def test_unknown_catalog(self, capsys):
         code, _, err = run(capsys, "search", "--catalog", "nope.json")
@@ -206,6 +223,20 @@ class TestVerifyFixtures:
         assert code == 0
         assert json.loads(out) == {"ok": True, "problems": []}
 
+    def test_label_of_any_type_prints(self, capsys, monkeypatch, shared_run):
+        # the comparison leaves curated labels out, so a label that is no
+        # string verifies clean and must still print: a TypeError before
+        golden = bundled_json("quotients_codim1.json")
+        golden = dict(golden, rows=[dict(golden["rows"][0], label=[1]), *golden["rows"][1:]])
+        tampered = lambda n: golden if n == "quotients_codim1.json" else bundled_json(n)
+        monkeypatch.setattr(catalog, "bundled_json", tampered)
+        monkeypatch.setattr(cli, "bundled_json", tampered)
+        code, out, err = run(capsys, "verify-fixtures")
+        assert (code, err) == (0, "")
+        assert f" [1]  {golden['rows'][0]['cover']}" in out
+        assert "12 clean, 2 special (marked *)" in out
+        assert out.endswith("all bundled fixtures verified\n")
+
 
 class TestBadInput:
     """Malformed values exit 1 with a typed error that names the input."""
@@ -232,7 +263,7 @@ class TestBadInput:
         assert code == 1
         assert "no field 'r'" in err
 
-    @pytest.mark.parametrize(
+    TRUNC_TAKERS = pytest.mark.parametrize(
         "argv",
         [
             ("hilbert", "--k3", "4"),
@@ -241,11 +272,43 @@ class TestBadInput:
         ],
         ids=["hilbert", "bigraded", "search"],
     )
+
+    @TRUNC_TAKERS
     def test_negative_trunc(self, capsys, argv):
         code, _, err = run(capsys, *argv, "--trunc", "-1")
         assert code == 1
         assert err.startswith(f"fano-enriques {argv[0]}: ")
         assert "--trunc must be >= 0, got -1" in err
+
+    @TRUNC_TAKERS
+    def test_unindexable_trunc(self, capsys, argv):
+        # refused before any series is built: an OverflowError traceback before
+        code, out, err = run(capsys, *argv, "--trunc", str(10**30))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"fano-enriques {argv[0]}: --trunc must be <= {sys.maxsize}, got {10**30}\n"
+        )
+
+    def test_search_cover_of_unindexable_degree(self, capsys, tmp_path):
+        # its -K^3 is read off a numerator to t^(10^100 + 3)
+        big = 10**100
+        record = {
+            "name": "Y_{big}",
+            "weights": [1, 1, 1, 1, big],
+            "degrees": [big + 3],
+            "basket": [],
+            "minusK3": "1",
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"format_version": "1", "entries": [record]}))
+        code, out, err = run(capsys, "search", "--catalog", str(path), "--r", "5")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"fano-enriques search: {path} entry 0 (Y_{{big}}): "
+            f"numerator degree must be <= {sys.maxsize}, got {big + 3}\n"
+        )
 
     def test_search_fractional_weights_and_degrees(self, capsys, tmp_path):
         # truncated to integers, this record would load as the quintic
@@ -377,15 +440,6 @@ class TestBadInput:
             "status": "clean",
             "codim": 6,
         }
-
-    def test_search_negative_max_degree(self, capsys):
-        code, out, err = run(
-            capsys, "search", "--catalog", "covers_codim1.json", "--r", "5",
-            "--max-degree", "-1",
-        )
-        assert code == 1
-        assert out == ""
-        assert "--max-degree must be >= 0, got -1" in err
 
 
 class TestUsage:

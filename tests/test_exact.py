@@ -1,10 +1,17 @@
 """Tests for the exact arithmetic helpers."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano_enriques.errors import InvalidModulusError, MalformedInputError, NoInverseError
+from fano_enriques.errors import (
+    InvalidModulusError,
+    MalformedInputError,
+    NoInverseError,
+    OutOfRangeError,
+)
 from fano_enriques.exact import (
     Rational,
     format_rational,
@@ -13,6 +20,7 @@ from fano_enriques.exact import (
     parse_rational,
     rational_from_json,
     residue,
+    truncation,
     units,
 )
 
@@ -129,3 +137,19 @@ class TestRationalFromJson:
     def test_bad_strings_refused(self):
         with pytest.raises(MalformedInputError, match="not a finite rational"):
             rational_from_json("1/0")
+
+
+class TestTruncation:
+    def test_indexable_values_pass(self):
+        assert truncation("trunc", 0) == 0
+        assert truncation("trunc", sys.maxsize) == sys.maxsize
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(-1, "trunc must be >= 0, got -1"), (sys.maxsize + 1, f"trunc must be <= {sys.maxsize}")],
+        ids=["negative", "unindexable"],
+    )
+    def test_refused(self, value, message):
+        # refused before any list of value + 1 coefficients is asked for
+        with pytest.raises(OutOfRangeError, match=message):
+            truncation("trunc", value)

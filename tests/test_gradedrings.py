@@ -5,14 +5,12 @@ import pytest
 from fano_enriques.catalog import GOLDEN_FILES, bundled_json
 from fano_enriques.errors import (
     InconsistentDataError,
-    InferenceFailureError,
     NonInvertibleFactorError,
     OutOfRangeError,
 )
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import (
     Presentation,
-    action_weights,
     infer_presentation,
     pfaffian_numerator,
     presentation_series,
@@ -209,24 +207,3 @@ class TestRoundTrip:
         series = presentation_series(bd([(1, 0)] * 5), bd([(4, 0)]), 1, 10)
         with pytest.raises(OutOfRangeError, match="max_degree must be >= 0"):
             infer_presentation(series, max_degree=-1)
-
-
-class TestActionWeights:
-    def test_reads_off_presentation(self):
-        p = Presentation(
-            bd([(1, 0), (1, 1), (1, 3), (1, 4), (2, 2)]), bd([(5, 0)]), "clean"
-        )
-        weights, second_degrees = action_weights(p)
-        assert weights == ((1, 0), (1, 1), (1, 3), (1, 4), (2, 2))
-        assert second_degrees == (0,)
-
-    def test_special_presentations_still_report(self):
-        p = Presentation(bd([(1, 0), (4, 1)]), bd([(4, 0)]), "special")
-        weights, second_degrees = action_weights(p)
-        assert weights == ((1, 0), (4, 1))
-        assert second_degrees == (0,)
-
-    def test_inconclusive_rejected(self):
-        p = Presentation(bd([(1, 0)]), (), "inconclusive")
-        with pytest.raises(InferenceFailureError):
-            action_weights(p)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import sys
 from collections import Counter
 from math import prod
 
@@ -273,19 +274,21 @@ class TestQuotientCandidate:
     def test_cross_codimension_flag(self):
         c = self._candidate((CROSS_CODIMENSION,))
         assert CROSS_CODIMENSION in c.diagnostics
-        assert c.to_json()["diagnostics"] == [CROSS_CODIMENSION]
+        assert c.to_json()["flags"] == [CROSS_CODIMENSION]
         assert CROSS_CODIMENSION not in self._candidate().diagnostics
 
     def test_json_contains_action(self):
+        # each generator and relation is its bidegree (n, i), i the exponent
+        # of the torsion action
         obj = self._candidate().to_json()
-        assert obj["action"] == [[1, 0], [1, 1], [1, 3], [1, 4], [2, 2]]
-        assert obj["relation_second_degrees"] == [0]
-        assert "diagnostics" not in obj
+        assert obj["generators"] == [[1, 0], [1, 1], [1, 3], [1, 4], [2, 2]]
+        assert obj["relations"] == [[5, 0]]
+        assert obj["flags"] == []
 
 
 class TestSearch:
     def test_mini_catalog(self):
-        res = search([Y4, Y5, Y8], census(2, 5), trunc=24, max_degree=24)
+        res = search([Y4, Y5, Y8], census(2, 5), trunc=24)
         assert len(res) == 4
         assert len(res.clean()) == 2
         assert len(res.special()) == 2
@@ -296,7 +299,7 @@ class TestSearch:
         )
 
     def test_mini_catalog_clean_rows(self):
-        res = search([Y4, Y5, Y8], census(2, 5), trunc=24, max_degree=24)
+        res = search([Y4, Y5, Y8], census(2, 5), trunc=24)
         by_cover = {c.cover.name: c for c in res.clean()}
         quartic = by_cover["Y_{4} in P(1,1,1,1,1)"]
         assert quartic.data.r == 5
@@ -314,7 +317,7 @@ class TestSearch:
         )
 
     def test_mini_catalog_special_rows(self):
-        res = search([Y4, Y5, Y8], census(2, 5), trunc=24, max_degree=24)
+        res = search([Y4, Y5, Y8], census(2, 5), trunc=24)
         specials = {c.cover.name: c for c in res.special()}
         assert set(specials) == {"Y_{4} in P(1,1,1,1,1)", "Y_{8} in P(1,1,2,2,3)"}
         collision = specials["Y_{8} in P(1,1,2,2,3)"]
@@ -327,13 +330,13 @@ class TestSearch:
         assert collision.diagnostics == (CROSS_CODIMENSION,)
 
     def test_candidates_sorted(self):
-        res = search([Y4, Y5, Y8], census(2, 5), trunc=24, max_degree=24)
+        res = search([Y4, Y5, Y8], census(2, 5), trunc=24)
         keys = [(c.data.r, c.cover.name, c.data.bt.entries, c.data.be.entries) for c in res]
         assert keys == sorted(keys)
 
     def test_rejections_follow_the_census_then_the_catalog(self):
         order = census(5, 2)
-        res = search([Y8, Y4, Y5], order, trunc=24, max_degree=24)
+        res = search([Y8, Y4, Y5], order, trunc=24)
         position = {c.entries: k for k, c in enumerate(order)}
         covers = [Y8.name, Y4.name, Y5.name]
         keys = [(position[rej.bt], covers.index(rej.cover)) for rej in res.rejections]
@@ -392,7 +395,7 @@ class TestSeriesMemo:
 
     def test_search_same_with_memo_cold_warm_and_other_truncation(self):
         def run(catalog):
-            res = search(catalog, census(2, 3, 5), trunc=24, max_degree=24)
+            res = search(catalog, census(2, 3, 5), trunc=24)
             return (
                 [c.to_json() for c in res],
                 [r.to_json() for r in res.rejections],
@@ -411,10 +414,17 @@ class TestSeriesMemo:
 
 
 class TestNegativeSizes:
-    def test_search_negative_max_degree(self):
-        catalog = bundled_catalog("covers_codim1.json")
-        with pytest.raises(OutOfRangeError, match="max_degree must be >= 0"):
-            search(catalog, census(5), max_degree=-1)
+    def test_search_unindexable_truncation(self):
+        with pytest.raises(OutOfRangeError, match=f"trunc must be <= {sys.maxsize}"):
+            search([Y4], census(5), trunc=10**30)
+
+    def test_cover_of_unindexable_degree(self):
+        # -K^3 is read off the model numerator, a series to t^(10^100 + 3)
+        big = 10**100
+        rec = CoverRecord("Y_{big}", (1, 1, 1, 1, big), (big + 3,), Basket(), Rational(1))
+        assert rec.validate(24) == [
+            f"numerator degree must be <= {sys.maxsize}, got {big + 3}"
+        ]
 
     def test_search_negative_truncation(self):
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
