@@ -22,12 +22,14 @@ baskets, the search of each cover catalog against it, and the worked
 series examples.  Its payload() is each golden's JSON as that run
 determines it; the rows and special cases of a quotient golden are the
 search candidates' to_json(), the rows `search --json` prints for the
-same catalog.  scripts/build_catalogs.py writes the payloads, with
-curated labels and notes added to the rows in its own order, and
-verify_fixtures() compares the bundled goldens with them exactly, apart
-from those curated fields and the order of rows, special cases and
-decoys; it returns one line per difference (empty means all good).  The
-cover catalogs are curated by hand, laid out as save_catalog writes them.
+same catalog.  verify_fixtures() compares the bundled goldens with those
+payloads exactly, apart from the curated fields (each row's label and
+notes) and the order of rows, special cases and decoys; it returns one
+line per difference (empty means all good).  scripts/build_catalogs.py
+writes curated_payload(), the payload with the curated fields, the order
+and the decoys of the golden it replaces, so the paper's tables are kept
+once, in the goldens.  The cover catalogs are curated by hand, laid out
+as save_catalog writes them.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ __all__ = [
     "save_catalog",
     "bundled_catalog",
     "bundled_json",
+    "parse_json",
     "verify_fixtures",
+    "curated_payload",
     "Reproduction",
     "reproduce",
 ]
@@ -78,16 +82,23 @@ EXAMPLES = {
 }
 
 
+def parse_json(text: str, origin: str):
+    """JSON text as a value.  Every ValueError json.loads raises, bad syntax
+    or an integer literal past the interpreter's digit limit, becomes a
+    CatalogError naming `origin`."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise CatalogError(f"{origin}: invalid JSON: {exc}") from exc
+
+
 def _parse_file(source: Union[str, Path]) -> dict:
     path = Path(source)
     try:
         text = path.read_text()
     except OSError as exc:
         raise CatalogError(f"cannot read {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"{path}: invalid JSON: {exc}") from exc
+    obj = parse_json(text, str(path))
     if not isinstance(obj, dict):
         raise CatalogError(f"{path}: expected a JSON object at top level")
     return obj
@@ -150,7 +161,7 @@ def bundled_json(name: str) -> dict:
         text = node.read_text()
     except (FileNotFoundError, OSError) as exc:
         raise CatalogError(f"no bundled file {name!r}") from exc
-    return json.loads(text)
+    return parse_json(text, name)
 
 
 def bundled_catalog(name: str, trunc: int = 20) -> list[CoverRecord]:
@@ -246,7 +257,8 @@ def reproduce() -> Reproduction:
 # golden comparison
 
 # The golden lists matched by key rather than position, and the row fields
-# that scripts/build_catalogs.py curates by hand, which no run derives.
+# curated by hand in the goldens, which no run derives: only
+# curated_payload() carries them over, when a golden is rewritten.
 KEYED = ("rows", "special_cases", "decoys")
 CURATED = ("label", "notes")
 _ABSENT = object()
@@ -278,6 +290,35 @@ def _by_key(field: str, entries: list) -> dict:
                 key = f"{entry['cover']} r={entry['r']} bt {{{bt}}}"
         out[f"{key}, again at {k}" if key in out else key] = entry
     return out
+
+
+def curated_payload(rep: Reproduction, name: str, golden) -> dict:
+    """The payload that replaces `golden`, with what is curated carried over
+    from it.  Each row or special case of a quotient golden takes the
+    curated fields of the golden entry with its key and keeps that entry's
+    place; new candidates follow in search order, with none.  The decoys are
+    the catalog's covers that no labelled entry names, in catalog order."""
+    if name not in SEARCHES:
+        return rep.payload(name)
+    fields = ("rows", "special_cases")
+    lists = [golden.get(field) if isinstance(golden, dict) else None for field in fields]
+    if not all(isinstance(entries, list) and all(isinstance(e, dict) for e in entries)
+               for entries in lists):
+        raise CatalogError(f"{name}: rows and special cases are not lists of objects")
+    curated = {key: entry for field, entries in zip(fields, lists)
+               for key, entry in _by_key(field, entries).items()}
+    labelled = {e["cover"] for entries in lists for e in entries
+                if "label" in e and isinstance(e.get("cover"), str)}
+    covers = [entry["name"] for entry in bundled_json(SEARCHES[name])["entries"]]
+    payload = rep.payload(name, [cover for cover in covers if cover not in labelled])
+    for field, entries in zip(fields, lists):
+        place = {key: k for k, key in enumerate(_by_key(field, entries))}
+        run = sorted(_by_key(field, payload[field]).items(),
+                     key=lambda item: place.get(item[0], len(place)))
+        payload[field] = [dict(entry, **{f: curated[key][f] for f in CURATED
+                                         if f in curated.get(key, ())})
+                          for key, entry in run]
+    return payload
 
 
 def _brief(value) -> str:

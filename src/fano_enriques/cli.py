@@ -20,7 +20,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .catalog import GOLDEN_FILES, bundled_json, resolve_catalog, verify_fixtures
+from .catalog import GOLDEN_FILES, bundled_json, parse_json, resolve_catalog, verify_fixtures
 from .enumeration import MAX_TORSION, BtCandidate, enumerate_bt
 from .errors import EngineError
 from .exact import format_rational, nonnegative, parse_rational, truncation
@@ -130,12 +130,12 @@ def _cmd_bigraded(args) -> int:
 
 def _cmd_infer(args) -> int:
     if args.series == "-":
-        text = sys.stdin.read()
+        text, origin = sys.stdin.read(), "stdin"
     else:
         with open(args.series) as handle:
-            text = handle.read()
+            text, origin = handle.read(), args.series
     max_degree = nonnegative("--max-degree", args.max_degree)
-    series = BigradedSeries.from_json(json.loads(text))
+    series = BigradedSeries.from_json(parse_json(text, origin))
     presentation = infer_presentation(series, max_degree=max_degree)
     if args.json:
         print(json.dumps(presentation.to_json()))
@@ -275,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return _DISPATCH[args.command](args)
-    except (EngineError, OSError, json.JSONDecodeError) as exc:
+    except (EngineError, OSError) as exc:
         print(f"fano-enriques {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ from fano_enriques.catalog import (
     _diff,
     bundled_catalog,
     bundled_json,
+    curated_payload,
     load_catalog,
     resolve_catalog,
     save_catalog,
@@ -501,6 +502,39 @@ class TestGoldenComparison:
         ]
 
 
+class TestCuratedPayload:
+    def test_carries_labels_notes_and_places_over_by_key(self, reproduction):
+        # rows reversed, the last one lost, a decoy's special case labelled
+        golden = bundled_json("quotients_codim1.json")
+        rows, specials = golden["rows"][::-1], golden["special_cases"]
+        decoy = "Y_{8} in P(1,1,2,2,3)"
+        assert specials[1]["cover"] == decoy and "label" not in specials[1]
+        labelled = dict(specials[1], label="x")
+        tampered = dict(golden, rows=rows[1:], special_cases=[specials[0], labelled])
+        payload = curated_payload(reproduction, "quotients_codim1.json", tampered)
+        lost = {k: v for k, v in rows[0].items() if k not in ("label", "notes")}
+        assert payload["rows"] == [*rows[1:], lost]
+        assert payload["special_cases"] == [specials[0], labelled]
+        assert [d["cover"] for d in payload["decoys"]] == [
+            d["cover"] for d in golden["decoys"] if d["cover"] != decoy
+        ]
+
+    def test_a_candidate_that_changes_list_keeps_its_curated_fields(self, reproduction):
+        golden = bundled_json("quotients_codim2.json")
+        moved = golden["special_cases"][0]
+        tampered = dict(
+            golden, rows=[moved, *golden["rows"]], special_cases=golden["special_cases"][1:]
+        )
+        payload = curated_payload(reproduction, "quotients_codim2.json", tampered)
+        assert payload["special_cases"] == [*golden["special_cases"][1:], moved]
+        assert payload["rows"] == golden["rows"]
+
+    @pytest.mark.parametrize("golden", [{"stale": True}, [], {"rows": [], "special_cases": [7]}])
+    def test_refuses_a_golden_without_entry_lists(self, reproduction, golden):
+        with pytest.raises(CatalogError, match="quotients_codim3.json: rows and special"):
+            curated_payload(reproduction, "quotients_codim3.json", golden)
+
+
 class TestGoldenRows:
     def test_clean_complete_intersection_rows_are_gorenstein(self):
         # adjunction: a complete intersection has K = O(sum rel - sum gen),
@@ -545,20 +579,21 @@ class TestBuildScript:
             (data / name).write_text('{"stale": true}\n')
         return data
 
-    def test_failed_build_writes_nothing(self, tmp_path, monkeypatch, capsys):
+    def test_unreadable_golden_stops_the_build_before_any_write(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a stale quotient golden has no rows to carry labels and notes from
         script = load_build_script()
         data = self.stale_copy(tmp_path, script)
         before = {path.name: path.read_bytes() for path in data.iterdir()}
         monkeypatch.setattr(script, "DATA_DIR", data)
         monkeypatch.setattr(catalog, "_data_root", lambda: data)
-        decoys = script.DECOYS["covers_codim2.json"] | {"Y_{99} in P(1,1,1,1,98)"}
-        monkeypatch.setitem(script.DECOYS, "covers_codim2.json", decoys)
 
         with pytest.raises(SystemExit) as stop:
             script.main()
         assert stop.value.code == 1
         assert capsys.readouterr().err == (
-            "FAIL: covers_codim2.json: decoys ['Y_{99} in P(1,1,1,1,98)'] not in catalog\n"
+            "FAIL: quotients_codim1.json: rows and special cases are not lists of objects\n"
         )
         assert {path.name: path.read_bytes() for path in data.iterdir()} == before
 
@@ -578,12 +613,20 @@ class TestBuildScript:
         )
         assert {path.name: path.read_bytes() for path in data.iterdir()} == before
 
-    def test_build_rewrites_every_golden_from_one_reproduction(
+    def test_build_restores_a_drifted_golden_from_one_reproduction(
         self, tmp_path, monkeypatch, capsys
     ):
+        # a non-curated field drifted: the build names it, overwrites it from
+        # the run and keeps every label, note and place of the golden
         script = load_build_script()
         bundled = {name: (catalog._data_root() / name).read_bytes() for name in BUNDLED}
-        data = self.stale_copy(tmp_path, script)
+        data = tmp_path / "data"
+        shutil.copytree(script.DATA_DIR, data)
+        golden = bundled_json("quotients_codim2.json")
+        row = golden["rows"][6]
+        assert row["label"] == "4c" and row["notes"]
+        row["relations"] = [[3, 0], [4, 1]]
+        (data / "quotients_codim2.json").write_text(json.dumps(golden, indent=1) + "\n")
         monkeypatch.setattr(script, "DATA_DIR", data)
         monkeypatch.setattr(catalog, "_data_root", lambda: data)
         searches = []
@@ -594,8 +637,11 @@ class TestBuildScript:
 
         monkeypatch.setattr(catalog, "search", counted)
         script.main()
-        assert capsys.readouterr().out.endswith(
-            "verify_fixtures: all bundled fixtures check out\n"
-        )
+        out = capsys.readouterr().out.splitlines()
+        key = "Y_{3,4} in P(1,1,1,1,2,2) r=4 bt {1/2(1,1,1)_1 x2, 1/8(1,1,7)_2, 1/8(1,1,7)_6}"
+        assert [line for line in out if line.startswith("  overwriting ")] == [
+            f"  overwriting quotients_codim2.json rows[{key}].relations[1][1]: golden 1, run 0"
+        ]
+        assert out[-1] == "verify_fixtures: all bundled fixtures check out"
         assert {path.name: path.read_bytes() for path in data.iterdir()} == bundled
         assert len(searches) == 3

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 import sys
 
 import pytest
@@ -406,6 +407,46 @@ class TestBadInput:
             f"fano-enriques search: {path} entry 0: unreadable record "
             f'(not an exact rational: 2.5; write an integer or a "p/q" string)\n'
         )
+
+    LONG = "7" * 5000  # an integer literal past the interpreter's digit limit
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    @pytest.mark.parametrize("cmd", ["infer", "infer-stdin", "search"])
+    def test_over_long_integer_literal(self, capsys, monkeypatch, tmp_path, cmd):
+        # a ValueError traceback from json.loads before
+        import io
+
+        path = tmp_path / "long.json"
+        if cmd == "search":
+            record = '{"name": "x", "weights": [1, 1, 1, 1, %s], "degrees": [4]}' % self.LONG
+            path.write_text('{"format_version": "1", "entries": [%s]}' % record)
+            argv, origin = ("search", "--catalog", str(path)), path
+        else:
+            path.write_text('{"r": 1, "coeffs": [[1, %s]]}' % self.LONG)
+            argv, origin = ("infer", "--series", str(path)), path
+            if cmd == "infer-stdin":
+                monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+                argv, origin = ("infer",), "stdin"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            f"fano-enriques {argv[0]}: {origin}: invalid JSON: Exceeds the limit"
+        )
+        assert "Traceback" not in err
+
+    def test_corrupt_golden_is_named(self, capsys, monkeypatch, tmp_path, reproduction):
+        # json.loads' error without the file name before
+        data = tmp_path / "data"
+        shutil.copytree(catalog._data_root(), data)
+        (data / "quotients_codim2.json").write_text('{"rows": [')
+        monkeypatch.setattr(catalog, "_data_root", lambda: data)
+        monkeypatch.setattr(catalog, "reproduce", lambda: reproduction)
+        code, out, err = run(capsys, "verify-fixtures")
+        assert (code, out) == (1, "")
+        assert err.startswith("fano-enriques verify-fixtures: quotients_codim2.json: invalid JSON: ")
+        assert "Traceback" not in err
 
     def test_hilbert_zero_multiplicity(self, capsys):
         # not the empty basket: a count of 0 is refused like any unreadable entry
