@@ -1,9 +1,10 @@
 """Catalog files, bundled fixtures, and golden verification.
 
 A catalog file is JSON: {"format_version": "1", "entries": [...]} with
-one serialized CoverRecord per entry.  Records are fully validated on
-load (weights/degrees arithmetic, parity, declared basket against the
-model series), with per-entry diagnostics collected before failing.
+one serialized CoverRecord per entry.  Loading checks all that needs no
+truncation (field types, the model's shape, -K^3, parity, distinct
+names), with per-entry diagnostics collected before failing; search
+checks each declared basket's series against the model's at its own.
 
 Bundled under data/:
 
@@ -21,8 +22,8 @@ and the fixed inputs below, never from a golden: the census of marked
 baskets, the search of each cover catalog against it, and the worked
 series examples.  Its payload() is each golden's JSON as that run
 determines it; the rows and special cases of a quotient golden are the
-search candidates' to_json(), the rows `search --json` prints for the
-same catalog.  verify_fixtures() compares the bundled goldens with those
+search result's golden_json(), which `search --json` prints for the same
+catalog too.  verify_fixtures() compares the bundled goldens with those
 payloads exactly, apart from the curated fields (each row's label and
 notes) and the order of rows, special cases and decoys; it returns one
 line per difference (empty means all good).  scripts/build_catalogs.py
@@ -45,7 +46,7 @@ from .errors import CatalogError, EngineError
 from .exact import Rational, format_rational
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from .orbifold import Basket
-from .quotient import CoverRecord, SearchResult, search
+from .quotient import TRUNC, CoverRecord, SearchResult, search
 from .series import Bidegree
 
 __all__ = [
@@ -64,14 +65,12 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 # The reproduction's fixed inputs: the cover catalog each quotient golden
-# searches, one truncation for every search (inference runs up to it, so
-# the goldens record it as their max_degree too), and the two
+# searches (each at the search's default truncation TRUNC), and the two
 # worked examples (a quotient of order 5 and its cover), each a data set
 # whose series to t^9 is peeled by the listed bidegrees in turn.
 SEARCHES = {f"quotients_codim{c}.json": f"covers_codim{c}.json" for c in (1, 2, 3)}
 GOLDEN_FILES = tuple(SEARCHES)
 GOLDENS = ("series_examples.json", "torsion_baskets.json", *GOLDEN_FILES)
-TRUNC = 24
 EXAMPLE_TRUNC = 9
 EXAMPLES = {
     "untwisted": (FanoData(Rational(5, 2), Basket.parse("1/2(1,1,1)")), [(1, 0)] * 4 + [(2, 0)]),
@@ -92,19 +91,18 @@ def parse_json(text: str, origin: str):
         raise CatalogError(f"{origin}: invalid JSON: {exc}") from exc
 
 
-def _parse_file(source: Union[str, Path]) -> dict:
-    path = Path(source)
+def read_file(source) -> str:
+    """The UTF-8 text of a path, a path string or a package resource; a file
+    that cannot be read or decoded is a CatalogError naming it."""
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CatalogError(f"cannot read {path}: {exc}") from exc
-    obj = parse_json(text, str(path))
+        return (Path(source) if isinstance(source, str) else source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CatalogError(f"cannot read {source}: {exc}") from exc
+
+
+def _records_from(obj, origin: str) -> list[CoverRecord]:
     if not isinstance(obj, dict):
-        raise CatalogError(f"{path}: expected a JSON object at top level")
-    return obj
-
-
-def _records_from(obj: dict, origin: str, trunc: int) -> list[CoverRecord]:
+        raise CatalogError(f"{origin}: expected a JSON object at top level")
     version = obj.get("format_version")
     if version != FORMAT_VERSION:
         raise CatalogError(
@@ -128,7 +126,7 @@ def _records_from(obj: dict, origin: str, trunc: int) -> list[CoverRecord]:
         if record.name in names:
             problems.append(f"{label}: duplicate name")
         names.add(record.name)
-        for issue in record.validate(trunc):
+        for issue in record.validate():
             problems.append(f"{label}: {issue}")
         records.append(record)
     if problems:
@@ -136,11 +134,10 @@ def _records_from(obj: dict, origin: str, trunc: int) -> list[CoverRecord]:
     return records
 
 
-def load_catalog(path: Union[str, Path], trunc: int = 20) -> list[CoverRecord]:
+def load_catalog(path: Union[str, Path]) -> list[CoverRecord]:
     """Read and validate a catalog file; raises CatalogError listing every
     problem found rather than stopping at the first."""
-    obj = _parse_file(path)
-    return _records_from(obj, str(path), trunc)
+    return _records_from(parse_json(read_file(path), str(path)), str(path))
 
 
 def save_catalog(records: Sequence[CoverRecord], path: Union[str, Path]):
@@ -157,22 +154,20 @@ def _data_root():
 
 def bundled_json(name: str) -> dict:
     node = _data_root() / name
-    try:
-        text = node.read_text()
-    except (FileNotFoundError, OSError) as exc:
-        raise CatalogError(f"no bundled file {name!r}") from exc
-    return parse_json(text, name)
+    if not node.is_file():
+        raise CatalogError(f"no bundled file {name!r}")
+    return parse_json(read_file(node), name)
 
 
-def bundled_catalog(name: str, trunc: int = 20) -> list[CoverRecord]:
-    return _records_from(bundled_json(name), name, trunc)
+def bundled_catalog(name: str) -> list[CoverRecord]:
+    return _records_from(bundled_json(name), name)
 
 
-def resolve_catalog(source: str, trunc: int = 20) -> list[CoverRecord]:
+def resolve_catalog(source: str) -> list[CoverRecord]:
     """A path if it exists on disk, else a bundled file name."""
     if Path(source).exists():
-        return load_catalog(source, trunc)
-    return bundled_catalog(source, trunc)
+        return load_catalog(source)
+    return bundled_catalog(source)
 
 
 def _worked_example(data, peel) -> dict:
@@ -226,8 +221,7 @@ class Reproduction:
             "catalog": SEARCHES[name],
             "trunc": TRUNC,
             "max_degree": TRUNC,
-            "rows": [c.to_json() for c in result.clean()],
-            "special_cases": [c.to_json() for c in result.special()],
+            **result.golden_json(),
             "decoys": [{"cover": d, "reasons": sorted(seen)} for d, seen in reasons.items()],
         }
 
@@ -247,7 +241,7 @@ def reproduce() -> Reproduction:
     census = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
     examples = {name: _worked_example(data, peel) for name, (data, peel) in EXAMPLES.items()}
     searches = {
-        golden: search(bundled_catalog(covers, trunc=TRUNC), census, trunc=TRUNC)
+        golden: search(bundled_catalog(covers), census)
         for golden, covers in SEARCHES.items()
     }
     return Reproduction(census, searches, examples)

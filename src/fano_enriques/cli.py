@@ -20,14 +20,15 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .catalog import GOLDEN_FILES, bundled_json, parse_json, resolve_catalog, verify_fixtures
+from .catalog import (GOLDEN_FILES, bundled_json, parse_json, read_file, resolve_catalog,
+                      verify_fixtures)
 from .enumeration import MAX_TORSION, BtCandidate, enumerate_bt
 from .errors import EngineError
-from .exact import format_rational, nonnegative, parse_rational, truncation
+from .exact import format_rational, parse_rational, truncation
 from .gradedrings import infer_presentation
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from .orbifold import Basket
-from .quotient import search
+from .quotient import TRUNC, search
 from .series import BigradedSeries
 
 
@@ -62,13 +63,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--be", default="", help="unmarked basket part")
     p.add_argument("--trunc", type=int, default=20)
 
-    p = sub.add_parser("infer", help="presentation from a series")
+    p = sub.add_parser("infer", help="presentation from a series, to its truncation")
     p.add_argument(
         "--series",
         default="-",
         help="JSON file with fields r and coeffs, or - for stdin",
     )
-    p.add_argument("--max-degree", type=int, default=24)
 
     p = sub.add_parser("enumerate-bt", help="admissible marked baskets")
     which = p.add_mutually_exclusive_group(required=True)
@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
         "--catalog", required=True, help="catalog file path or bundled name"
     )
     p.add_argument("--r", type=int, help="restrict to one torsion order")
-    p.add_argument("--trunc", type=int, default=24, help="truncation, to which inference runs")
+    p.add_argument("--trunc", type=int, default=TRUNC, help="truncation, inference runs to it")
     p.add_argument("--strict-r5", action="store_true")
     p.add_argument(
         "--rejections", action="store_true", help="also list every rejection"
@@ -132,11 +132,9 @@ def _cmd_infer(args) -> int:
     if args.series == "-":
         text, origin = sys.stdin.read(), "stdin"
     else:
-        with open(args.series) as handle:
-            text, origin = handle.read(), args.series
-    max_degree = nonnegative("--max-degree", args.max_degree)
+        text, origin = read_file(args.series), args.series
     series = BigradedSeries.from_json(parse_json(text, origin))
-    presentation = infer_presentation(series, max_degree=max_degree)
+    presentation = infer_presentation(series)
     if args.json:
         print(json.dumps(presentation.to_json()))
     else:
@@ -165,16 +163,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_search(args) -> int:
     trunc = truncation("--trunc", args.trunc)
-    catalog = resolve_catalog(args.catalog, trunc=trunc)
-    result = search(catalog, _census(args), trunc=trunc)
+    result = search(resolve_catalog(args.catalog), _census(args), trunc=trunc)
     if args.json:
-        # the rows and special cases as a quotient golden stores them
-        payload = {
-            "rows": [c.to_json() for c in result.clean()],
-            "special_cases": [c.to_json() for c in result.special()],
-            "rejections": [rej.to_json() for rej in result.rejections],
-        }
-        print(json.dumps(payload))
+        print(json.dumps(result.to_json()))
     else:
         for c in result:
             print(c)

@@ -10,7 +10,7 @@ the corresponding binomials).  Inference stops
                   t-degree (with different e-degrees); the series cannot
                   decide such a model and a higher-codimension description
                   is expected, so the engine reports rather than guesses,
-* inconclusive -- the next deviation lies beyond max_degree.
+* inconclusive -- the next deviation lies beyond a max_degree, if given.
 
 One wrinkle: a codimension-3 model cut out by the five Pfaffians of a
 skew matrix has numerator 1 - sum t^{d_k} + sum t^{e-d_k} - t^e, whose
@@ -103,15 +103,15 @@ def _pfaffian_closure(residual: BigradedSeries, relations: Sequence[Bidegree]) -
     return None
 
 
-def infer_presentation(s: BigradedSeries, max_degree: int = 24) -> Presentation:
+def infer_presentation(s: BigradedSeries, max_degree: Optional[int] = None) -> Presentation:
     """Deduce a weighted-projective presentation from a Hilbert series.
 
-    Relations are recorded greedily from negative deviations; status
-    clean means the residual was completely resolved within the series'
-    truncation.  Degrees are only trustworthy up to min(truncation,
-    max_degree) -- callers must truncate generously.
+    Relations are recorded greedily from negative deviations, up to the
+    series' truncation or to max_degree if given; status clean means the
+    residual was completely resolved by then.  Degrees are only
+    trustworthy up to there -- callers must truncate generously.
     """
-    nonnegative("max_degree", max_degree)
+    max_degree = s.trunc if max_degree is None else nonnegative("max_degree", max_degree)
     _validate_hilbert(s)
     residual = s
     generators: list[Bidegree] = []

@@ -17,16 +17,17 @@ numerical data of a hypothetical quotient is forced.
      candidate as special (a generator and relation in the same degree).
 
 Steps 2-4 are match_cover; search drives the whole pipeline over a
-catalog and a census of admissible (r, bt), inferring each presentation
-up to the series' own truncation and collecting typed rejections for the
-pairs that fail.  An accepted candidate serializes as one row of a
-quotient golden, the row `search --json` prints as well.
+catalog and a census of admissible (r, bt) at one truncation, checking
+each cover's basket series against its model series to it, inferring
+each presentation up to it and collecting typed rejections for the pairs
+that fail.  A search result serializes as the rows, special cases and
+rejections `search --json` prints.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence, Union
 
@@ -66,7 +67,10 @@ __all__ = [
     "match_cover",
     "search",
     "CROSS_CODIMENSION",
+    "TRUNC",
 ]
+
+TRUNC = 24  # search's default truncation, recorded in the goldens
 
 # diagnostic flag: inferred presentation does not live in the cover's
 # weighted space, so the quotient model has a different codimension
@@ -82,14 +86,8 @@ class CoverRecord:
     Pfaffian degrees instead (structure = "pfaffian").  The model series
     comes from wci_series or pfaffian_series, which also enforce the shape
     of weights and degrees; -K^3 is read off the same numerators.  The
-    basket is stored explicitly and cross-checked against the model series
-    rather than derived from equations.
-
-    The Altinok series of the declared basket and -K^3 is computed at most
-    once per truncation and kept on the record, so validate and the
-    collapse check in search share it.  The memo is not a field of the
-    record's value: it takes no part in ==, hash, repr or to_json, and
-    dataclasses.replace and from_json start with an empty one.
+    basket is stored explicitly rather than derived from equations; search
+    cross-checks its series against the model series (orbifold_series).
     """
 
     name: str
@@ -99,9 +97,6 @@ class CoverRecord:
     minus_k_cubed: Rational
     structure: str = "ci"
     notes: str = ""
-    _altinok: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -135,13 +130,25 @@ class CoverRecord:
             return pfaffian_series(self.weights, self.degrees, trunc)
         return wci_series(self.weights, self.degrees, trunc)
 
-    def _orbifold_series(self, trunc: int) -> BigradedSeries:
-        """altinok_series of the declared basket and -K^3, memoized per trunc."""
-        series = self._altinok.get(trunc)
-        if series is None:
-            series = altinok_series(FanoData(self.minus_k_cubed, self.basket), trunc)
-            self._altinok[trunc] = series
-        return series
+    def orbifold_series(self, trunc: int) -> BigradedSeries:
+        """altinok_series of the declared basket and -K^3, once it equals the
+        model series to t^trunc; else CatalogError naming the cover and the
+        first t-degree at which the two differ."""
+        try:
+            model = self.series(trunc)
+        except InconsistentDataError as exc:
+            raise CatalogError(f"{self.name}: {exc}") from exc
+        try:
+            orbifold = altinok_series(FanoData(self.minus_k_cubed, self.basket), trunc)
+        except InconsistentDataError as exc:
+            raise CatalogError(f"{self.name}: declared basket admits no series: {exc}") from exc
+        for n, (a, b) in enumerate(zip(orbifold.component(0), model.component(0))):
+            if a != b:
+                raise CatalogError(
+                    f"{self.name}: series mismatch at t^{n}: basket gives "
+                    f"{format_rational(a)}, model gives {format_rational(b)}"
+                )
+        return orbifold
 
     def implied_k_cubed(self) -> Rational:
         """-K^3 the weights and degrees force, for a record of valid shape.
@@ -171,15 +178,16 @@ class CoverRecord:
             )
         return sum(coeffs) / prod(self.weights)
 
-    def validate(self, trunc: int = 20) -> list[str]:
-        """All invariant violations, as human-readable strings.
+    def validate(self) -> list[str]:
+        """Every invariant violation that needs no truncation, as strings.
 
         A shape the model builders refuse is reported alone, with their
-        message; otherwise -K^3 and parity are checked, then the series of
-        the declared basket is compared with the model series.
+        message (they refuse it before computing any coefficient);
+        otherwise -K^3 and parity are checked.  The basket's series is
+        checked against the model's by search, at its truncation.
         """
         try:
-            model = self.series(trunc)
+            self.series(0)
         except InconsistentDataError as exc:
             return [str(exc)]
         try:
@@ -198,22 +206,6 @@ class CoverRecord:
                 f"basket {{{self.basket}}} fails the parity constraint "
                 f"(defect {format_rational(defect)})"
             )
-        if problems:
-            return problems
-
-        try:
-            orbifold = self._orbifold_series(trunc)
-        except InconsistentDataError as exc:
-            return [f"declared basket admits no series: {exc}"]
-        if orbifold != model:
-            for n in range(trunc + 1):
-                a, b = orbifold.coefficient(n, 0), model.coefficient(n, 0)
-                if a != b:
-                    problems.append(
-                        f"series mismatch at t^{n}: basket gives "
-                        f"{format_rational(a)}, model gives {format_rational(b)}"
-                    )
-                    break
         return problems
 
     def to_json(self) -> dict:
@@ -312,10 +304,7 @@ class QuotientCandidate:
         bidegree (n, i), i the exponent of the torsion action."""
         return {
             "cover": self.cover.name,
-            "r": self.data.r,
-            "minusK3": format_rational(self.data.minus_k_cubed),
-            "bt": self.data.bt.to_json(),
-            "be": self.data.be.to_json(),
+            **self.data.to_json(),
             "generators": [[g.n, g.i] for g in self.presentation.generators],
             "relations": [[q.n, q.i] for q in self.presentation.relations],
             "flags": sorted(self.diagnostics),
@@ -405,14 +394,27 @@ class SearchResult(list):
     def special(self) -> list[QuotientCandidate]:
         return [c for c in self if c.status == "special"]
 
+    def golden_json(self) -> dict:
+        """The clean rows and the special cases as a quotient golden stores them."""
+        return {
+            "rows": [c.to_json() for c in self.clean()],
+            "special_cases": [c.to_json() for c in self.special()],
+        }
+
+    def to_json(self) -> dict:
+        """golden_json() and every rejection, as `search --json` prints them."""
+        return {**self.golden_json(), "rejections": [rej.to_json() for rej in self.rejections]}
+
 
 def search(
     catalog: Sequence[CoverRecord],
     census: Sequence[BtCandidate],
-    trunc: int = 24,
+    trunc: int = TRUNC,
 ) -> SearchResult:
     """Try every cover against every marked basket of the census.
 
+    Each cover's basket series must first equal its model series to trunc
+    (orbifold_series), else a CatalogError has one line per failing cover.
     The census is a sequence of distinct BtCandidates, each carrying its
     own order r, such as enumerate_bt returns; rejections come in census
     order, then catalog order.  Accepted candidates get a bigraded series
@@ -422,14 +424,23 @@ def search(
     correctly assembled data and hence an engine guard, not a data filter.
     """
     truncation("trunc", trunc)
+    orbifold: list[BigradedSeries] = []
+    problems: list[str] = []
+    for cover in catalog:
+        try:
+            orbifold.append(cover.orbifold_series(trunc))
+        except CatalogError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise CatalogError("\n".join(problems))
+
     candidates: list[QuotientCandidate] = []
     rejections: list[Rejection] = []
-
     have = [Counter(e.type for e in cover.basket) for cover in catalog]
     for bt_candidate in census:
         r, bt = bt_candidate.r, bt_candidate.entries
         need = forced_preimage(bt, r)
-        for cover, cover_types in zip(catalog, have):
+        for cover, cover_types, cover_series in zip(catalog, have, orbifold):
             outcome = _match(cover, cover_types, bt, need, r)
             if isinstance(outcome, Rejection):
                 rejections.append(outcome)
@@ -443,14 +454,14 @@ def search(
                 )
                 continue
 
-            if series.collapse() != cover._orbifold_series(trunc):
+            if series.collapse() != cover_series:
                 raise InternalConsistencyError(
                     f"component sum for {cover.name} (r={r}, bt {bt}) "
                     f"does not reproduce the cover series"
                 )
 
             try:
-                pres = infer_presentation(series, trunc)
+                pres = infer_presentation(series)
             except InferenceFailureError as exc:
                 rejections.append(
                     Rejection(cover.name, r, bt, "inference-failure", str(exc))

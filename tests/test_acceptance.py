@@ -293,7 +293,7 @@ def test_randomized_oracle_equivalence():
 
     # a) every bundled cover: closed-form series == model series to degree 20
     for name in ("covers_codim1.json", "covers_codim2.json", "covers_codim3.json"):
-        for rec in bundled_catalog(name, trunc=20):
+        for rec in bundled_catalog(name):
             oracle = pfaffian_series if rec.structure == "pfaffian" else wci_series
             model = oracle(rec.weights, rec.degrees, 20)
             assert altinok_series(FanoData(rec.minus_k_cubed, rec.basket), 20) == model, rec.name
@@ -361,7 +361,7 @@ def test_singularity_composition_and_preimage_identity():
         golden = bundled_json(golden_name)
         covers = {
             rec.name: rec
-            for rec in bundled_catalog(golden["catalog"], trunc=20)
+            for rec in bundled_catalog(golden["catalog"])
         }
         rows = golden["rows"] + golden.get("special_cases", [])
         assert rows

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import Presentation
 from fano_enriques.hilbert import FanoEnriquesData
 from fano_enriques.orbifold import Basket
-from fano_enriques.quotient import CoverRecord, QuotientCandidate
+from fano_enriques.quotient import CoverRecord, QuotientCandidate, search
 from fano_enriques.series import Bidegree
 
 Y4 = CoverRecord("Y_{4} in P(1,1,1,1,1)", (1, 1, 1, 1, 1), (4,), Basket(), Rational(4))
@@ -59,6 +60,12 @@ class TestSaveLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CatalogError, match="cannot read"):
             load_catalog(tmp_path / "nope.json")
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(CatalogError, match=f"cannot read {re.escape(str(path))}: 'utf-8' codec"):
+            load_catalog(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -555,6 +562,18 @@ class TestGoldenRows:
                 assert (sum(i for _, i in gens) - sum(i for _, i in rels)) % row["r"] == 0, tag
                 checked += 1
         assert checked == 58
+
+    @pytest.mark.parametrize("golden", GOLDEN_FILES)
+    def test_raising_the_truncation_changes_no_row(self, reproduction, golden):
+        # search checks every cover's series to the truncation it runs at,
+        # and inference runs to it as well; past 24 nothing may change
+        frozen = bundled_json(golden)
+        covers = bundled_catalog(frozen["catalog"])
+        lists = ("rows", "special_cases")
+        for trunc in (24, 48):
+            found = search(covers, reproduction.census, trunc=trunc).to_json()
+            assert _diff(golden, "", {k: frozen[k] for k in lists},
+                         {k: found[k] for k in lists}) == [], trunc
 
 
 def load_build_script():

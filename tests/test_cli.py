@@ -91,6 +91,24 @@ class TestInfer:
         assert code == 1
         assert err
 
+    def test_runs_to_the_series_own_truncation(self, capsys, tmp_path):
+        # four generators and one relation in degree 26, beyond the search's 24
+        from fano_enriques.gradedrings import presentation_series
+        from fano_enriques.series import Bidegree
+
+        series = presentation_series([Bidegree(1)] * 4, [Bidegree(26)], 1, 30)
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(series.to_json()))
+        code, out, _ = run(capsys, "infer", "--series", str(path), "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["status"], obj["relations"]) == ("clean", [[26, 0]])
+
+    def test_has_no_max_degree_option(self, capsys):
+        with pytest.raises(SystemExit):
+            run(capsys, "infer", "--help")
+        assert "--max-degree" not in capsys.readouterr().out
+
 
 class TestEnumerateBt:
     def test_single_order(self, capsys):
@@ -192,6 +210,24 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--catalog", "nope.json")
         assert code == 1
         assert "no bundled file" in err
+
+    def test_cover_whose_basket_contradicts_its_model(self, capsys, tmp_path):
+        # -K^3 and parity hold, so loading passes and search refuses it
+        record = {
+            "name": "bad",
+            "weights": [1, 1, 1, 1, 1],
+            "degrees": [4],
+            "basket": [{"r": 2, "a": 1}] * 4,
+            "minusK3": "4",
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format_version": "1", "entries": [record]}))
+        code, out, err = run(capsys, "search", "--catalog", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "fano-enriques search: bad: series mismatch at t^1: "
+            "basket gives 4, model gives 5\n"
+        )
 
 
 class TestVerifyFixtures:
@@ -436,6 +472,17 @@ class TestBadInput:
         )
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd", ["infer", "search"])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, cmd):
+        # a UnicodeDecodeError traceback before
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        flag = "--series" if cmd == "infer" else "--catalog"
+        code, out, err = run(capsys, cmd, flag, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"fano-enriques {cmd}: cannot read {path}: 'utf-8' codec")
+        assert "Traceback" not in err
+
     def test_corrupt_golden_is_named(self, capsys, monkeypatch, tmp_path, reproduction):
         # json.loads' error without the file name before
         data = tmp_path / "data"
@@ -446,6 +493,17 @@ class TestBadInput:
         code, out, err = run(capsys, "verify-fixtures")
         assert (code, out) == (1, "")
         assert err.startswith("fano-enriques verify-fixtures: quotients_codim2.json: invalid JSON: ")
+        assert "Traceback" not in err
+
+    def test_bundled_file_that_is_not_utf8_is_named(self, capsys, monkeypatch, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(catalog._data_root(), data)
+        (data / "covers_codim2.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        monkeypatch.setattr(catalog, "_data_root", lambda: data)
+        code, out, err = run(capsys, "search", "--catalog", "covers_codim2.json")
+        assert (code, out) == (1, "")
+        path = data / "covers_codim2.json"
+        assert err.startswith(f"fano-enriques search: cannot read {path}: 'utf-8' codec")
         assert "Traceback" not in err
 
     def test_hilbert_zero_multiplicity(self, capsys):
