@@ -42,6 +42,7 @@ from .orbifold import (
     MarkedSingularity,
     SingularityType,
     compose_actions,
+    forced_preimage,
     inverse_weight,
     normalize_type,
     preimage_singularity,
@@ -79,7 +80,6 @@ from .quotient import (
     QuotientCandidate,
     Rejection,
     SearchResult,
-    forced_preimage,
     match_cover,
     search,
 )

@@ -76,11 +76,6 @@ def _build_parser() -> _Parser:
     which.add_argument(
         "--all", action="store_true", help=f"every order in [2, {MAX_TORSION}]"
     )
-    p.add_argument(
-        "--strict-r5",
-        action="store_true",
-        help="require chi(i*sigma) = 0 for i != 0 instead of >= 0",
-    )
 
     p = sub.add_parser("search", help="quotient search over a catalog")
     p.add_argument(
@@ -88,7 +83,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--r", type=int, help="restrict to one torsion order")
     p.add_argument("--trunc", type=int, default=TRUNC, help="truncation, inference runs to it")
-    p.add_argument("--strict-r5", action="store_true")
     p.add_argument(
         "--rejections", action="store_true", help="also list every rejection"
     )
@@ -143,10 +137,10 @@ def _cmd_infer(args) -> int:
 
 
 def _census(args) -> list[BtCandidate]:
-    """The census --r (one order, else every order) and --strict-r5 select,
-    order by order, each in enumeration order."""
+    """The census of order --r, else of every order, order by order, each
+    in enumeration order."""
     orders = [args.r] if args.r is not None else range(2, MAX_TORSION + 1)
-    return [c for r in orders for c in enumerate_bt(r, args.strict_r5)]
+    return [c for r in orders for c in enumerate_bt(r)]
 
 
 def _cmd_enumerate(args) -> int:

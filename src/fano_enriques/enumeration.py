@@ -7,7 +7,7 @@ small list:
   R1  sum of (r_Q - 1/r_Q) over the basket is < 24,
   R2  the same bound for the forced preimage on the cyclic cover,
   R3  the covering has a fixed point: some entry has stabilizer order
-      exactly r (and r <= 24),
+      exactly r (and r <= 24, which BtCandidate enforces),
   R4  chi(-nK + i*sigma) - chi(-nK) is an integer for every i and n,
   R5  chi(i*sigma) is a nonnegative integer for every i (h^0 of a divisor
       class; the strict variant insists on 0 for i != 0).
@@ -37,14 +37,15 @@ sigma -> u*sigma and under reordering entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import OutOfRangeError
-from .exact import Rational, format_rational, is_integer, units
+from .exact import format_rational, is_integer, units
 from .hilbert import MAX_TORSION, _delta_cycle_scaled, torsion_delta_at
-from .orbifold import Basket, MarkedSingularity, SingularityType, terminal_sum
+from .orbifold import Basket, MarkedSingularity, SingularityType, forced_preimage, terminal_sum
 
 __all__ = [
     "BtCandidate",
@@ -61,22 +62,25 @@ MAX_INDEX = 24
 
 @dataclass(frozen=True)
 class BtCandidate:
-    """A torsion order together with a fully marked basket."""
+    """A torsion order together with a fully marked basket.
+
+    Construction checks the order against [2, MAX_TORSION] and every
+    marking against the order (forced_preimage), and keeps the types the
+    degree-r cover must contain as .preimage, which R2 and match_cover
+    read.  Census candidates are cached and shared, so .preimage is
+    read-only.
+    """
 
     r: int
     entries: Basket
+    preimage: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 2 <= self.r <= MAX_TORSION:
+            raise OutOfRangeError(f"torsion order {self.r} outside [2, {MAX_TORSION}]")
         if not isinstance(self.entries, Basket):
             object.__setattr__(self, "entries", Basket(tuple(self.entries)))
-        for entry in self.entries:
-            if entry.l == 0:
-                raise OutOfRangeError(f"candidate entry {entry} is unmarked")
-            if self.r % entry.alpha != 0:
-                raise OutOfRangeError(
-                    f"entry {entry} has stabilizer order {entry.alpha}, "
-                    f"not a divisor of r = {self.r}"
-                )
+        object.__setattr__(self, "preimage", forced_preimage(self.entries, self.r))
 
     def __str__(self):
         return f"r={self.r} | {self.entries}"
@@ -112,18 +116,11 @@ def check_restrictions(c: BtCandidate, strict_chi: bool = False) -> RestrictionR
     s1 = terminal_sum(c.entries)
     results["R1"] = (s1 < 24, format_rational(s1))
 
-    s2 = Rational(0)
-    for entry in c.entries:
-        d = entry.d
-        if d > 1:
-            s2 += Rational((c.r // entry.alpha) * (d * d - 1), d)
+    s2 = terminal_sum(c.preimage)
     results["R2"] = (s2 < 24, format_rational(s2))
 
     witness = any(entry.alpha == c.r for entry in c.entries)
-    results["R3"] = (
-        witness and c.r <= MAX_TORSION,
-        "no entry with stabilizer order r" if not witness else f"r={c.r}",
-    )
+    results["R3"] = (witness, f"r={c.r}" if witness else "no entry with stabilizer order r")
 
     period = lcm(*(entry.type.r for entry in c.entries))
     r4_ok, r4_detail = True, ""

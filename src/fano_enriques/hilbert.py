@@ -49,7 +49,7 @@ from .errors import (
 )
 from .exact import Rational, format_rational, is_integer, rational_from_json, residue, truncation
 from .gradedrings import pfaffian_numerator, presentation_series
-from .orbifold import Basket, inverse_weight
+from .orbifold import Basket, forced_preimage, inverse_weight
 from .series import Bidegree, BigradedSeries, Scalar
 
 __all__ = [
@@ -123,14 +123,7 @@ class FanoEnriquesData:
             raise InconsistentDataError(f"torsion order must be >= 2, got {self.r}")
         if self.r > MAX_TORSION:
             raise OutOfRangeError(f"torsion order {self.r} outside [2, {MAX_TORSION}]")
-        for entry in self.bt:
-            if entry.l == 0:
-                raise InconsistentMarkingError(f"marked basket entry {entry} has l = 0")
-            if self.r % entry.alpha != 0:
-                raise InconsistentMarkingError(
-                    f"{entry} has stabilizer order {entry.alpha}, "
-                    f"incompatible with torsion order {self.r}"
-                )
+        forced_preimage(self.bt, self.r)  # the one marking check; refuses bad bt
         for entry in self.be:
             if entry.l != 0:
                 raise InconsistentMarkingError(

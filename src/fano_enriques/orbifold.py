@@ -15,6 +15,7 @@ are stored with l = 0.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
@@ -32,6 +33,7 @@ __all__ = [
     "terminal_sum",
     "compose_actions",
     "preimage_singularity",
+    "forced_preimage",
 ]
 
 
@@ -246,13 +248,11 @@ def inverse_weight(s: SingularityType) -> int:
     return mod_inverse(s.a, s.r)
 
 
-def terminal_sum(basket: Basket) -> Rational:
-    """Sum of r - 1/r over the basket; bounded by 24 for actual Fanos."""
-    total = Rational(0)
-    for entry in basket:
-        r = entry.type.r
-        total += Rational(r * r - 1, r)
-    return total
+def terminal_sum(points: Basket | Counter) -> Rational:
+    """Sum of r - 1/r over a basket, or over a Counter of singularity types
+    such as forced_preimage returns; bounded by 24 for actual Fanos."""
+    types = points.elements() if isinstance(points, Counter) else (e.type for e in points)
+    return sum((Rational(s.r * s.r - 1, s.r) for s in types), Rational(0))
 
 
 def compose_actions(beta: int, ambient_exponents: tuple[int, int, int], point):
@@ -295,3 +295,21 @@ def preimage_singularity(m: MarkedSingularity, r: int) -> tuple[int, object]:
     a = m.type.a
     fiber = SingularityType(d, min(a % d, d - a % d)) if d > 1 else SMOOTH
     return count, fiber
+
+
+def forced_preimage(bt: Basket, r: int) -> Counter:
+    """Multiset of singularity types the degree-r cover must contain over bt.
+
+    The one check of a marking against a torsion order: every entry must
+    be marked (l != 0), and preimage_singularity refuses a stabilizer
+    order that does not divide r.  Smooth fibers drop out; the rest of the
+    cover's basket is free to be anything at this point.
+    """
+    out: Counter = Counter()
+    for entry in bt:
+        if entry.l == 0:
+            raise InconsistentMarkingError(f"marked basket entry {entry} has l = 0")
+        count, fiber = preimage_singularity(entry, r)
+        if fiber is not SMOOTH:
+            out[fiber] += count
+    return out

@@ -16,12 +16,14 @@ numerical data of a hypothetical quotient is forced.
   6. presentation inference either produces a clean model or flags the
      candidate as special (a generator and relation in the same degree).
 
-Steps 2-4 are match_cover; search drives the whole pipeline over a
-catalog and a census of admissible (r, bt) at one truncation, checking
-each cover's basket series against its model series to it, inferring
-each presentation up to it and collecting typed rejections for the pairs
-that fail.  A search result serializes as the rows, special cases and
-rejections `search --json` prints.
+Step 1 is BtCandidate's forced preimage (orbifold.forced_preimage),
+computed once per census entry; steps 2-4 are match_cover, which search
+calls for every (cover, census entry) pair.  search drives the whole
+pipeline over a catalog and a census of admissible (r, bt) at one
+truncation, checking each cover's basket series against its model series
+to it, inferring each presentation up to it and collecting typed
+rejections for the pairs that fail.  A search result serializes as the
+rows, special cases and rejections `search --json` prints.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (
     InternalConsistencyError,
     OutOfRangeError,
 )
-from .exact import Rational, format_rational, is_integer, rational_from_json, truncation
+from .exact import Rational, format_rational, rational_from_json, truncation
 from .gradedrings import (
     Presentation,
     infer_presentation,
@@ -51,11 +53,10 @@ from .hilbert import (
     FanoEnriquesData,
     altinok_series,
     bigraded_series,
-    parity_defect,
     pfaffian_series,
     wci_series,
 )
-from .orbifold import SMOOTH, Basket, MarkedSingularity, preimage_singularity
+from .orbifold import Basket, MarkedSingularity
 from .series import Bidegree, BigradedSeries
 
 __all__ = [
@@ -63,7 +64,6 @@ __all__ = [
     "QuotientCandidate",
     "Rejection",
     "SearchResult",
-    "forced_preimage",
     "match_cover",
     "search",
     "CROSS_CODIMENSION",
@@ -183,8 +183,10 @@ class CoverRecord:
 
         A shape the model builders refuse is reported alone, with their
         message (they refuse it before computing any coefficient);
-        otherwise -K^3 and parity are checked.  The basket's series is
-        checked against the model's by search, at its truncation.
+        otherwise -K^3 is checked against the model, and -K^3 with the
+        basket against FanoData, whose message names a parity failure.  The
+        basket's series is checked against the model's by search, at its
+        truncation.
         """
         try:
             self.series(0)
@@ -200,12 +202,10 @@ class CoverRecord:
                 f"declared -K^3 = {format_rational(self.minus_k_cubed)} but the "
                 f"model forces {format_rational(implied)}"
             )
-        defect = parity_defect(self.minus_k_cubed, self.basket)
-        if not is_integer(defect):
-            problems.append(
-                f"basket {{{self.basket}}} fails the parity constraint "
-                f"(defect {format_rational(defect)})"
-            )
+        try:
+            FanoData(self.minus_k_cubed, self.basket)
+        except InconsistentDataError as exc:
+            problems.append(str(exc))
         return problems
 
     def to_json(self) -> dict:
@@ -326,32 +326,13 @@ def _same_shape(cover: CoverRecord, presentation: Presentation) -> bool:
     return gens == sorted(cover.weights) and rels == sorted(cover.degrees)
 
 
-def forced_preimage(bt: Basket, r: int) -> Counter:
-    """Multiset of singularity types the cover must contain.
-
-    Smooth fibers drop out; the rest of the cover's basket is free to be
-    anything at this point.
-    """
-    out: Counter = Counter()
-    for entry in bt:
-        count, fiber = preimage_singularity(entry, r)
-        if fiber is not SMOOTH:
-            out[fiber] += count
-    return out
-
-
 def match_cover(
-    cover: CoverRecord, bt: Basket, r: int
+    cover: CoverRecord, candidate: BtCandidate
 ) -> Union[FanoEnriquesData, Rejection]:
-    """Assemble quotient data for the cover, or say why there is none."""
-    return _match(cover, Counter(e.type for e in cover.basket), bt, forced_preimage(bt, r), r)
-
-
-def _match(
-    cover: CoverRecord, have: Counter, bt: Basket, need: Counter, r: int
-) -> Union[FanoEnriquesData, Rejection]:
-    """match_cover given the cover's types and the forced preimage of bt,
-    which search counts once per cover and once per bt."""
+    """Assemble quotient data for the cover and a census candidate, whose
+    forced preimage the candidate carries, or say why there is none."""
+    r, bt, need = candidate.r, candidate.entries, candidate.preimage
+    have = Counter(e.type for e in cover.basket)
     for s, m in sorted(need.items()):
         if have.get(s, 0) < m:
             return Rejection(
@@ -436,12 +417,10 @@ def search(
 
     candidates: list[QuotientCandidate] = []
     rejections: list[Rejection] = []
-    have = [Counter(e.type for e in cover.basket) for cover in catalog]
     for bt_candidate in census:
         r, bt = bt_candidate.r, bt_candidate.entries
-        need = forced_preimage(bt, r)
-        for cover, cover_types, cover_series in zip(catalog, have, orbifold):
-            outcome = _match(cover, cover_types, bt, need, r)
+        for cover, cover_series in zip(catalog, orbifold):
+            outcome = match_cover(cover, bt_candidate)
             if isinstance(outcome, Rejection):
                 rejections.append(outcome)
                 continue

@@ -51,10 +51,11 @@ from fano_enriques.orbifold import (
     MarkedSingularity,
     SingularityType,
     compose_actions,
+    forced_preimage,
     normalize_type,
     preimage_singularity,
 )
-from fano_enriques.quotient import Rejection, forced_preimage
+from fano_enriques.quotient import Rejection
 from fano_enriques.series import Bidegree
 
 QUOTIENT_GOLDENS = (

@@ -123,11 +123,6 @@ class TestEnumerateBt:
         assert code == 0
         assert out.strip() == ""
 
-    def test_strict_r5_flag(self, capsys):
-        code, out, _ = run(capsys, "enumerate-bt", "--r", "8", "--strict-r5", "--json")
-        assert code == 0
-        assert len(json.loads(out)) == 1
-
     def test_out_of_range(self, capsys):
         code, _, err = run(capsys, "enumerate-bt", "--r", "35")
         assert code == 1
@@ -182,14 +177,6 @@ class TestSearch:
         )
         assert code == 0
         assert "preimage-mismatch" in out or "orbit-indivisible" in out
-
-    def test_strict_r5_changes_nothing(self, capsys):
-        argv = ("search", "--catalog", "covers_codim2.json", "--r", "3", "--json")
-        code, plain, _ = run(capsys, *argv)
-        assert code == 0 and json.loads(plain)["rows"]
-        code, strict, _ = run(capsys, *argv, "--strict-r5")
-        assert code == 0
-        assert strict == plain
 
     @pytest.mark.parametrize("golden", sorted(SEARCHES))
     def test_json_prints_golden_rows(self, capsys, reproduction, golden):

@@ -1,5 +1,6 @@
 """Tests for the admissible marked basket enumeration."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -14,7 +15,7 @@ from fano_enriques.enumeration import (
     check_restrictions,
     enumerate_bt,
 )
-from fano_enriques.errors import OutOfRangeError
+from fano_enriques.errors import InconsistentMarkingError, OutOfRangeError
 from fano_enriques.hilbert import _delta_cycle_scaled, torsion_delta_at
 from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType
 
@@ -34,13 +35,26 @@ class TestBtCandidate:
         assert str(c).startswith("r=5 | ")
 
     def test_rejects_unmarked_entries(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InconsistentMarkingError):
             BtCandidate(2, Basket.parse("1/2(1,1,1)"))
 
     def test_rejects_incompatible_stabilizer(self):
         # 1/5(1,2,3)_1 has stabilizer order 5, which does not divide 2
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InconsistentMarkingError):
             BtCandidate(2, Basket.parse("1/5(1,2,3)_1"))
+
+    @pytest.mark.parametrize("r", [-3, 0, 1, MAX_TORSION + 1])
+    def test_rejects_order_outside_range(self, r):
+        # the text enumerate_bt uses
+        with pytest.raises(OutOfRangeError, match=f"torsion order {r} outside \\[2, 24\\]"):
+            BtCandidate(r, Basket())
+
+    def test_carries_its_forced_preimage(self):
+        c = BtCandidate(5, WORKED_BT)
+        assert c.preimage == Counter({SingularityType(2, 1): 1})
+        # the preimage is derived, so it changes neither equality, hash nor repr
+        assert c == BtCandidate(5, WORKED_BT) and hash(c) == hash(BtCandidate(5, WORKED_BT))
+        assert "preimage" not in repr(c)
 
     def test_entries_coerced_to_basket(self):
         c = BtCandidate(2, (mk(2, 1, 1), mk(2, 1, 1)))

@@ -1,12 +1,13 @@
 """Randomized invariant checks across module boundaries."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fano_enriques.catalog import GOLDEN_FILES, bundled_json
+from fano_enriques.catalog import GOLDEN_FILES, bundled_catalog, bundled_json
 from fano_enriques.enumeration import (
     MAX_TORSION,
     BtCandidate,
@@ -14,7 +15,7 @@ from fano_enriques.enumeration import (
     check_restrictions,
     enumerate_bt,
 )
-from fano_enriques.errors import InconsistentDataError
+from fano_enriques.errors import InconsistentDataError, InconsistentMarkingError
 from fano_enriques.exact import Rational, units
 from fano_enriques.gradedrings import presentation_series
 from fano_enriques.hilbert import (
@@ -29,7 +30,7 @@ from fano_enriques.hilbert import (
     wci_series,
 )
 from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType
-from fano_enriques.quotient import CoverRecord
+from fano_enriques.quotient import CoverRecord, search
 from fano_enriques.series import Bidegree, BigradedSeries
 from oracle import product
 
@@ -100,6 +101,23 @@ class TestParityProperty:
             assert expect_ok
         except InconsistentDataError:
             assert not expect_ok
+
+
+class TestMarkingRuleProperty:
+    @given(st.integers(2, MAX_TORSION), st.lists(marked_entries(24), max_size=4))
+    def test_candidate_and_data_share_one_marking_rule(self, r, entries):
+        # markings may be 0 or have a stabilizer order that does not divide
+        # r; -K^3 is the basket sum plus 2, so parity always holds
+        bt = Basket(tuple(entries))
+        k3 = -2 * parity_defect(Rational(0), bt) + 2
+        outcomes = []
+        for build in (lambda: BtCandidate(r, bt), lambda: FanoEnriquesData(r, k3, bt)):
+            try:
+                build()
+                outcomes.append("accepted")
+            except InconsistentMarkingError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTorsionDeltaProperty:
@@ -238,3 +256,19 @@ class TestExactCoefficientsProperty:
         generators = [Bidegree(n, i) for n, i in row["generators"]]
         relations = [Bidegree(n, i) for n, i in row["relations"]]
         assert all_fractions(presentation_series(generators, relations, data.r, trunc))
+
+
+FULL_CENSUS = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]
+CODIM1 = bundled_catalog("covers_codim1.json")
+
+
+class TestSearchOrderProperty:
+    @settings(max_examples=8, deadline=None)
+    @given(census=st.permutations(FULL_CENSUS), catalog=st.permutations(CODIM1))
+    def test_rows_do_not_depend_on_census_or_catalog_order(self, reproduction, census, catalog):
+        # rows are sorted; rejections come in census then catalog order, so
+        # only their multiset is fixed
+        shuffled = search(catalog, census)
+        plain = reproduction.searches["quotients_codim1.json"]
+        assert shuffled.golden_json() == plain.golden_json()
+        assert Counter(shuffled.rejections) == Counter(plain.rejections)

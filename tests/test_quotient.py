@@ -9,24 +9,24 @@ from math import prod
 import pytest
 
 from fano_enriques.catalog import bundled_catalog, bundled_json
-from fano_enriques.enumeration import enumerate_bt
+from fano_enriques.enumeration import BtCandidate, enumerate_bt
 from fano_enriques.errors import (
     CatalogError,
     InconsistentDataError,
+    InconsistentMarkingError,
     MalformedInputError,
     OutOfRangeError,
 )
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import Presentation
 from fano_enriques.hilbert import FanoEnriquesData
-from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType
+from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType, forced_preimage
 from fano_enriques.quotient import (
     CROSS_CODIMENSION,
     CoverRecord,
     QuotientCandidate,
     Rejection,
     SearchResult,
-    forced_preimage,
     match_cover,
     search,
 )
@@ -74,9 +74,10 @@ class TestForcedPreimage:
         got = forced_preimage(Basket.parse("5x1/2(1,1,1)_1, 1/6(1,1,5)_3"), 2)
         assert got == Counter({SingularityType(3, 1): 1})
 
-    def test_unmarked_entries_lift_with_multiplicity(self):
-        got = forced_preimage(Basket.parse("1/2(1,1,1)"), 2)
-        assert got == Counter({SingularityType(2, 1): 2})
+    def test_unmarked_entries_are_refused(self):
+        # every entry of bt is marked; an unmarked one belongs to be
+        with pytest.raises(InconsistentMarkingError, match=r"1/2\(1,1,1\) has l = 0"):
+            forced_preimage(Basket.parse("1/2(1,1,1)"), 2)
 
     def test_empty_basket(self):
         assert forced_preimage(Basket(), 5) == Counter()
@@ -216,14 +217,14 @@ class TestRejection:
 
 class TestMatchCover:
     def test_assembles_quotient_data(self):
-        outcome = match_cover(Y5, WORKED_BT, 5)
+        outcome = match_cover(Y5, BtCandidate(5, WORKED_BT))
         assert isinstance(outcome, FanoEnriquesData)
         assert outcome.minus_k_cubed == Rational(1, 2)
         assert outcome.be == Basket()
 
     def test_residual_points_descend_unmarked(self):
         bt = Basket.parse("5x1/2(1,1,1)_1, 1/6(1,1,5)_3")
-        outcome = match_cover(Y8, bt, 2)
+        outcome = match_cover(Y8, BtCandidate(2, bt))
         assert isinstance(outcome, FanoEnriquesData)
         # cover basket 4 x 1/2 + 1/3; the 1/3 is forced, the half-points
         # split into two free orbits of size 2
@@ -231,18 +232,18 @@ class TestMatchCover:
 
     def test_preimage_mismatch(self):
         bt = Basket.parse("5x1/2(1,1,1)_1, 1/6(1,1,5)_3")
-        outcome = match_cover(Y4, bt, 2)
+        outcome = match_cover(Y4, BtCandidate(2, bt))
         assert isinstance(outcome, Rejection)
         assert outcome.reason == "preimage-mismatch"
         assert "cover has 0" in outcome.detail
 
     def test_orbit_indivisible(self):
-        outcome = match_cover(Y5, Basket.parse("2x1/5(1,2,3)_1"), 5)
+        outcome = match_cover(Y5, BtCandidate(5, Basket.parse("2x1/5(1,2,3)_1")))
         assert isinstance(outcome, Rejection)
         assert outcome.reason == "orbit-indivisible"
 
     def test_parity_fail(self):
-        outcome = match_cover(Y4, Basket.parse("2x1/5(1,2,3)_1"), 5)
+        outcome = match_cover(Y4, BtCandidate(5, Basket.parse("2x1/5(1,2,3)_1")))
         assert isinstance(outcome, Rejection)
         assert outcome.reason == "parity-fail"
 
