@@ -41,9 +41,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence, Union
 
-from .enumeration import MAX_TORSION, BtCandidate, enumerate_bt
+from .enumeration import BtCandidate, enumerate_bt
 from .errors import CatalogError, EngineError
-from .exact import Rational, format_rational
+from .exact import MAX_TORSION, Rational, format_rational, parse_json, read_file
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from .orbifold import Basket
 from .quotient import TRUNC, CoverRecord, SearchResult, search
@@ -55,7 +55,6 @@ __all__ = [
     "save_catalog",
     "bundled_catalog",
     "bundled_json",
-    "parse_json",
     "verify_fixtures",
     "curated_payload",
     "Reproduction",
@@ -79,25 +78,6 @@ EXAMPLES = {
         [(1, 0), (1, 1), (1, 3), (1, 4), (2, 2)],
     ),
 }
-
-
-def parse_json(text: str, origin: str):
-    """JSON text as a value.  Every ValueError json.loads raises, bad syntax
-    or an integer literal past the interpreter's digit limit, becomes a
-    CatalogError naming `origin`."""
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise CatalogError(f"{origin}: invalid JSON: {exc}") from exc
-
-
-def read_file(source) -> str:
-    """The UTF-8 text of a path, a path string or a package resource; a file
-    that cannot be read or decoded is a CatalogError naming it."""
-    try:
-        return (Path(source) if isinstance(source, str) else source).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CatalogError(f"cannot read {source}: {exc}") from exc
 
 
 def _records_from(obj, origin: str) -> list[CoverRecord]:

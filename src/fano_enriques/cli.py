@@ -11,25 +11,19 @@ Subcommands:
                    show the verified census, catalog tables and series
 
 Exit codes: 0 success, 1 usage or data error, 2 fixture mismatch.
+
+Building the parser loads no engine module, only errors.py and exact.py
+(for MAX_TORSION), so --help and usage errors start fast.  Each
+subcommand imports what it runs: hilbert, bigraded and infer never load
+the census, the search or the catalogs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Optional, Sequence
 
-from .catalog import (GOLDEN_FILES, bundled_json, parse_json, read_file, resolve_catalog,
-                      verify_fixtures)
-from .enumeration import MAX_TORSION, BtCandidate, enumerate_bt
 from .errors import EngineError
-from .exact import format_rational, parse_rational, truncation
-from .gradedrings import infer_presentation
-from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
-from .orbifold import Basket
-from .quotient import TRUNC, search
-from .series import BigradedSeries
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    from .exact import MAX_TORSION
+
     parser = _Parser(
         prog="fano-enriques",
         description="exact Hilbert series, basket enumeration and quotient "
@@ -82,7 +78,8 @@ def _build_parser() -> _Parser:
         "--catalog", required=True, help="catalog file path or bundled name"
     )
     p.add_argument("--r", type=int, help="restrict to one torsion order")
-    p.add_argument("--trunc", type=int, default=TRUNC, help="truncation, inference runs to it")
+    # None stands for quotient.TRUNC, read when the search runs
+    p.add_argument("--trunc", type=int, help="truncation, inference runs to it")
     p.add_argument(
         "--rejections", action="store_true", help="also list every rejection"
     )
@@ -94,14 +91,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _print_single(series: BigradedSeries, as_json: bool):
+def _print_json(value):
+    import json
+
+    print(json.dumps(value))
+
+
+def _print_single(series, as_json: bool):
+    from .exact import format_rational
+
     if as_json:
-        print(json.dumps(series.to_json()))
+        _print_json(series.to_json())
     else:
         print(", ".join(format_rational(c) for c in series.component(0)))
 
 
 def _cmd_hilbert(args) -> int:
+    from .exact import parse_rational, truncation
+    from .hilbert import FanoData, altinok_series
+    from .orbifold import Basket
+
     data = FanoData(parse_rational(args.k3), Basket.parse(args.basket))
     trunc = truncation("--trunc", args.trunc)
     _print_single(altinok_series(data, trunc=trunc), args.json)
@@ -109,12 +118,16 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_bigraded(args) -> int:
+    from .exact import format_rational, parse_rational, truncation
+    from .hilbert import FanoEnriquesData, bigraded_series
+    from .orbifold import Basket
+
     data = FanoEnriquesData(
         args.r, parse_rational(args.k3), Basket.parse(args.bt), Basket.parse(args.be)
     )
     series = bigraded_series(data, trunc=truncation("--trunc", args.trunc))
     if args.json:
-        print(json.dumps({"data": data.to_json(), "series": series.to_json()}))
+        _print_json({"data": data.to_json(), "series": series.to_json()})
     else:
         for i in range(series.r):
             row = ", ".join(format_rational(c) for c in series.component(i))
@@ -123,6 +136,10 @@ def _cmd_bigraded(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    from .exact import parse_json, read_file
+    from .gradedrings import infer_presentation
+    from .series import BigradedSeries
+
     if args.series == "-":
         text, origin = sys.stdin.read(), "stdin"
     else:
@@ -130,15 +147,18 @@ def _cmd_infer(args) -> int:
     series = BigradedSeries.from_json(parse_json(text, origin))
     presentation = infer_presentation(series)
     if args.json:
-        print(json.dumps(presentation.to_json()))
+        _print_json(presentation.to_json())
     else:
         print(presentation)
     return 0
 
 
-def _census(args) -> list[BtCandidate]:
+def _census(args) -> list:
     """The census of order --r, else of every order, order by order, each
-    in enumeration order."""
+    in enumeration order: a list of BtCandidate."""
+    from .enumeration import enumerate_bt
+    from .exact import MAX_TORSION
+
     orders = [args.r] if args.r is not None else range(2, MAX_TORSION + 1)
     return [c for r in orders for c in enumerate_bt(r)]
 
@@ -146,9 +166,7 @@ def _census(args) -> list[BtCandidate]:
 def _cmd_enumerate(args) -> int:
     rows = _census(args)
     if args.json:
-        print(
-            json.dumps([{"r": c.r, "entries": c.entries.to_json()} for c in rows])
-        )
+        _print_json([{"r": c.r, "entries": c.entries.to_json()} for c in rows])
     else:
         for c in rows:
             print(c)
@@ -156,10 +174,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    trunc = truncation("--trunc", args.trunc)
+    from .catalog import resolve_catalog
+    from .exact import truncation
+    from .quotient import TRUNC, search
+
+    trunc = truncation("--trunc", TRUNC if args.trunc is None else args.trunc)
     result = search(resolve_catalog(args.catalog), _census(args), trunc=trunc)
     if args.json:
-        print(json.dumps(result.to_json()))
+        _print_json(result.to_json())
     else:
         for c in result:
             print(c)
@@ -171,8 +193,10 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _peeled_series(peeled: dict, r: int, length: int) -> BigradedSeries:
+def _peeled_series(peeled: dict, r: int, length: int):
     """A golden's peeled map, "m" or "m,i" -> coefficient, as a series."""
+    from .series import BigradedSeries
+
     rows = [["0"] * length for _ in range(r)]
     for key, value in peeled.items():
         m, _, i = key.partition(",")
@@ -184,6 +208,9 @@ def _print_goldens():
     """The census, the catalog tables and the worked series examples, read
     from the bundled goldens: once verify_fixtures() finds no problem they
     equal the live output on every field it compares."""
+    from .catalog import GOLDEN_FILES, bundled_json
+    from .orbifold import Basket
+
     census = bundled_json("torsion_baskets.json")["baskets"]
     print("Admissible torsion data by order")
     for r, baskets in census.items():
@@ -230,9 +257,11 @@ def _print_goldens():
 
 
 def _cmd_verify(args) -> int:
+    from .catalog import verify_fixtures
+
     problems = verify_fixtures()
     if args.json:
-        print(json.dumps({"ok": not problems, "problems": problems}))
+        _print_json({"ok": not problems, "problems": problems})
     elif problems:
         for problem in problems:
             print(problem)
@@ -252,7 +281,7 @@ _DISPATCH = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not args.command:

@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import OutOfRangeError
-from .exact import format_rational, is_integer, units
-from .hilbert import MAX_TORSION, _delta_cycle_scaled, torsion_delta_at
+from .exact import MAX_TORSION, format_rational, is_integer, torsion_order, units
+from .hilbert import _delta_cycle_scaled, torsion_delta_at
 from .orbifold import Basket, MarkedSingularity, SingularityType, forced_preimage, terminal_sum
 
 __all__ = [
@@ -56,7 +55,7 @@ __all__ = [
 ]
 
 # R1 forces r_Q - 1/r_Q < 24, hence r_Q <= 24; R3 caps the torsion order
-# at hilbert.MAX_TORSION
+# at MAX_TORSION, defined in exact.py
 MAX_INDEX = 24
 
 
@@ -76,8 +75,7 @@ class BtCandidate:
     preimage: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 2 <= self.r <= MAX_TORSION:
-            raise OutOfRangeError(f"torsion order {self.r} outside [2, {MAX_TORSION}]")
+        torsion_order(self.r)
         if not isinstance(self.entries, Basket):
             object.__setattr__(self, "entries", Basket(tuple(self.entries)))
         object.__setattr__(self, "preimage", forced_preimage(self.entries, self.r))
@@ -212,9 +210,7 @@ def _passes_numeric(entries: tuple[MarkedSingularity, ...], r: int, strict_chi: 
 
 def enumerate_bt(r: int, strict_chi: bool = False) -> list[BtCandidate]:
     """All admissible marked baskets for torsion order r, canonical and sorted."""
-    if not 2 <= r <= MAX_TORSION:
-        raise OutOfRangeError(f"torsion order {r} outside [2, {MAX_TORSION}]")
-    census = _census(r)
+    census = _census(torsion_order(r))
     if strict_chi:
         return [c for c in census if _passes_numeric(c.entries.entries, r, True)]
     return list(census)

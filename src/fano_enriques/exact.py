@@ -1,9 +1,12 @@
-"""Exact arithmetic helpers.
+"""Exact arithmetic helpers, the engine's range checks and its input readers.
 
 All computations in this package are over Q; floating point never
 appears.  Rational is an alias for the stdlib Fraction, re-exported so
 the rest of the code has a single import site should the representation
 ever need to change.
+
+The module imports nothing of the engine but its errors, so the command
+line parser can read MAX_TORSION from here without loading a builder.
 """
 
 from __future__ import annotations
@@ -12,9 +15,16 @@ import sys
 from fractions import Fraction as Rational
 from math import gcd
 
-from .errors import InvalidModulusError, MalformedInputError, NoInverseError, OutOfRangeError
+from .errors import (
+    CatalogError,
+    InvalidModulusError,
+    MalformedInputError,
+    NoInverseError,
+    OutOfRangeError,
+)
 
 __all__ = [
+    "MAX_TORSION",
     "Rational",
     "residue",
     "mod_inverse",
@@ -23,7 +33,13 @@ __all__ = [
     "parse_rational",
     "rational_from_json",
     "format_rational",
+    "torsion_order",
+    "read_file",
+    "parse_json",
 ]
+
+# R3 of the census (a fixed point of the covering) bounds the torsion order
+MAX_TORSION = 24
 
 
 def residue(a: int, r: int) -> int:
@@ -71,6 +87,15 @@ def truncation(name: str, value: int) -> int:
     return value
 
 
+def torsion_order(r: int) -> int:
+    """A torsion order: r itself when it lies in [2, MAX_TORSION], else
+    OutOfRangeError.  The one check of the order, for BtCandidate,
+    enumerate_bt and FanoEnriquesData alike."""
+    if not 2 <= r <= MAX_TORSION:
+        raise OutOfRangeError(f"torsion order {r} outside [2, {MAX_TORSION}]")
+    return r
+
+
 def is_integer(q: Rational) -> bool:
     return q.denominator == 1
 
@@ -103,3 +128,26 @@ def format_rational(q: Rational) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def read_file(source) -> str:
+    """The UTF-8 text of a path, a path string or a package resource; a file
+    that cannot be read or decoded is a CatalogError naming it."""
+    from pathlib import Path
+
+    try:
+        return (Path(source) if isinstance(source, str) else source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CatalogError(f"cannot read {source}: {exc}") from exc
+
+
+def parse_json(text: str, origin: str):
+    """JSON text as a value.  Every ValueError json.loads raises, bad syntax
+    or an integer literal past the interpreter's digit limit, becomes a
+    CatalogError naming `origin`."""
+    import json
+
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise CatalogError(f"{origin}: invalid JSON: {exc}") from exc

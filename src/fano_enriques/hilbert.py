@@ -45,9 +45,17 @@ from .errors import (
     InconsistentDataError,
     InconsistentMarkingError,
     InternalConsistencyError,
-    OutOfRangeError,
 )
-from .exact import Rational, format_rational, is_integer, rational_from_json, residue, truncation
+from .exact import (
+    MAX_TORSION,
+    Rational,
+    format_rational,
+    is_integer,
+    rational_from_json,
+    residue,
+    torsion_order,
+    truncation,
+)
 from .gradedrings import pfaffian_numerator, presentation_series
 from .orbifold import Basket, forced_preimage, inverse_weight
 from .series import Bidegree, BigradedSeries, Scalar
@@ -64,9 +72,6 @@ __all__ = [
     "wci_series",
     "pfaffian_series",
 ]
-
-# R3 of the census (a fixed point of the covering) bounds the torsion order
-MAX_TORSION = 24
 
 
 def parity_defect(minus_k_cubed: Rational, basket: Basket) -> Rational:
@@ -119,10 +124,7 @@ class FanoEnriquesData:
     be: Basket = field(default_factory=Basket)
 
     def __post_init__(self):
-        if self.r < 2:
-            raise InconsistentDataError(f"torsion order must be >= 2, got {self.r}")
-        if self.r > MAX_TORSION:
-            raise OutOfRangeError(f"torsion order {self.r} outside [2, {MAX_TORSION}]")
+        torsion_order(self.r)
         forced_preimage(self.bt, self.r)  # the one marking check; refuses bad bt
         for entry in self.be:
             if entry.l != 0:

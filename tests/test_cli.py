@@ -1,13 +1,17 @@
 """Tests for the command line front end."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fano_enriques import catalog, cli
+import fano_enriques
+from fano_enriques import catalog
 from fano_enriques.catalog import CURATED, SEARCHES, _diff, bundled_json
 from fano_enriques.cli import main
 
@@ -237,7 +241,7 @@ class TestVerifyFixtures:
 
     def test_problems_replace_the_tables(self, capsys, monkeypatch):
         problem = "torsion_baskets.json: 38 baskets enumerated, golden freezes 39"
-        monkeypatch.setattr(cli, "verify_fixtures", lambda: [problem])
+        monkeypatch.setattr(catalog, "verify_fixtures", lambda: [problem])
         code, out, _ = run(capsys, "verify-fixtures")
         assert code == 2
         assert out == problem + "\n"
@@ -254,7 +258,6 @@ class TestVerifyFixtures:
         golden = dict(golden, rows=[dict(golden["rows"][0], label=[1]), *golden["rows"][1:]])
         tampered = lambda n: golden if n == "quotients_codim1.json" else bundled_json(n)
         monkeypatch.setattr(catalog, "bundled_json", tampered)
-        monkeypatch.setattr(cli, "bundled_json", tampered)
         code, out, err = run(capsys, "verify-fixtures")
         assert (code, err) == (0, "")
         assert f" [1]  {golden['rows'][0]['cover']}" in out
@@ -507,6 +510,13 @@ class TestBadInput:
         assert out == ""
         assert err == "fano-enriques bigraded: torsion order 1000000000 outside [2, 24]\n"
 
+    @pytest.mark.parametrize("r", ["1", "25"])
+    def test_bigraded_torsion_order_either_side_of_range(self, capsys, r):
+        # one check of the order, so one wording below and above [2, 24]
+        code, out, err = run(capsys, "bigraded", "--r", r, "--k3", "2", "--bt", "")
+        assert (code, out) == (1, "")
+        assert err == f"fano-enriques bigraded: torsion order {r} outside [2, 24]\n"
+
     def test_infer_relation_beyond_pfaffian_top(self, capsys, tmp_path):
         # five relations of t-degrees 2,2,2,2,10 have no Pfaffian shape
         # (10 > e = 9), so the closure must decline rather than fail
@@ -525,6 +535,68 @@ class TestBadInput:
             "relations": [[2, 0]] * 4 + [[10, 0]],
             "status": "clean",
             "codim": 6,
+        }
+
+
+class TestColdStart:
+    """What a fresh process loads; this session has imported everything, so
+    each case runs in its own interpreter."""
+
+    PARSER_ONLY = {
+        "fano_enriques",
+        "fano_enriques.cli",
+        "fano_enriques.errors",
+        "fano_enriques.exact",
+    }
+    SCRIPT = (
+        "import json, sys\n"
+        "import fano_enriques\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is not None:\n"
+        "    from fano_enriques import cli\n"
+        "    try:\n"
+        "        cli.main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'fano_enriques')))\n"
+    )
+
+    def loaded(self, argv, stdin=""):
+        """The package's modules loaded once `cli.main(argv)` returns or
+        exits; with argv None, once the package alone is imported."""
+        src = str(Path(fano_enriques.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argv)],
+            input=stdin, capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        return set(json.loads(done.stdout.splitlines()[-1]))
+
+    def test_import_loads_no_submodule(self):
+        assert self.loaded(None) == {"fano_enriques"}
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--help"], ["bogus"], ["hilbert"], ["search", "--trunc", "x"]],
+        ids=["no-command", "help", "unknown-command", "missing-option", "bad-value"],
+    )
+    def test_parser_loads_no_engine_module(self, argv):
+        assert self.loaded(argv) == self.PARSER_ONLY
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["hilbert", "--k3", "5/2", "--basket", "1/2(1,1,1)"], ""),
+            (["bigraded", "--r", "5", "--k3", "1/2", "--bt", "1/10(1,3,7)_6, 2x1/5(1,2,3)_1"], ""),
+            (["infer"], '{"r": 1, "coeffs": [["1", "4", "11", "24", "46"]]}'),
+        ],
+        ids=["hilbert", "bigraded", "infer"],
+    )
+    def test_series_commands_skip_census_search_and_catalogs(self, argv, stdin):
+        loaded = self.loaded(argv, stdin)
+        assert "fano_enriques.series" in loaded
+        assert not loaded & {
+            "fano_enriques.catalog", "fano_enriques.quotient", "fano_enriques.enumeration"
         }
 
 

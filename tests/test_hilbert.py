@@ -14,7 +14,7 @@ import pytest
 from fano_enriques.catalog import bundled_json
 from fano_enriques import hilbert
 import fano_enriques
-from fano_enriques import enumeration
+from fano_enriques import enumeration, exact
 from fano_enriques.errors import (
     InconsistentDataError,
     InconsistentMarkingError,
@@ -268,12 +268,13 @@ class TestFanoEnriquesData:
         assert data.combined_basket == data.bt
 
     def test_rejects_small_torsion_order(self):
-        with pytest.raises(InconsistentDataError):
+        with pytest.raises(OutOfRangeError, match="torsion order 1 outside \\[2, 24\\]"):
             FanoEnriquesData(1, Rational(1, 2), Basket())
 
     def test_rejects_torsion_order_beyond_bound(self):
-        # R3 bounds r by MAX_TORSION, defined once in hilbert
-        assert fano_enriques.MAX_TORSION == enumeration.MAX_TORSION == hilbert.MAX_TORSION == 24
+        # R3 bounds r by MAX_TORSION, defined once in exact
+        assert fano_enriques.MAX_TORSION == enumeration.MAX_TORSION == hilbert.MAX_TORSION
+        assert hilbert.MAX_TORSION == exact.MAX_TORSION == 24
         FanoEnriquesData(hilbert.MAX_TORSION, Rational(2), Basket())
         for r in (hilbert.MAX_TORSION + 1, 10**9):
             with pytest.raises(OutOfRangeError, match=f"torsion order {r} outside \\[2, 24\\]"):
