@@ -29,7 +29,6 @@ _EXPORTS = {
         "InternalConsistencyError",
         "InvalidModulusError",
         "MalformedInputError",
-        "NoInverseError",
         "NonInvertibleFactorError",
         "NotTerminalError",
         "OutOfRangeError",
@@ -40,9 +39,7 @@ _EXPORTS = {
         "Rational",
         "format_rational",
         "is_integer",
-        "mod_inverse",
         "parse_rational",
-        "residue",
         "units",
     ),
     "orbifold": (

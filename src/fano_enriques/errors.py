@@ -15,10 +15,6 @@ class InvalidModulusError(EngineError):
     """Modulus must be a positive integer."""
 
 
-class NoInverseError(EngineError):
-    """Element is not a unit modulo r."""
-
-
 class NotTerminalError(EngineError):
     """Quotient singularity data does not reduce to type 1/r(1,a,r-a)."""
 

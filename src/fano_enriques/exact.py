@@ -3,7 +3,9 @@
 All computations in this package are over Q; floating point never
 appears.  Rational is an alias for the stdlib Fraction, re-exported so
 the rest of the code has a single import site should the representation
-ever need to change.
+ever need to change.  Modular arithmetic is the standard library's: a
+residue is `a % r` and an inverse `pow(a, -1, r)`; only the unit group
+(units) and its modulus check live here.
 
 The module imports nothing of the engine but its errors, so the command
 line parser can read MAX_TORSION from here without loading a builder.
@@ -19,15 +21,12 @@ from .errors import (
     CatalogError,
     InvalidModulusError,
     MalformedInputError,
-    NoInverseError,
     OutOfRangeError,
 )
 
 __all__ = [
     "MAX_TORSION",
     "Rational",
-    "residue",
-    "mod_inverse",
     "units",
     "is_integer",
     "parse_rational",
@@ -40,27 +39,6 @@ __all__ = [
 
 # R3 of the census (a fixed point of the covering) bounds the torsion order
 MAX_TORSION = 24
-
-
-def residue(a: int, r: int) -> int:
-    """The representative of a mod r in [0, r)."""
-    if not isinstance(r, int) or r <= 0:
-        raise InvalidModulusError(f"modulus must be a positive integer, got {r!r}")
-    return a % r
-
-
-def mod_inverse(a: int, r: int) -> int:
-    """Inverse of a modulo r, in [0, r).
-
-    For r = 1 every residue is 0, so the inverse is 0.
-    """
-    if not isinstance(r, int) or r <= 0:
-        raise InvalidModulusError(f"modulus must be a positive integer, got {r!r}")
-    if r == 1:
-        return 0
-    if gcd(a, r) != 1:
-        raise NoInverseError(f"{a} is not a unit mod {r}")
-    return pow(a, -1, r)
 
 
 def units(r: int) -> list[int]:

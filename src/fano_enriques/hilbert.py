@@ -19,9 +19,10 @@ Three series builders live here:
   h^0(-nK) coming from a torsion divisor sigma marked into the basket.
   It has period L = lcm r_Q in n and two routes: the per-n Fraction
   formula torsion_delta_at, and one integer period summed from per-entry
-  cycles (_delta_cycle_scaled, which the census walk also reads).  The
-  builders reconcile the two over one period, which is exact, and tile
-  that period out to the truncation.
+  cycles (_delta_cycle_scaled, which the census walk also reads).
+  _torsion_cycle reconciles the two over one period, which is exact, and
+  torsion_delta_series is the one tiling of that period out to the
+  truncation; bigraded_series builds each twisted component from it.
 
 * wci_series / pfaffian_series -- independent oracles for covers: the
   Hilbert series a weighted complete intersection (or codimension-3
@@ -52,7 +53,6 @@ from .exact import (
     format_rational,
     is_integer,
     rational_from_json,
-    residue,
     torsion_order,
     truncation,
 )
@@ -208,7 +208,7 @@ def torsion_delta_at(bt: Basket, i: int, n: int) -> Rational:
     total = Rational(0)
     for entry in bt:
         r = entry.type.r
-        lp = residue(i * entry.l, r)
+        lp = (i * entry.l) % r
         if lp == 0:
             continue
         b = inverse_weight(entry.type)
@@ -250,7 +250,7 @@ def _torsion_cycle(bt: Basket, i: int) -> tuple[list[int], int]:
     """
     parts = [
         (entry.type.r, _delta_cycle_scaled(entry.type.r, entry.type.a, lp))
-        for entry in bt if (lp := residue(i * entry.l, entry.type.r))
+        for entry in bt if (lp := (i * entry.l) % entry.type.r)
     ]
     period = lcm(*(r for r, _ in parts))
     cycle = [sum(c[n % r] * (period // r) for r, c in parts) for n in range(period)]
@@ -263,28 +263,24 @@ def _torsion_cycle(bt: Basket, i: int) -> tuple[list[int], int]:
     return cycle, 12 * period
 
 
-def _tiled_delta(bt: Basket, i: int, trunc: int) -> list[Rational]:
-    """delta_i(n) for n = 0..trunc: one reconciled period, tiled."""
-    cycle, d = _torsion_cycle(bt, i)
-    period = [Rational(v, d) for v in cycle]
-    return [period[n % len(period)] for n in range(trunc + 1)]
-
-
 def torsion_delta_series(bt: Basket, i: int, trunc: int = 20) -> BigradedSeries:
     """Series sum_n (chi(-nK + i*sigma) - chi(-nK)) t^n, tiled from one
-    reconciled integer period (_torsion_cycle)."""
-    return BigradedSeries(1, [_tiled_delta(bt, i, truncation("trunc", trunc))])
+    reconciled integer period (_torsion_cycle): the one tiling, which
+    bigraded_series reads for each twisted component."""
+    trunc = truncation("trunc", trunc)
+    cycle, d = _torsion_cycle(bt, i)
+    period = [Rational(v, d) for v in cycle]
+    return BigradedSeries(1, [[period[n % len(period)] for n in range(trunc + 1)]])
 
 
 def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
     """Full bigraded Hilbert series sum h^0(-nK + i*sigma) e^i t^n.
 
-    Component i is the untwisted series plus the torsion delta for i,
-    tiled from one reconciled period; component 0 is the untwisted series
-    itself, since delta_0 = 0.  For genuine data every coefficient is a
-    nonnegative integer, the constant term sits entirely in component 0
-    (h^0 of a nontrivial torsion class vanishes); anything else raises
-    InconsistentDataError.
+    Component i is the untwisted series plus torsion_delta_series for i;
+    component 0 is the untwisted series itself, since delta_0 = 0.  For
+    genuine data every coefficient is a nonnegative integer, the constant
+    term sits entirely in component 0 (h^0 of a nontrivial torsion class
+    vanishes); anything else raises InconsistentDataError.
     """
     truncation("trunc", trunc)
     base = altinok_series(
@@ -292,7 +288,7 @@ def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
     ).component(0)
     rows = [list(base)]
     for i in range(1, data.r):
-        delta = _tiled_delta(data.bt, i, trunc)
+        delta = torsion_delta_series(data.bt, i, trunc).component(0)
         rows.append([b + v for b, v in zip(base, delta)])
 
     for i, row in enumerate(rows):

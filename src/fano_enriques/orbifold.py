@@ -21,7 +21,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import InconsistentMarkingError, MalformedInputError, NotTerminalError
-from .exact import Rational, mod_inverse, units
+from .exact import Rational, units
 
 __all__ = [
     "SingularityType",
@@ -140,11 +140,8 @@ class Basket:
     def __add__(self, other: "Basket") -> "Basket":
         return Basket(self.entries + tuple(other))
 
-    def counts(self) -> dict[MarkedSingularity, int]:
-        out: dict[MarkedSingularity, int] = {}
-        for e in self.entries:
-            out[e] = out.get(e, 0) + 1
-        return out
+    def counts(self) -> Counter:
+        return Counter(self.entries)
 
     def __str__(self):
         if not self.entries:
@@ -245,7 +242,7 @@ def normalize_type(r: int, exponents: tuple[int, int, int]):
 
 def inverse_weight(s: SingularityType) -> int:
     """b with a*b = 1 mod r; the weight in the 1/r(b, 1, -1) presentation."""
-    return mod_inverse(s.a, s.r)
+    return pow(s.a, -1, s.r)
 
 
 def terminal_sum(points: Basket | Counter) -> Rational:

@@ -20,8 +20,8 @@ Step 1 is BtCandidate's forced preimage (orbifold.forced_preimage),
 computed once per census entry; steps 2-4 are match_cover, which search
 calls for every (cover, census entry) pair.  search drives the whole
 pipeline over a catalog and a census of admissible (r, bt) at one
-truncation, checking each cover's basket series against its model series
-to it, inferring each presentation up to it and collecting typed
+truncation, no lower than any cover's model degree, checking each cover's
+basket series against its model series to it, inferring each presentation up to it and collecting typed
 rejections for the pairs that fail.  A search result serializes as the
 rows, special cases and rejections `search --json` prints.
 """
@@ -124,7 +124,16 @@ class CoverRecord:
     def codimension(self) -> int:
         return len(self.weights) - 4
 
-    def series(self, trunc: int = 20):
+    @property
+    def model_degree(self) -> int:
+        """The least truncation at which the model's series sees the whole
+        model: its largest weight or equation degree, or for a Pfaffian
+        model the top degree sum(weights) - 1 of its numerator."""
+        if self.structure == "pfaffian":
+            return sum(self.weights) - 1
+        return max(self.weights + self.degrees)
+
+    def series(self, trunc: int):
         """Hilbert series of the model, straight from weights and degrees."""
         if self.structure == "pfaffian":
             return pfaffian_series(self.weights, self.degrees, trunc)
@@ -394,8 +403,11 @@ def search(
 ) -> SearchResult:
     """Try every cover against every marked basket of the census.
 
-    Each cover's basket series must first equal its model series to trunc
-    (orbifold_series), else a CatalogError has one line per failing cover.
+    trunc must reach every cover's model_degree, else an OutOfRangeError
+    has one line per cover it cuts short: below it a presentation can lack
+    a relation and still read clean.  Each cover's basket series must then
+    equal its model series to trunc (orbifold_series), else a CatalogError
+    has one line per failing cover.
     The census is a sequence of distinct BtCandidates, each carrying its
     own order r, such as enumerate_bt returns; rejections come in census
     order, then catalog order.  Accepted candidates get a bigraded series
@@ -405,6 +417,12 @@ def search(
     correctly assembled data and hence an engine guard, not a data filter.
     """
     truncation("trunc", trunc)
+    short = [
+        f"{cover.name}: model needs trunc >= {cover.model_degree}, got {trunc}"
+        for cover in catalog if cover.model_degree > trunc
+    ]
+    if short:
+        raise OutOfRangeError("\n".join(short))
     orbifold: list[BigradedSeries] = []
     problems: list[str] = []
     for cover in catalog:

@@ -25,6 +25,7 @@ MalformedInputError rather than rounded.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -166,33 +167,22 @@ class BigradedSeries:
 
     # -- ring operations ----------------------------------------------
 
-    def _check_compatible(self, other: "BigradedSeries"):
+    def _coefficientwise(self, other: "BigradedSeries", op) -> "BigradedSeries":
+        """op on each pair of coefficients, to the lesser truncation: the
+        one body of + and -."""
         if self.r != other.r:
             raise IncompatibleSeriesError(
                 f"grading moduli differ: {self.r} vs {other.r}"
             )
+        return BigradedSeries(
+            self.r, [list(map(op, a, b)) for a, b in zip(self.coeffs, other.coeffs)]
+        )
 
     def __add__(self, other: "BigradedSeries") -> "BigradedSeries":
-        self._check_compatible(other)
-        n = min(self.trunc, other.trunc)
-        return BigradedSeries(
-            self.r,
-            [
-                [self.coeffs[i][m] + other.coeffs[i][m] for m in range(n + 1)]
-                for i in range(self.r)
-            ],
-        )
+        return self._coefficientwise(other, operator.add)
 
     def __sub__(self, other: "BigradedSeries") -> "BigradedSeries":
-        self._check_compatible(other)
-        n = min(self.trunc, other.trunc)
-        return BigradedSeries(
-            self.r,
-            [
-                [self.coeffs[i][m] - other.coeffs[i][m] for m in range(n + 1)]
-                for i in range(self.r)
-            ],
-        )
+        return self._coefficientwise(other, operator.sub)
 
     def collapse(self) -> "BigradedSeries":
         """Set e = 1: sum the rows into a single-graded series."""

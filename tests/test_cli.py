@@ -220,6 +220,15 @@ class TestSearch:
             "basket gives 4, model gives 5\n"
         )
 
+    def test_truncation_below_a_cover_model_is_refused(self, capsys):
+        # nothing is printed for the covers that fit: the whole search is refused
+        code, out, err = run(
+            capsys, "search", "--catalog", "covers_codim1.json", "--trunc", "3"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("fano-enriques search: ")
+        assert "Y_{24} in P(1,2,3,7,12): model needs trunc >= 24, got 3\n" in err
+
 
 class TestVerifyFixtures:
     @pytest.fixture

@@ -9,68 +9,17 @@ from hypothesis import strategies as st
 from fano_enriques.errors import (
     InvalidModulusError,
     MalformedInputError,
-    NoInverseError,
     OutOfRangeError,
 )
 from fano_enriques.exact import (
     Rational,
     format_rational,
     is_integer,
-    mod_inverse,
     parse_rational,
     rational_from_json,
-    residue,
     truncation,
     units,
 )
-
-
-class TestResidue:
-    def test_basic(self):
-        assert residue(7, 5) == 2
-        assert residue(-1, 5) == 4
-        assert residue(0, 1) == 0
-        assert residue(10, 10) == 0
-
-    def test_bad_modulus(self):
-        with pytest.raises(InvalidModulusError):
-            residue(3, 0)
-        with pytest.raises(InvalidModulusError):
-            residue(3, -2)
-
-    @given(st.integers(-10**6, 10**6), st.integers(1, 1000))
-    def test_range_and_congruence(self, a, r):
-        b = residue(a, r)
-        assert 0 <= b < r
-        assert (a - b) % r == 0
-
-
-class TestModInverse:
-    def test_small(self):
-        assert mod_inverse(3, 10) == 7
-        assert mod_inverse(1, 2) == 1
-        assert mod_inverse(7, 10) == 3
-
-    def test_trivial_modulus(self):
-        # Z/1 has a single residue, which must act as its own inverse.
-        assert mod_inverse(1, 1) == 0
-        assert mod_inverse(5, 1) == 0
-
-    def test_not_a_unit(self):
-        with pytest.raises(NoInverseError):
-            mod_inverse(2, 10)
-        with pytest.raises(NoInverseError):
-            mod_inverse(0, 5)
-
-    def test_bad_modulus(self):
-        with pytest.raises(InvalidModulusError):
-            mod_inverse(1, 0)
-
-    @given(st.integers(2, 500), st.data())
-    def test_inverse_property(self, r, data):
-        us = units(r)
-        a = data.draw(st.sampled_from(us))
-        assert (a * mod_inverse(a, r)) % r == 1
 
 
 class TestUnits:

@@ -189,6 +189,13 @@ class TestContributions:
         assert local(s, 1) == Rational(-2, 5)
         assert local(s, 2) == Rational(-1, 5)
 
+    def test_inverse_weight_inverts_every_canonical_weight(self):
+        for r in range(2, 25):
+            for a in range(1, r // 2 + 1):
+                if gcd(a, r) == 1:
+                    b = inverse_weight(SingularityType(r, a))
+                    assert 0 < b < r and (a * b) % r == 1
+
     @given(st.sampled_from([(2, 1), (3, 1), (5, 2), (7, 3), (10, 3), (11, 4)]), st.integers(0, 40))
     def test_periodicity(self, ra, i):
         s = SingularityType(*ra)

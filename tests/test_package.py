@@ -20,7 +20,6 @@ HOMES = {
             "InternalConsistencyError",
             "InvalidModulusError",
             "MalformedInputError",
-            "NoInverseError",
             "NonInvertibleFactorError",
             "NotTerminalError",
             "OutOfRangeError",
@@ -34,9 +33,7 @@ HOMES = {
             "Rational",
             "format_rational",
             "is_integer",
-            "mod_inverse",
             "parse_rational",
-            "residue",
             "units",
         ],
         "exact",

@@ -27,6 +27,7 @@ from fano_enriques.quotient import (
     QuotientCandidate,
     Rejection,
     SearchResult,
+    TRUNC,
     match_cover,
     search,
 )
@@ -125,7 +126,7 @@ class TestCoverRecord:
             structure="pfaffian",
         )
         with pytest.raises(InconsistentDataError) as exc:
-            rec.series()
+            rec.series(TRUNC)
         assert rec.validate() == [str(exc.value)]
 
     def test_codimension(self):
@@ -406,3 +407,53 @@ class TestNegativeSizes:
     def test_search_negative_truncation(self):
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
             search([Y4], census(5), trunc=-1)
+
+
+class TestModelDegree:
+    """search refuses a truncation below the degree a cover's model needs:
+    below it a presentation can miss a relation and still read clean."""
+
+    Y24 = "Y_{24} in P(1,2,3,7,12)"
+
+    def test_degree_of_each_structure(self):
+        assert Y4.model_degree == 4
+        assert Y8.model_degree == 8
+        assert STANDIN.model_degree == 14  # sum(weights) - 1, the Pfaffian's top
+
+    def test_bundled_catalogs_fit_the_default(self):
+        needed = [
+            max(c.model_degree for c in bundled_catalog(f"covers_codim{k}.json"))
+            for k in (1, 2, 3)
+        ]
+        assert needed == [24, 12, 14]
+        assert max(needed) <= TRUNC
+
+    def test_every_short_cover_is_one_line(self):
+        covers = bundled_catalog("covers_codim1.json")
+        with pytest.raises(OutOfRangeError) as exc:
+            search(covers, census(5), trunc=3)
+        lines = str(exc.value).splitlines()
+        assert len(lines) == len(covers)
+        assert f"{self.Y24}: model needs trunc >= 24, got 3" in lines
+
+    def test_one_below_the_largest_names_only_that_cover(self):
+        with pytest.raises(OutOfRangeError) as exc:
+            search(bundled_catalog("covers_codim1.json"), census(5), trunc=23)
+        assert str(exc.value) == f"{self.Y24}: model needs trunc >= 24, got 23"
+
+    def test_codimension_two_below_twelve(self):
+        with pytest.raises(OutOfRangeError) as exc:
+            search(bundled_catalog("covers_codim2.json"), census(2), trunc=11)
+        assert (
+            "Y_{8,12} in P(1,2,3,4,5,6): model needs trunc >= 12, got 11"
+            in str(exc.value).splitlines()
+        )
+
+    def test_the_model_degree_itself_is_enough(self):
+        # at t^3 the quartic's r = 5 row would read clean with no relation;
+        # at t^4 it already carries (4,0), as at the default truncation
+        with pytest.raises(OutOfRangeError):
+            search([Y4], census(5), trunc=3)
+        rows = [c.to_json() for c in search([Y4], census(5), trunc=4)]
+        assert rows == [c.to_json() for c in search([Y4], census(5))]
+        assert rows[0]["relations"] == [[4, 0]]
