@@ -15,7 +15,7 @@ Exit codes: 0 success, 1 usage or data error, 2 fixture mismatch.
 Building the parser loads no engine module, only errors.py and exact.py
 (for MAX_TORSION), so --help and usage errors start fast.  Each
 subcommand imports what it runs: hilbert, bigraded and infer never load
-the census, the search or the catalogs.
+the census, the search or the catalogs; search reads the census lazily.
 """
 
 from __future__ import annotations
@@ -153,14 +153,14 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _census(args) -> list:
-    """The census of order --r, else of every order, order by order, each
-    in enumeration order: a list of BtCandidate."""
+def _census(args):
+    """The census of order --r (checked at once), else of every order, each
+    in enumeration order: BtCandidates, each order walked only when read."""
     from .enumeration import enumerate_bt
-    from .exact import MAX_TORSION
+    from .exact import MAX_TORSION, torsion_order
 
-    orders = [args.r] if args.r is not None else range(2, MAX_TORSION + 1)
-    return [c for r in orders for c in enumerate_bt(r)]
+    orders = [torsion_order(args.r)] if args.r is not None else range(2, MAX_TORSION + 1)
+    return (c for r in orders for c in enumerate_bt(r))
 
 
 def _cmd_enumerate(args) -> int:

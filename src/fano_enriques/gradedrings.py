@@ -18,8 +18,9 @@ positive middle terms are syzygies, not generators.  After five relations
 have been recorded, a positive deviation therefore first attempts to
 close the numerator against that shape before anything else: the
 residual is multiplied back by the five relations only then, and compared
-with pfaffian_numerator, the one builder of that shape (hilbert's
-pfaffian_series divides the same numerator by the weights).
+with pfaffian_numerator, the sum of pfaffian_terms: the one list of that
+shape, which hilbert's pfaffian_series and quotient's -K^3 also read.
+No builder here has a default truncation.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "Presentation",
     "infer_presentation",
     "pfaffian_numerator",
+    "pfaffian_terms",
     "presentation_series",
 ]
 
@@ -150,31 +152,33 @@ def infer_presentation(s: BigradedSeries, max_degree: Optional[int] = None) -> P
                 residual = residual.divide_factor(d)
 
 
-def pfaffian_numerator(
-    relations: Sequence[Bidegree], top: Bidegree, r: int, trunc: int
-) -> BigradedSeries:
+def pfaffian_terms(relations: Sequence[Bidegree], top: Bidegree, r: int) -> list:
     """Numerator of a codimension-3 model cut out by the five Pfaffians of
-    a skew 5x5 matrix, with relations (d, s) and top = (e, sbar):
+    a skew 5x5 matrix, relations (d, s), top = (e, sbar), as twelve terms (c, bidegree):
 
         1 - sum e^s t^d + sum e^{sbar - s} t^{e - d} - e^sbar t^e,
 
     the middle sum being the syzygies.  Every relation needs d <= e.
     """
-    e, sbar = top.n, top.i
-    total = BigradedSeries.one(r, trunc) - BigradedSeries.monomial(r, trunc, top)
+    terms = [(1, Bidegree(0)), (-1, top)]
     for q in relations:
-        total = total - BigradedSeries.monomial(r, trunc, q)
-        total = total + BigradedSeries.monomial(
-            r, trunc, Bidegree(e - q.n, (sbar - q.i) % r)
-        )
-    return total
+        terms += [(-1, q), (1, Bidegree(top.n - q.n, (top.i - q.i) % r))]
+    return terms
+
+
+def pfaffian_numerator(
+    relations: Sequence[Bidegree], top: Bidegree, r: int, trunc: int
+) -> BigradedSeries:
+    """pfaffian_terms as a series: the sum of their monomials to t^trunc."""
+    rows = [[0] * (trunc + 1) for _ in range(r)]
+    for c, d in pfaffian_terms(relations, top, r):
+        if d.n <= trunc:
+            rows[d.i % r][d.n] += c
+    return BigradedSeries(r, rows)
 
 
 def presentation_series(
-    generators: Sequence[Bidegree],
-    relations: Sequence[Bidegree],
-    r: int,
-    trunc: int = 20,
+    generators: Sequence[Bidegree], relations: Sequence[Bidegree], r: int, trunc: int
 ) -> BigradedSeries:
     """The Hilbert series a presentation would have,
     prod(1 - e^s t^d) over relations / prod(1 - e^i t^n) over generators:

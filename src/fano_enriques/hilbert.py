@@ -30,9 +30,11 @@ Three series builders live here:
   checking that shape.  The complete intersection is
   gradedrings.presentation_series of its weights and degrees; the
   Pfaffian model divides gradedrings.pfaffian_numerator by (1 - t^w) once
-  per weight.  CoverRecord reads -K^3 from the same two numerators.
+  per weight.  CoverRecord reads -K^3 off the same numerators without
+  building either.
 
-Negative truncations raise OutOfRangeError.
+Every builder takes its caller's truncation (no default); a negative one
+raises OutOfRangeError.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def _divided(numerator: Sequence[Scalar], trunc: int, *weights: int) -> Bigraded
     return total
 
 
-def altinok_series(data: FanoData, trunc: int = 20) -> BigradedSeries:
+def altinok_series(data: FanoData, trunc: int) -> BigradedSeries:
     """Hilbert series sum h^0(-nK) t^n of a Fano threefold, exactly.
 
     Raises InconsistentDataError if the resulting coefficients are not
@@ -263,7 +265,7 @@ def _torsion_cycle(bt: Basket, i: int) -> tuple[list[int], int]:
     return cycle, 12 * period
 
 
-def torsion_delta_series(bt: Basket, i: int, trunc: int = 20) -> BigradedSeries:
+def torsion_delta_series(bt: Basket, i: int, trunc: int) -> BigradedSeries:
     """Series sum_n (chi(-nK + i*sigma) - chi(-nK)) t^n, tiled from one
     reconciled integer period (_torsion_cycle): the one tiling, which
     bigraded_series reads for each twisted component."""
@@ -273,7 +275,7 @@ def torsion_delta_series(bt: Basket, i: int, trunc: int = 20) -> BigradedSeries:
     return BigradedSeries(1, [[period[n % len(period)] for n in range(trunc + 1)]])
 
 
-def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
+def bigraded_series(data: FanoEnriquesData, trunc: int) -> BigradedSeries:
     """Full bigraded Hilbert series sum h^0(-nK + i*sigma) e^i t^n.
 
     Component i is the untwisted series plus torsion_delta_series for i;
@@ -282,7 +284,6 @@ def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
     term sits entirely in component 0 (h^0 of a nontrivial torsion class
     vanishes); anything else raises InconsistentDataError.
     """
-    truncation("trunc", trunc)
     base = altinok_series(
         FanoData(data.minus_k_cubed, data.combined_basket), trunc
     ).component(0)
@@ -307,7 +308,7 @@ def bigraded_series(data: FanoEnriquesData, trunc: int = 20) -> BigradedSeries:
     return BigradedSeries(data.r, rows)
 
 
-def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) -> BigradedSeries:
+def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int) -> BigradedSeries:
     """prod (1 - t^d) / prod (1 - t^w), the series of a weighted complete
     intersection polarized by O(1).
 
@@ -326,7 +327,7 @@ def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) 
     )
 
 
-def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int = 20) -> BigradedSeries:
+def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int) -> BigradedSeries:
     """Series of a codimension-3 model cut out by the five Pfaffians of a
     skew 5x5 matrix: pfaffian_numerator, 1 - sum t^{d_k} + sum t^{e-d_k} - t^e
     with e = sum(weights) - 1 = sum(degrees)/2, over prod (1 - t^w).

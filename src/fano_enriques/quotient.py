@@ -19,18 +19,19 @@ numerical data of a hypothetical quotient is forced.
 Step 1 is BtCandidate's forced preimage (orbifold.forced_preimage),
 computed once per census entry; steps 2-4 are match_cover, which search
 calls for every (cover, census entry) pair.  search drives the whole
-pipeline over a catalog and a census of admissible (r, bt) at one
-truncation, no lower than any cover's model degree, checking each cover's
-basket series against its model series to it, inferring each presentation up to it and collecting typed
-rejections for the pairs that fail.  A search result serializes as the
-rows, special cases and rejections `search --json` prints.
+pipeline over a catalog and a census of admissible (r, bt) at the one
+truncation its caller chose, no lower than any cover's model degree: it
+checks each cover's basket series to it before reading the census, infers
+each presentation up to it and collects typed rejections for the pairs
+that fail.  A search result serializes as the rows, special cases and
+rejections `search --json` prints.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 from typing import Iterable, Sequence, Union
 
 from .enumeration import BtCandidate
@@ -42,12 +43,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .exact import Rational, format_rational, rational_from_json, truncation
-from .gradedrings import (
-    Presentation,
-    infer_presentation,
-    pfaffian_numerator,
-    presentation_series,
-)
+from .gradedrings import Presentation, infer_presentation, pfaffian_terms
 from .hilbert import (
     FanoData,
     FanoEnriquesData,
@@ -85,9 +81,10 @@ class CoverRecord:
     models cut out by the Pfaffians of a skew 5x5 matrix carry the five
     Pfaffian degrees instead (structure = "pfaffian").  The model series
     comes from wci_series or pfaffian_series, which also enforce the shape
-    of weights and degrees; -K^3 is read off the same numerators.  The
-    basket is stored explicitly rather than derived from equations; search
-    cross-checks its series against the model series (orbifold_series).
+    of weights and degrees; -K^3 is read off the same numerators, with no
+    series.  The basket is stored explicitly rather than derived from
+    equations; search cross-checks its series against the model series
+    (orbifold_series).
     """
 
     name: str
@@ -162,30 +159,25 @@ class CoverRecord:
     def implied_k_cubed(self) -> Rational:
         """-K^3 the weights and degrees force, for a record of valid shape.
 
-        The series has a pole of order 4 at t = 1 with leading coefficient
-        -K^3, so divide the model's numerator (of t-degree top) by (1-t)
-        once per codimension: that leaves a polynomial of degree
-        top - codimension exactly when the numerator vanishes to that order
-        at t = 1, and its value at 1 over prod(weights) is -K^3.  For a
-        complete intersection this reduces to prod(degrees)/prod(weights).
+        The series N(t) / prod(1 - t^w) has a pole of order 4 at t = 1, so
+        N(1 - s) = sum_j mu_j s^j must have mu_j = 0 for j < c, the
+        codimension; then -K^3 = mu_c / prod(weights).  With m degrees, a
+        complete intersection has mu_j = 0 for j < m and mu_m = prod(degrees)
+        (so mu is listed only to min(m, c)); a Pfaffian numerator
+        sum_k c_k t^{a_k} (pfaffian_terms) has mu_j = (-1)^j sum_k c_k
+        binom(a_k, j).  Integer arithmetic only: no degree is expanded.
         """
-        relations = [Bidegree(d) for d in self.degrees]
-        pfaffian = self.structure == "pfaffian"
-        top = sum(self.weights) - 1 if pfaffian else sum(self.degrees)
-        truncation("numerator degree", top)
-        if pfaffian:
-            quotient = pfaffian_numerator(relations, Bidegree(top), 1, top)
+        c = self.codimension
+        if self.structure == "pfaffian":
+            relations = [Bidegree(d) for d in self.degrees]
+            terms = pfaffian_terms(relations, Bidegree(sum(self.weights) - 1), 1)
+            mu = [(-1) ** j * sum(k * comb(a.n, j) for k, a in terms) for j in range(c + 1)]
         else:
-            quotient = presentation_series((), relations, 1, top)
-        for _ in range(self.codimension):
-            quotient = quotient.divide_factor(Bidegree(1))
-        coeffs = quotient.component(0)
-        if any(coeffs[top - self.codimension + 1 :]):
-            raise CatalogError(
-                f"{self.name}: numerator does not vanish to order "
-                f"{self.codimension} at t = 1"
-            )
-        return sum(coeffs) / prod(self.weights)
+            m = len(self.degrees)
+            mu = [prod(self.degrees) if j == m else 0 for j in range(min(m, c) + 1)]
+        if any(mu[:c]):
+            raise CatalogError(f"{self.name}: numerator does not vanish to order {c} at t = 1")
+        return Rational(mu[c], prod(self.weights))
 
     def validate(self) -> list[str]:
         """Every invariant violation that needs no truncation, as strings.
@@ -203,7 +195,7 @@ class CoverRecord:
             return [str(exc)]
         try:
             implied = self.implied_k_cubed()
-        except (CatalogError, OutOfRangeError) as exc:
+        except CatalogError as exc:
             return [str(exc)]
         problems: list[str] = []
         if implied != self.minus_k_cubed:
@@ -398,7 +390,7 @@ class SearchResult(list):
 
 def search(
     catalog: Sequence[CoverRecord],
-    census: Sequence[BtCandidate],
+    census: Iterable[BtCandidate],
     trunc: int = TRUNC,
 ) -> SearchResult:
     """Try every cover against every marked basket of the census.
@@ -408,13 +400,14 @@ def search(
     a relation and still read clean.  Each cover's basket series must then
     equal its model series to trunc (orbifold_series), else a CatalogError
     has one line per failing cover.
-    The census is a sequence of distinct BtCandidates, each carrying its
-    own order r, such as enumerate_bt returns; rejections come in census
-    order, then catalog order.  Accepted candidates get a bigraded series
-    and a presentation inferred up to the same truncation, so inference
-    never stops short as inconclusive; the collapse of the series is checked
-    against the cover's own series, which is an arithmetic identity for
-    correctly assembled data and hence an engine guard, not a data filter.
+    The census is any iterable of distinct BtCandidates, each carrying its
+    own order r, such as enumerate_bt returns, read once after those checks;
+    rejections come in census order, then catalog order.  Accepted
+    candidates get a bigraded series and a presentation inferred up to the
+    same truncation, so inference never stops short as inconclusive; the
+    collapse of the series is checked against the cover's own series, which
+    is an arithmetic identity for correctly assembled data and hence an
+    engine guard, not a data filter.
     """
     truncation("trunc", trunc)
     short = [

@@ -4,13 +4,16 @@ The engine builds every series from two O(rN) binomial shifts,
 BigradedSeries.peel and BigradedSeries.divide_factor.  This module keeps
 the general O(r^2 N^2) product and the geometric-series expansion that
 those shifts replaced, so the tests can check the kernel against a route
-that shares none of its code.  The file name does not match test_*.py, so
-pytest imports it from the test modules but never collects it.
+that shares none of its code.  It also keeps the series route to a
+cover's -K^3 that CoverRecord.implied_k_cubed's integer arithmetic
+replaced.  The file name does not match test_*.py, so pytest imports it
+from the test modules but never collects it.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
+from fano_enriques.errors import CatalogError
 from fano_enriques.series import Bidegree, BigradedSeries
 
 
@@ -67,3 +70,28 @@ def presentation(generators, relations, r: int, trunc: int) -> BigradedSeries:
     for g in generators:
         total = product(total, geometric(g, r, trunc))
     return total
+
+
+def series_k_cubed(cover) -> Fraction:
+    """-K^3 of a CoverRecord by the series route: its r = 1 numerator to
+    the top degree, times 1/(1 - t) once per codimension, summed over
+    prod(weights); CatalogError if that leaves a tail past
+    top - codimension, i.e. the numerator does not vanish to that order."""
+    c = cover.codimension
+    if cover.structure == "pfaffian":
+        top = sum(cover.weights) - 1
+        rows = [[0] * (top + 1)]
+        rows[0][0], rows[0][top] = 1, -1
+        for d in cover.degrees:
+            rows[0][d] -= 1
+            rows[0][top - d] += 1
+        quotient = BigradedSeries(1, rows)
+    else:
+        top = sum(cover.degrees)
+        quotient = presentation((), [Bidegree(d) for d in cover.degrees], 1, top)
+    for _ in range(c):
+        quotient = product(quotient, geometric(Bidegree(1), 1, top))
+    coeffs = quotient.component(0)
+    if any(coeffs[top - c + 1 :]):
+        raise CatalogError(f"{cover.name}: numerator does not vanish to order {c} at t = 1")
+    return sum(coeffs) / prod(cover.weights)

@@ -229,6 +229,18 @@ class TestSearch:
         assert err.startswith("fano-enriques search: ")
         assert "Y_{24} in P(1,2,3,7,12): model needs trunc >= 24, got 3\n" in err
 
+    def test_refused_search_walks_no_census(self, capsys, monkeypatch):
+        # the model degrees are checked before the census is read at all
+        refused = run(capsys, "search", "--catalog", "covers_codim1.json", "--trunc", "3")
+
+        def walk(r, *args):
+            raise AssertionError(f"census of order {r} walked")
+
+        monkeypatch.setattr("fano_enriques.enumeration.enumerate_bt", walk)
+        again = run(capsys, "search", "--catalog", "covers_codim1.json", "--trunc", "3")
+        assert again == refused
+        assert again[:2] == (1, "")
+
 
 class TestVerifyFixtures:
     @pytest.fixture
@@ -327,7 +339,8 @@ class TestBadInput:
         )
 
     def test_search_cover_of_unindexable_degree(self, capsys, tmp_path):
-        # its -K^3 is read off a numerator to t^(10^100 + 3)
+        # its -K^3 comes from the degrees by arithmetic, with no series to
+        # t^(10^100 + 3)
         big = 10**100
         record = {
             "name": "Y_{big}",
@@ -343,7 +356,9 @@ class TestBadInput:
         assert out == ""
         assert err == (
             f"fano-enriques search: {path} entry 0 (Y_{{big}}): "
-            f"numerator degree must be <= {sys.maxsize}, got {big + 3}\n"
+            f"declared -K^3 = 1 but the model forces {big + 3}/{big}\n"
+            f"{path} entry 0 (Y_{{big}}): -K^3 = 1 fails the parity "
+            f"constraint for basket {{(empty)}} (defect 1/2)\n"
         )
 
     def test_search_fractional_weights_and_degrees(self, capsys, tmp_path):

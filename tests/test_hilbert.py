@@ -369,28 +369,28 @@ class TestBigradedSeries:
 class TestModelOracles:
     def test_wci_requires_anticanonical_polarization(self):
         with pytest.raises(InconsistentDataError):
-            wci_series((1, 1, 1, 1, 1), (5,))
+            wci_series((1, 1, 1, 1, 1), (5,), 20)
 
     def test_pfaffian_validation(self):
         with pytest.raises(InconsistentDataError):
-            pfaffian_series((1, 1, 1, 1, 1, 1, 1), (2, 2, 2))
+            pfaffian_series((1, 1, 1, 1, 1, 1, 1), (2, 2, 2), 20)
         with pytest.raises(InconsistentDataError):
-            pfaffian_series((1, 1, 2, 2, 3, 3, 3), (5, 5, 6, 6, 7))
+            pfaffian_series((1, 1, 2, 2, 3, 3, 3), (5, 5, 6, 6, 7), 20)
 
     def test_wci_rejects_degree_zero_relation(self):
         # the factor 1 - t^0 = 0 would make the series 0
         with pytest.raises(NonInvertibleFactorError):
-            wci_series((1, 1, 1, 1, 1), (4, 0))
+            wci_series((1, 1, 1, 1, 1), (4, 0), 20)
 
     def test_pfaffian_shape_messages(self):
         with pytest.raises(InconsistentDataError, match="a Pfaffian model needs 5 degrees, got 3"):
-            pfaffian_series((1, 1, 1, 1, 1, 1, 1), (2, 2, 2))
+            pfaffian_series((1, 1, 1, 1, 1, 1, 1), (2, 2, 2), 20)
         with pytest.raises(
             InconsistentDataError,
             match=r"Pfaffian degrees \(5, 5, 6, 6, 7\) incompatible with weights "
             r"\(1, 1, 2, 2, 3, 3, 3\): sum is not 2\*\(sum\(weights\) - 1\) = 28",
         ):
-            pfaffian_series((1, 1, 2, 2, 3, 3, 3), (5, 5, 6, 6, 7))
+            pfaffian_series((1, 1, 2, 2, 3, 3, 3), (5, 5, 6, 6, 7), 20)
 
     def test_pfaffian_numerator_shape(self):
         # weights sum to 15, so e = 14 and the numerator is
@@ -412,7 +412,7 @@ class TestModelOracles:
     def test_pfaffian_rejects_degree_beyond_e(self):
         # sum of degrees is 2e = 16, but 12 > e leaves a negative syzygy degree
         with pytest.raises(InconsistentDataError, match="exceed e = 8"):
-            pfaffian_series((1, 1, 1, 1, 1, 1, 3), (1, 1, 1, 1, 12))
+            pfaffian_series((1, 1, 1, 1, 1, 1, 3), (1, 1, 1, 1, 12), 20)
 
     def test_negative_truncation(self):
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from fano_enriques.enumeration import (
     check_restrictions,
     enumerate_bt,
 )
-from fano_enriques.errors import InconsistentDataError, InconsistentMarkingError
+from fano_enriques.errors import CatalogError, InconsistentDataError, InconsistentMarkingError
 from fano_enriques.exact import Rational, units
 from fano_enriques.gradedrings import presentation_series
 from fano_enriques.hilbert import (
@@ -32,7 +33,7 @@ from fano_enriques.hilbert import (
 from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType
 from fano_enriques.quotient import CoverRecord, search
 from fano_enriques.series import Bidegree, BigradedSeries
-from oracle import product
+from oracle import product, series_k_cubed
 
 
 def singularity_types(max_r=12):
@@ -272,3 +273,58 @@ class TestSearchOrderProperty:
         plain = reproduction.searches["quotients_codim1.json"]
         assert shuffled.golden_json() == plain.golden_json()
         assert Counter(shuffled.rejections) == Counter(plain.rejections)
+
+
+@st.composite
+def ci_covers(draw, relation):
+    """A complete intersection of codimension c with m degrees, m and c
+    related as relation says; polarization is not required."""
+    c = draw(st.integers(2 if relation == "m < c" else 1, 4))
+    lo, hi = {"m = c": (c, c), "m < c": (1, c - 1), "m > c": (c + 1, c + 3)}[relation]
+    m = draw(st.integers(lo, hi))
+    weights = draw(st.lists(st.integers(1, 6), min_size=c + 4, max_size=c + 4))
+    degrees = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    return CoverRecord("ci", tuple(weights), tuple(degrees), Basket(), Rational(1))
+
+
+@st.composite
+def pfaffian_covers(draw):
+    """6 to 8 weights and five degrees d <= e summing to 2e, e = sum(weights) - 1."""
+    weights = draw(st.lists(st.integers(1, 5), min_size=6, max_size=8))
+    e = sum(weights) - 1
+    degrees, rest = [], 2 * e
+    for left in range(4, 0, -1):  # each degree leaves the next ones in [1, e]
+        degrees.append(draw(st.integers(max(1, rest - left * e), min(e, rest - left))))
+        rest -= degrees[-1]
+    return CoverRecord(
+        "pfaffian", tuple(weights), (*degrees, rest), Basket(), Rational(1),
+        structure="pfaffian",
+    )
+
+
+def k_cubed_outcome(route, cover):
+    """The -K^3 a route gives, or the text of its CatalogError."""
+    try:
+        return route(cover)
+    except CatalogError as exc:
+        return str(exc)
+
+
+class TestImpliedKCubedProperty:
+    """CoverRecord.implied_k_cubed's integer arithmetic against the series
+    route it replaced (oracle.series_k_cubed): the same -K^3, or the same
+    CatalogError text."""
+
+    @settings(max_examples=40)
+    @pytest.mark.parametrize("relation", ["m = c", "m < c", "m > c"])
+    @given(data=st.data())
+    def test_complete_intersections(self, relation, data):
+        cover = data.draw(ci_covers(relation))
+        expected = k_cubed_outcome(series_k_cubed, cover)
+        assert k_cubed_outcome(CoverRecord.implied_k_cubed, cover) == expected
+
+    @settings(max_examples=60)
+    @given(pfaffian_covers())
+    def test_pfaffians(self, cover):
+        expected = k_cubed_outcome(series_k_cubed, cover)
+        assert k_cubed_outcome(CoverRecord.implied_k_cubed, cover) == expected

@@ -32,6 +32,7 @@ from fano_enriques.quotient import (
     search,
 )
 from fano_enriques.series import Bidegree
+from oracle import series_k_cubed
 
 
 def bd(pairs):
@@ -98,7 +99,8 @@ class TestCoverRecord:
 
     def test_implied_k_cubed_of_bundled_covers(self):
         # a complete intersection forces prod(degrees)/prod(weights); a
-        # Pfaffian cover has no such product, so compare with its record
+        # Pfaffian cover has no such product; every cover also matches the
+        # series route, its numerator over (1 - t)^codimension, summed
         covers = [
             cover
             for name in ("covers_codim1.json", "covers_codim2.json", "covers_codim3.json")
@@ -109,8 +111,8 @@ class TestCoverRecord:
         assert (len(ci), len(pfaffian)) == (45, 3)
         for cover in ci:
             assert cover.implied_k_cubed() == Rational(prod(cover.degrees), prod(cover.weights))
-        for cover in pfaffian:
-            assert cover.implied_k_cubed() == cover.minus_k_cubed
+        for cover in covers:
+            assert cover.implied_k_cubed() == series_k_cubed(cover)
 
     def test_numerator_not_vanishing_to_codimension(self):
         # polarized, but one degree for codimension 2: 1 - t^5 has a simple zero
@@ -397,11 +399,13 @@ class TestNegativeSizes:
             search([Y4], census(5), trunc=10**30)
 
     def test_cover_of_unindexable_degree(self):
-        # -K^3 is read off the model numerator, a series to t^(10^100 + 3)
+        # -K^3 comes from the degrees by arithmetic, with no series to
+        # t^(10^100 + 3)
         big = 10**100
         rec = CoverRecord("Y_{big}", (1, 1, 1, 1, big), (big + 3,), Basket(), Rational(1))
         assert rec.validate() == [
-            f"numerator degree must be <= {sys.maxsize}, got {big + 3}"
+            f"declared -K^3 = 1 but the model forces {big + 3}/{big}",
+            "-K^3 = 1 fails the parity constraint for basket {(empty)} (defect 1/2)",
         ]
 
     def test_search_negative_truncation(self):

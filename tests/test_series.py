@@ -55,7 +55,7 @@ class TestBidegree:
                 "x", (1, 1, 1, 1, 1, 1, 3), (1, 1, 1, 1, 12), Basket(), 1,
                 structure="pfaffian",
             ).implied_k_cubed(),
-            lambda: wci_series((1,) * 6, (-1, 1, 5)),
+            lambda: wci_series((1,) * 6, (-1, 1, 5), 20),
         ],
         ids=["pfaffian-implied-k-cubed", "wci-negative-degree"],
     )
