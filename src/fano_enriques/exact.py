@@ -13,7 +13,6 @@ line parser can read MAX_TORSION from here without loading a builder.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction as Rational
 from math import gcd
 
@@ -39,6 +38,7 @@ __all__ = [
 
 # R3 of the census (a fixed point of the covering) bounds the torsion order
 MAX_TORSION = 24
+MAX_TRUNC = 10**5  # the longest truncation, far past any golden's or benchmark's
 
 
 def units(r: int) -> list[int]:
@@ -58,10 +58,10 @@ def nonnegative(name: str, value: int) -> int:
 
 
 def truncation(name: str, value: int) -> int:
-    """A series truncation: nonnegative, and small enough to index the list
-    of its coefficients (at most sys.maxsize), else OutOfRangeError."""
-    if nonnegative(name, value) > sys.maxsize:
-        raise OutOfRangeError(f"{name} must be <= {sys.maxsize}, got {value}")
+    """A series truncation: within [0, MAX_TRUNC], else OutOfRangeError,
+    before any list of its coefficients is asked for."""
+    if nonnegative(name, value) > MAX_TRUNC:
+        raise OutOfRangeError(f"{name} must be <= {MAX_TRUNC}, got {value}")
     return value
 
 

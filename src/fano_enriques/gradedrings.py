@@ -25,7 +25,6 @@ No builder here has a default truncation.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,6 +39,8 @@ __all__ = [
     "pfaffian_terms",
     "presentation_series",
 ]
+
+MAX_LISTED = 10**4  # generators and relations in all; the searches infer a dozen
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,11 @@ def _pfaffian_closure(residual: BigradedSeries, relations: Sequence[Bidegree]) -
 def infer_presentation(s: BigradedSeries, max_degree: Optional[int] = None) -> Presentation:
     """Deduce a weighted-projective presentation from a Hilbert series.
 
-    Relations are recorded greedily from negative deviations, up to the
-    series' truncation or to max_degree if given; status clean means the
-    residual was completely resolved by then.  Degrees are only
-    trustworthy up to there -- callers must truncate generously.
+    Relations are recorded greedily from negative deviations, up to the series'
+    truncation or to max_degree if given; status clean means the residual was
+    resolved by then.  Degrees are only trustworthy up to there -- callers must
+    truncate generously.  Listing over MAX_LISTED generators and relations is
+    an InferenceFailureError.
     """
     max_degree = s.trunc if max_degree is None else nonnegative("max_degree", max_degree)
     _validate_hilbert(s)
@@ -131,7 +133,7 @@ def infer_presentation(s: BigradedSeries, max_degree: Optional[int] = None) -> P
         c = int(c)
         if d.n > max_degree:
             return Presentation(tuple(generators), tuple(relations), "inconclusive")
-        if abs(c) > sys.maxsize:
+        if len(generators) + len(relations) + abs(c) > MAX_LISTED:
             raise InferenceFailureError(
                 f"deviation {c} at {d} is too large to list as generators or relations"
             )

@@ -18,11 +18,11 @@ Three series builders live here:
 * torsion_delta_* -- the per-component correction h^0(-nK + i*sigma) -
   h^0(-nK) coming from a torsion divisor sigma marked into the basket.
   It has period L = lcm r_Q in n and two routes: the per-n Fraction
-  formula torsion_delta_at, and one integer period summed from per-entry
-  cycles (_delta_cycle_scaled, which the census walk also reads).
-  _torsion_cycle reconciles the two over one period, which is exact, and
-  torsion_delta_series is the one tiling of that period out to the
-  truncation; bigraded_series builds each twisted component from it.
+  formula torsion_delta_at, and one integer cycle per point type
+  (r_Q, a, l') (_delta_cycle_scaled, which the census walk also reads).
+  _reconciled_cycle checks each cycle once against the one-point
+  torsion_delta_at, and torsion_delta_series sums the cycles over L and
+  tiles them; bigraded_series builds each twisted component from it.
 
 * wci_series / pfaffian_series -- independent oracles for covers: the
   Hilbert series a weighted complete intersection (or codimension-3
@@ -59,7 +59,7 @@ from .exact import (
     truncation,
 )
 from .gradedrings import pfaffian_numerator, presentation_series
-from .orbifold import Basket, forced_preimage, inverse_weight
+from .orbifold import Basket, MarkedSingularity, SingularityType, forced_preimage, inverse_weight
 from .series import Bidegree, BigradedSeries, Scalar
 
 __all__ = [
@@ -244,35 +244,33 @@ def _delta_cycle_scaled(r_q: int, a: int, lp: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _torsion_cycle(bt: Basket, i: int) -> tuple[list[int], int]:
-    """12*L*delta_i(n) for n = 0..L-1, with L = lcm r_Q over the entries of
-    bt with l' != 0, and the denominator 12*L.  Reconciled with
-    torsion_delta_at at every n of the period, which is exact because both
-    sides have period L; a mismatch is an engine bug, not a data problem.
-    """
-    parts = [
-        (entry.type.r, _delta_cycle_scaled(entry.type.r, entry.type.a, lp))
-        for entry in bt if (lp := (i * entry.l) % entry.type.r)
-    ]
-    period = lcm(*(r for r, _ in parts))
-    cycle = [sum(c[n % r] * (period // r) for r, c in parts) for n in range(period)]
+@lru_cache(maxsize=None)
+def _reconciled_cycle(r_q: int, a: int, lp: int) -> tuple[int, ...]:
+    """_delta_cycle_scaled(r_q, a, lp) once it equals torsion_delta_at of the
+    point 1/r_q(1, a, r_q - a)_lp over its period: one check per point type
+    covers every basket, as torsion_delta_at sums its entries' point values."""
+    cycle = _delta_cycle_scaled(r_q, a, lp)
+    point = Basket((MarkedSingularity(SingularityType(r_q, a), lp),))
     for n, v in enumerate(cycle):
-        if Rational(v, 12 * period) != torsion_delta_at(bt, i, n):
+        if Rational(v, 12 * r_q) != torsion_delta_at(point, 1, n):
             raise InternalConsistencyError(
-                f"torsion delta closed form disagrees with the per-n values "
-                f"for i = {i}, basket {{{bt}}}"
+                f"torsion delta closed form disagrees with the per-n values for {point}"
             )
-    return cycle, 12 * period
+    return cycle
 
 
 def torsion_delta_series(bt: Basket, i: int, trunc: int) -> BigradedSeries:
-    """Series sum_n (chi(-nK + i*sigma) - chi(-nK)) t^n, tiled from one
-    reconciled integer period (_torsion_cycle): the one tiling, which
-    bigraded_series reads for each twisted component."""
+    """Series sum_n (chi(-nK + i*sigma) - chi(-nK)) t^n: the entries'
+    reconciled cycles at l' = [i*l]_{r_Q}, summed over L = lcm r_Q and tiled:
+    the one tiling, which bigraded_series reads for each twisted component."""
     trunc = truncation("trunc", trunc)
-    cycle, d = _torsion_cycle(bt, i)
-    period = [Rational(v, d) for v in cycle]
-    return BigradedSeries(1, [[period[n % len(period)] for n in range(trunc + 1)]])
+    parts = [
+        (entry.type.r, _reconciled_cycle(entry.type.r, entry.type.a, lp))
+        for entry in bt if (lp := (i * entry.l) % entry.type.r)
+    ]
+    L = lcm(*(r for r, _ in parts))
+    cycle = [Rational(sum(c[n % r] * (L // r) for r, c in parts), 12 * L) for n in range(L)]
+    return BigradedSeries(1, [[cycle[n % L] for n in range(trunc + 1)]])
 
 
 def bigraded_series(data: FanoEnriquesData, trunc: int) -> BigradedSeries:

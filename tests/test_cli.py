@@ -14,6 +14,7 @@ import fano_enriques
 from fano_enriques import catalog
 from fano_enriques.catalog import CURATED, SEARCHES, _diff, bundled_json
 from fano_enriques.cli import main
+from fano_enriques.exact import MAX_TRUNC
 
 
 def run(capsys, *argv):
@@ -330,13 +331,13 @@ class TestBadInput:
 
     @TRUNC_TAKERS
     def test_unindexable_trunc(self, capsys, argv):
-        # refused before any series is built: an OverflowError traceback before
-        code, out, err = run(capsys, *argv, "--trunc", str(10**30))
-        assert code == 1
-        assert out == ""
-        assert err == (
-            f"fano-enriques {argv[0]}: --trunc must be <= {sys.maxsize}, got {10**30}\n"
-        )
+        # refused before any series is built: 10**30 was an OverflowError
+        # traceback, and 10**9 would build 10**9 coefficients
+        for trunc in (MAX_TRUNC + 1, 10**9, 10**30):
+            code, out, err = run(capsys, *argv, "--trunc", str(trunc))
+            assert code == 1
+            assert out == ""
+            assert err == f"fano-enriques {argv[0]}: --trunc must be <= {MAX_TRUNC}, got {trunc}\n"
 
     def test_search_cover_of_unindexable_degree(self, capsys, tmp_path):
         # its -K^3 comes from the degrees by arithmetic, with no series to
@@ -437,6 +438,23 @@ class TestBadInput:
         assert out == ""
         assert err == (
             "fano-enriques infer: deviation 12345678901234567891 at (1,0) "
+            "is too large to list as generators or relations\n"
+        )
+
+    def test_infer_count_past_the_listing_bound(self, capsys, monkeypatch):
+        # listable, but a list of 2*10**18 generators ended in MemoryError
+        import io
+        import time
+
+        text = '{"r":1,"coeffs":[[1,"2000000000000000000"]]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "infer")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "fano-enriques infer: deviation 2000000000000000000 at (1,0) "
             "is too large to list as generators or relations\n"
         )
 

@@ -1,7 +1,5 @@
 """Tests for the exact arithmetic helpers."""
 
-import sys
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +10,7 @@ from fano_enriques.errors import (
     OutOfRangeError,
 )
 from fano_enriques.exact import (
+    MAX_TRUNC,
     Rational,
     format_rational,
     is_integer,
@@ -91,11 +90,14 @@ class TestRationalFromJson:
 class TestTruncation:
     def test_indexable_values_pass(self):
         assert truncation("trunc", 0) == 0
-        assert truncation("trunc", sys.maxsize) == sys.maxsize
+        assert truncation("trunc", MAX_TRUNC) == MAX_TRUNC == 10**5
 
     @pytest.mark.parametrize(
         "value, message",
-        [(-1, "trunc must be >= 0, got -1"), (sys.maxsize + 1, f"trunc must be <= {sys.maxsize}")],
+        [
+            (-1, "trunc must be >= 0, got -1"),
+            (MAX_TRUNC + 1, f"trunc must be <= {MAX_TRUNC}, got {MAX_TRUNC + 1}"),
+        ],
         ids=["negative", "unindexable"],
     )
     def test_refused(self, value, message):

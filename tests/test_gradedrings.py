@@ -5,11 +5,13 @@ import pytest
 from fano_enriques.catalog import GOLDEN_FILES, bundled_json
 from fano_enriques.errors import (
     InconsistentDataError,
+    InferenceFailureError,
     NonInvertibleFactorError,
     OutOfRangeError,
 )
 from fano_enriques.exact import Rational
 from fano_enriques.gradedrings import (
+    MAX_LISTED,
     Presentation,
     infer_presentation,
     pfaffian_numerator,
@@ -148,6 +150,21 @@ class TestInferPresentation:
         rels = [(2, 0)] * 4 + [(10, 0)]
         p = infer_presentation(presentation_series(bd(gens), bd(rels), 1, 24))
         assert p == Presentation(bd(gens), bd(rels), "clean")
+
+    def test_lists_up_to_max_listed(self):
+        # 1 + c*t to t^1 is (1 - t)^-c there: c generators of degree 1
+        assert MAX_LISTED == 10**4
+        p = infer_presentation(BigradedSeries(1, [[1, MAX_LISTED]]))
+        assert p == Presentation(bd([(1, 0)] * MAX_LISTED), (), "clean")
+        with pytest.raises(InferenceFailureError, match=f"deviation {MAX_LISTED + 1} at"):
+            infer_presentation(BigradedSeries(1, [[1, MAX_LISTED + 1]]))
+
+    def test_max_listed_bounds_the_total(self):
+        # 6000 generators of degree 1 pass, 5000 more of degree 2 would
+        # list 11000 in all
+        gens = bd([(1, 0)] * 6000 + [(2, 0)] * 5000)
+        with pytest.raises(InferenceFailureError, match="deviation 5000 at \\(2,0\\) is too large"):
+            infer_presentation(presentation_series(gens, (), 1, 2))
 
     def test_rejects_non_hilbert_input(self):
         with pytest.raises(InconsistentDataError):

@@ -228,31 +228,74 @@ class TestTorsionDelta:
 
 
 def off_by_one_at_period_end(monkeypatch, r_q):
-    """Make the integer cycle of every index-r_q entry one too large at its
+    """Make the integer cycle of every index-r_q point one too large at its
     last n, so the summed cycle of a basket with lcm r_Q = r_q is wrong at
-    n = r_q - 1 only."""
+    n = r_q - 1 only.  The reconciled cycles are cached, so the cache is
+    emptied first: a cycle reconciled earlier would hide the patch."""
     real = hilbert._delta_cycle_scaled
 
     def broken(r, a, lp):
         cycle = real(r, a, lp)
         return cycle[:-1] + (cycle[-1] + 1,) if r == r_q else cycle
 
+    hilbert._reconciled_cycle.cache_clear()
     monkeypatch.setattr(hilbert, "_delta_cycle_scaled", broken)
 
 
+def count_torsion_delta_at(monkeypatch) -> list:
+    """Patch hilbert.torsion_delta_at to record each call's arguments."""
+    calls, real = [], hilbert.torsion_delta_at
+
+    def counted(bt, i, n):
+        calls.append((bt, i, n))
+        return real(bt, i, n)
+
+    monkeypatch.setattr(hilbert, "torsion_delta_at", counted)
+    return calls
+
+
 class TestTorsionCycleReconciliation:
-    """The integer period is checked against torsion_delta_at at every n of
-    one period, however short the requested truncation."""
+    """Each point type's integer cycle is checked against torsion_delta_at
+    at every n of its period, however short the requested truncation, and
+    only once."""
 
     def test_delta_series_reconciles_the_whole_period_at_trunc_zero(self, monkeypatch):
         off_by_one_at_period_end(monkeypatch, 6)
-        with pytest.raises(InternalConsistencyError, match="for i = 1, basket"):
+        with pytest.raises(InternalConsistencyError, match=r"values for 1/6\(1,1,5\)_3$"):
             torsion_delta_series(TestTorsionDelta.BT, 1, 0)
 
     def test_bigraded_series_reconciles_the_whole_period_at_trunc_zero(self, monkeypatch):
         off_by_one_at_period_end(monkeypatch, 10)
-        with pytest.raises(InternalConsistencyError, match="for i = 1, basket"):
+        with pytest.raises(InternalConsistencyError, match=r"values for 1/10\(1,3,7\)_6$"):
             bigraded_series(TestBigradedSeries.DATA, 0)
+
+    def test_each_point_type_is_reconciled_once(self, monkeypatch):
+        bt = TestBigradedSeries.DATA.bt
+        hilbert._reconciled_cycle.cache_clear()
+        calls = count_torsion_delta_at(monkeypatch)
+        first = [torsion_delta_series(bt, i, 30) for i in range(5)]
+        # 1/10(1,3,7) marked 6, 2, 8, 4 and 1/5(1,2,3) marked 1, 2, 3, 4
+        assert len(calls) == 4 * 10 + 4 * 5
+        del calls[:]
+        assert [torsion_delta_series(bt, i, 30) for i in range(5)] == first
+        assert calls == []
+
+    def test_reproduction_reconciles_each_point_type_it_reaches_once(self, monkeypatch):
+        from fano_enriques import catalog
+
+        reached = set()
+        real_series = hilbert.torsion_delta_series
+
+        def recorded(bt, i, trunc):
+            reached.update((e.type.r, e.type.a, lp) for e in bt if (lp := (i * e.l) % e.type.r))
+            return real_series(bt, i, trunc)
+
+        hilbert._reconciled_cycle.cache_clear()
+        calls = count_torsion_delta_at(monkeypatch)
+        monkeypatch.setattr(hilbert, "torsion_delta_series", recorded)
+        catalog.reproduce()
+        assert len(reached) == 48
+        assert len(calls) == sum(r_q for r_q, _, _ in reached) == 386
 
 
 class TestFanoEnriquesData:
