@@ -1,9 +1,10 @@
 """Presentation inference: from a Hilbert series to generators and relations.
 
-The method walks the series degree by degree.  A positive deviation of the
-residual from 1 at bidegree (n, i) means c new generators there (peel off
-(1 - e^i t^n)^c); a negative one means relations (divide the residual by
-the corresponding binomials).  Inference stops
+The series must first be a Hilbert series: infer_presentation refuses its
+first BigradedSeries.hilbert_defect.  The method then walks the series
+degree by degree.  A positive deviation of the residual from 1 at bidegree
+(n, i) means c new generators there (peel off (1 - e^i t^n)^c); a negative
+one means relations (divide the residual by the binomials).  Inference stops
 
 * clean        -- the residual reaches 1 within the truncation,
 * special      -- a generator and a relation are forced at the same
@@ -18,9 +19,9 @@ positive middle terms are syzygies, not generators.  After five relations
 have been recorded, a positive deviation therefore first attempts to
 close the numerator against that shape before anything else: the
 residual is multiplied back by the five relations only then, and compared
-with pfaffian_numerator, the sum of pfaffian_terms: the one list of that
-shape, which hilbert's pfaffian_series and quotient's -K^3 also read.
-No builder here has a default truncation.
+with pfaffian_numerator, BigradedSeries.polynomial of pfaffian_terms: the
+one list of that shape, which hilbert's pfaffian_series and quotient's
+-K^3 also read.  No builder here has a default truncation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InconsistentDataError, InferenceFailureError
+from .errors import InconsistentDataError, InferenceFailureError, MalformedInputError
 from .exact import is_integer, nonnegative, truncation
 from .series import Bidegree, BigradedSeries
 
@@ -55,7 +56,7 @@ class Presentation:
         object.__setattr__(self, "generators", tuple(sorted(self.generators)))
         object.__setattr__(self, "relations", tuple(sorted(self.relations)))
         if self.status not in ("clean", "special", "inconclusive"):
-            raise ValueError(f"unknown status {self.status!r}")
+            raise MalformedInputError(f"unknown status {self.status!r}")
 
     @property
     def codimension(self) -> int:
@@ -73,17 +74,6 @@ class Presentation:
         gens = " ".join(str(g) for g in self.generators) or "-"
         rels = " ".join(str(q) for q in self.relations) or "-"
         return f"generators {gens} | relations {rels} | {self.status}"
-
-
-def _validate_hilbert(s: BigradedSeries):
-    if s.coefficient(0, 0) != 1 or any(s.coefficient(0, i) != 0 for i in range(1, s.r)):
-        raise InconsistentDataError("constant term of a Hilbert series must be 1 at e^0")
-    for i in range(s.r):
-        for n, c in enumerate(s.component(i)):
-            if not is_integer(c) or c < 0:
-                raise InconsistentDataError(
-                    f"coefficient at e^{i} t^{n} is {c}; not a Hilbert series"
-                )
 
 
 def _pfaffian_closure(residual: BigradedSeries, relations: Sequence[Bidegree]) -> Optional[int]:
@@ -116,7 +106,12 @@ def infer_presentation(s: BigradedSeries, max_degree: Optional[int] = None) -> P
     an InferenceFailureError.
     """
     max_degree = s.trunc if max_degree is None else nonnegative("max_degree", max_degree)
-    _validate_hilbert(s)
+    defect = s.hilbert_defect()
+    if defect is not None:
+        d, c = defect
+        if d.n == 0:
+            raise InconsistentDataError("constant term of a Hilbert series must be 1 at e^0")
+        raise InconsistentDataError(f"coefficient at e^{d.i} t^{d.n} is {c}; not a Hilbert series")
     residual = s
     generators: list[Bidegree] = []
     relations: list[Bidegree] = []
@@ -172,11 +167,7 @@ def pfaffian_numerator(
     relations: Sequence[Bidegree], top: Bidegree, r: int, trunc: int
 ) -> BigradedSeries:
     """pfaffian_terms as a series: the sum of their monomials to t^trunc."""
-    rows = [[0] * (trunc + 1) for _ in range(r)]
-    for c, d in pfaffian_terms(relations, top, r):
-        if d.n <= trunc:
-            rows[d.i % r][d.n] += c
-    return BigradedSeries(r, rows)
+    return BigradedSeries.polynomial(r, trunc, pfaffian_terms(relations, top, r))
 
 
 def presentation_series(

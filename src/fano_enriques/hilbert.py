@@ -11,9 +11,9 @@ Three series builders live here:
   with w_Q(i) = [b_Q i](r_Q - [b_Q i])/(2 r_Q) and b_Q the inverse weight.
   The polynomial Riemann-Roch part (chi(O), c2-term) is already folded
   into the first two summands, so the basket and -K^3 are the only inputs.
-  Every summand is a polynomial over a product of binomials (1 - t^w), so
-  each is built by O(N) divisions (BigradedSeries.divide_factor), never
-  by expanding geometric series and multiplying them.
+  Every summand is a polynomial (BigradedSeries.polynomial) over a
+  product of binomials (1 - t^w), so each is built by O(N) divisions
+  (BigradedSeries.divide_factor), never by expanding geometric series.
 
 * torsion_delta_* -- the per-component correction h^0(-nK + i*sigma) -
   h^0(-nK) coming from a torsion divisor sigma marked into the basket.
@@ -22,7 +22,8 @@ Three series builders live here:
   (r_Q, a, l') (_delta_cycle_scaled, which the census walk also reads).
   _reconciled_cycle checks each cycle once against the one-point
   torsion_delta_at, and torsion_delta_series sums the cycles over L and
-  tiles them; bigraded_series builds each twisted component from it.
+  tiles them; bigraded_series adds it to the untwisted series (the
+  kernel's +) for each twisted component.
 
 * wci_series / pfaffian_series -- independent oracles for covers: the
   Hilbert series a weighted complete intersection (or codimension-3
@@ -34,7 +35,8 @@ Three series builders live here:
   building either.
 
 Every builder takes its caller's truncation (no default); a negative one
-raises OutOfRangeError.
+raises OutOfRangeError.  altinok_series and bigraded_series refuse a
+result that is not a Hilbert series by its first hilbert_defect.
 """
 
 from __future__ import annotations
@@ -167,8 +169,8 @@ def _local_weight(r: int, b: int, j: int) -> Rational:
 def _divided(numerator: Sequence[Scalar], trunc: int, *weights: int) -> BigradedSeries:
     """numerator / prod_w (1 - t^w), truncated at t^trunc: one O(N) shift-and-add
     division per weight, never a general product."""
-    row = list(numerator[: trunc + 1]) + [0] * (trunc + 1 - len(numerator))
-    total = BigradedSeries(1, [row])
+    terms = [(c, Bidegree(n)) for n, c in enumerate(numerator)]
+    total = BigradedSeries.polynomial(1, trunc, terms)
     for w in weights:
         total = total.divide_factor(Bidegree(w, 0))
     return total
@@ -191,13 +193,14 @@ def altinok_series(data: FanoData, trunc: int) -> BigradedSeries:
         kernel = [mult * _local_weight(r, b, i) for i in range(r)]
         total = total - _divided(kernel, n, 1, r)
 
-    for m, c in enumerate(total.component(0)):
-        if not is_integer(c) or c < 0:
-            raise InconsistentDataError(
-                f"series coefficient at t^{m} is {format_rational(c)}; "
-                f"no Fano threefold has -K^3 = {format_rational(data.minus_k_cubed)} "
-                f"with basket {{{data.basket}}}"
-            )
+    defect = total.hilbert_defect()
+    if defect is not None:
+        d, c = defect
+        raise InconsistentDataError(
+            f"series coefficient at t^{d.n} is {format_rational(c)}; "
+            f"no Fano threefold has -K^3 = {format_rational(data.minus_k_cubed)} "
+            f"with basket {{{data.basket}}}"
+        )
     return total
 
 
@@ -282,28 +285,24 @@ def bigraded_series(data: FanoEnriquesData, trunc: int) -> BigradedSeries:
     term sits entirely in component 0 (h^0 of a nontrivial torsion class
     vanishes); anything else raises InconsistentDataError.
     """
-    base = altinok_series(
-        FanoData(data.minus_k_cubed, data.combined_basket), trunc
-    ).component(0)
-    rows = [list(base)]
-    for i in range(1, data.r):
-        delta = torsion_delta_series(data.bt, i, trunc).component(0)
-        rows.append([b + v for b, v in zip(base, delta)])
-
-    for i, row in enumerate(rows):
-        expected_constant = 1 if i == 0 else 0
-        if row[0] != expected_constant:
-            raise InconsistentDataError(
-                f"chi({i}*sigma) = {format_rational(row[0])}, "
-                f"expected {expected_constant}: data admits no torsion divisor"
-            )
-        for n, c in enumerate(row):
-            if not is_integer(c) or c < 0:
-                raise InconsistentDataError(
-                    f"component {i} coefficient at t^{n} is {format_rational(c)}; "
-                    f"numerical data is inconsistent"
-                )
-    return BigradedSeries(data.r, rows)
+    base = altinok_series(FanoData(data.minus_k_cubed, data.combined_basket), trunc)
+    series = BigradedSeries(data.r, [base.component(0)] + [
+        (base + torsion_delta_series(data.bt, i, trunc)).component(0)
+        for i in range(1, data.r)
+    ])
+    defect = series.hilbert_defect()
+    if defect is None:
+        return series
+    d, c = defect
+    if d.n == 0:
+        raise InconsistentDataError(
+            f"chi({d.i}*sigma) = {format_rational(c)}, "
+            f"expected {1 if d.i == 0 else 0}: data admits no torsion divisor"
+        )
+    raise InconsistentDataError(
+        f"component {d.i} coefficient at t^{d.n} is {format_rational(c)}; "
+        f"numerical data is inconsistent"
+    )
 
 
 def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int) -> BigradedSeries:

@@ -125,7 +125,7 @@ class Basket:
     def __post_init__(self):
         for e in self.entries:
             if not isinstance(e, MarkedSingularity):
-                raise TypeError(f"not a singularity entry: {e!r}")
+                raise MalformedInputError(f"not a singularity entry: {e!r}")
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     def __iter__(self) -> Iterator[MarkedSingularity]:

@@ -40,6 +40,7 @@ from .errors import (
     InconsistentDataError,
     InferenceFailureError,
     InternalConsistencyError,
+    MalformedInputError,
     OutOfRangeError,
 )
 from .exact import Rational, format_rational, rational_from_json, truncation
@@ -261,7 +262,7 @@ class Rejection:
 
     def __post_init__(self):
         if self.reason not in self.REASONS:
-            raise ValueError(f"unknown rejection reason {self.reason!r}")
+            raise MalformedInputError(f"unknown rejection reason {self.reason!r}")
 
     def to_json(self) -> dict:
         return {

@@ -10,17 +10,19 @@ Every series the engine handles is a polynomial over a product of
 binomials (1 - e^i t^n), so the container has exactly two ring operations
 beyond + and -: peel multiplies by such a binomial and divide_factor
 divides by one, each an O(rN) shift over the rows.  There is no general
-product.
+product.  polynomial is the one constructor from terms (c, Bidegree).
 
 Coefficients are exact rationals, stored as Fractions: Hilbert series of
 actual varieties have nonnegative integer entries, but the orbifold
-correction terms that build them do not, so integrality is asserted by
-callers where it is a theorem, never by the container.  The constructor is
-the one place a coefficient is normalized, once: a Fraction passes through
-untouched (peel, divide_factor, +, -, collapse and the builders all hand
-it Fractions), an int becomes a Fraction, and anything inexact or not a
-number (a float, a bool, a string, None) is refused with
-MalformedInputError rather than rounded.
+correction terms that build them do not, so the container never asserts
+integrality; hilbert_defect names the first coefficient that keeps a
+series from being a Hilbert series, for the callers that need one.
+__post_init__ is the one place a coefficient is normalized, once: a
+Fraction passes through untouched (peel, divide_factor, +, -, collapse and
+the builders all hand it Fractions), an int becomes a Fraction, and
+anything inexact or not a number (a float, a bool, a string, None) is
+refused with MalformedInputError rather than rounded; polynomial holds
+each term's coefficient to the same rule.
 """
 
 from __future__ import annotations
@@ -81,45 +83,44 @@ class Bidegree:
         return f"({self.n},{self.i})"
 
 
+@dataclass(frozen=True, slots=True)
 class BigradedSeries:
-    """Immutable truncated series in Z[[t]][e]/(e^r - 1)."""
+    """Immutable truncated series in Z[[t]][e]/(e^r - 1), equal and hashed as
+    (r, coeffs); slotted, so no series carries a __dict__."""
 
-    __slots__ = ("r", "coeffs")
+    r: int
+    coeffs: tuple[tuple[Rational, ...], ...]
 
-    def __init__(self, r: int, coeffs: Iterable[Iterable[Scalar]]):
+    def __post_init__(self):
+        r = self.r
         if r < 1:
             raise IncompatibleSeriesError(f"grading modulus must be >= 1, got {r}")
-        rows = tuple(map(_row, coeffs))
+        rows = tuple(map(_row, self.coeffs))
         if len(rows) != r:
             raise IncompatibleSeriesError(f"expected {r} rows, got {len(rows)}")
         if not rows[0]:
             raise IncompatibleSeriesError("rows must contain the constant term")
         if any(len(row) != len(rows[0]) for row in rows):
             raise IncompatibleSeriesError("rows must have equal length")
-        object.__setattr__(self, "r", r)
         object.__setattr__(self, "coeffs", rows)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BigradedSeries is immutable")
-
-    def __reduce__(self):
-        # the default would restore __slots__ through __setattr__
-        return (BigradedSeries, (self.r, self.coeffs))
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def one(cls, r: int, trunc: int) -> "BigradedSeries":
+    def polynomial(
+        cls, r: int, trunc: int, terms: Iterable[tuple[Scalar, Bidegree]]
+    ) -> "BigradedSeries":
+        """The sum of the terms c e^i t^n, given as (c, Bidegree(n, i)), below
+        t^(trunc+1): e-degrees wrap mod r and repeated bidegrees add up."""
         rows = [[0] * (trunc + 1) for _ in range(r)]
-        rows[0][0] = 1
+        for c, d in terms:
+            if rows and d.n <= trunc:  # no rows: r < 1, refused by the constructor
+                rows[d.i % r][d.n] += _coefficient(c)
         return cls(r, rows)
 
     @classmethod
-    def monomial(cls, r: int, trunc: int, d: Bidegree, c: Scalar = 1) -> "BigradedSeries":
-        rows = [[0] * (trunc + 1) for _ in range(r)]
-        if d.n <= trunc:
-            rows[d.i % r][d.n] = c
-        return cls(r, rows)
+    def one(cls, r: int, trunc: int) -> "BigradedSeries":
+        return cls.polynomial(r, trunc, [(1, Bidegree(0))])
 
     # -- inspection ---------------------------------------------------
 
@@ -133,16 +134,6 @@ class BigradedSeries:
     def component(self, i: int) -> tuple[Rational, ...]:
         """Coefficient row of e^i."""
         return self.coeffs[i % self.r]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BigradedSeries)
-            and self.r == other.r
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.r, self.coeffs))
 
     def __repr__(self):
         return f"BigradedSeries(r={self.r}, trunc={self.trunc})"
@@ -237,6 +228,21 @@ class BigradedSeries:
             for i in range(self.r):
                 c = self.coeffs[i][n]
                 if c != 0:
+                    return Bidegree(n, i), c
+        return None
+
+    def hilbert_defect(self) -> Optional[tuple[Bidegree, Rational]]:
+        """The first (bidegree, coefficient) that keeps this from being a
+        Hilbert series, or None.
+
+        Row by row: row i's constant term (1 for i = 0, else 0), then that
+        row's coefficients, each of which must be a nonnegative integer.
+        """
+        for i, row in enumerate(self.coeffs):
+            if row[0] != (1 if i == 0 else 0):
+                return Bidegree(0, i), row[0]
+            for n, c in enumerate(row):
+                if c.denominator != 1 or c.numerator < 0:  # every c is a Fraction
                     return Bidegree(n, i), c
         return None
 

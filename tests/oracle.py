@@ -50,7 +50,7 @@ def product(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
 
 def binomial(r: int, trunc: int, d: Bidegree) -> BigradedSeries:
     """1 - e^i t^n as a truncated series."""
-    return BigradedSeries.one(r, trunc) - BigradedSeries.monomial(r, trunc, d)
+    return BigradedSeries.polynomial(r, trunc, [(1, Bidegree(0)), (-1, d)])
 
 
 def geometric(d: Bidegree, r: int, trunc: int) -> BigradedSeries:

@@ -287,6 +287,68 @@ class TestVerifyFixtures:
         assert out.endswith("all bundled fixtures verified\n")
 
 
+class TestNotAHilbertSeries:
+    """Each builder and the inference name the first coefficient that keeps
+    a series from being a Hilbert series, scanning row by row."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [
+            (
+                ["hilbert", "--k3", "2", "--basket", "20x1/2(1,1,1)", "--trunc", "4"],
+                None,
+                "hilbert: series coefficient at t^1 is -1; no Fano threefold has "
+                "-K^3 = 2 with basket {1/2(1,1,1) x20}",
+            ),
+            (
+                ["bigraded", "--r", "2", "--k3", "2", "--bt", "4x1/2(1,1,1)_1", "--trunc", "8"],
+                None,
+                "bigraded: chi(1*sigma) = 1/2, expected 0: data admits no torsion divisor",
+            ),
+            (
+                # component 1 fails at t^1 before component 2's constant
+                # chi(2*sigma) = 2/3 is read
+                [
+                    "bigraded", "--r", "3", "--k3", "1/6",
+                    "--bt", "2x1/3(1,1,2)_1, 1/6(1,1,5)_2", "--trunc", "12",
+                ],
+                None,
+                "bigraded: component 1 coefficient at t^1 is 5/3; "
+                "numerical data is inconsistent",
+            ),
+            (
+                ["infer"],
+                '{"r":2,"coeffs":[[1,1,"1/2"],[0,1,1]]}',
+                "infer: coefficient at e^0 t^2 is 1/2; not a Hilbert series",
+            ),
+            (
+                ["infer"],
+                '{"r":2,"coeffs":[[1,1,1],[1,1,1]]}',
+                "infer: constant term of a Hilbert series must be 1 at e^0",
+            ),
+            (
+                # row 0 is read whole before row 1's constant
+                ["infer"],
+                '{"r":2,"coeffs":[[1,1,"1/2"],[1,1,1]]}',
+                "infer: coefficient at e^0 t^2 is 1/2; not a Hilbert series",
+            ),
+        ],
+        ids=[
+            "hilbert-negative", "bigraded-constant", "bigraded-row-order",
+            "infer-fraction", "infer-constant", "infer-row-order",
+        ],
+    )
+    def test_refusal(self, capsys, monkeypatch, argv, stdin, message):
+        import io
+
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"fano-enriques {message}\n"
+
+
 class TestBadInput:
     """Malformed values exit 1 with a typed error that names the input."""
 

@@ -120,11 +120,11 @@ class TestInferPresentation:
         gens = bd([(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 1)])
         rels = bd([(5, 0), (5, 0), (6, 0), (6, 1), (6, 1)])
         numerator = BigradedSeries.one(r, trunc)
-        numerator = numerator - BigradedSeries.monomial(r, trunc, Bidegree(e, sbar))
+        numerator = numerator - BigradedSeries.polynomial(r, trunc, [(1, Bidegree(e, sbar))])
         for q in rels:
-            numerator = numerator - BigradedSeries.monomial(r, trunc, q)
-            numerator = numerator + BigradedSeries.monomial(
-                r, trunc, Bidegree(e - q.n, (sbar - q.i) % r)
+            numerator = numerator - BigradedSeries.polynomial(r, trunc, [(1, q)])
+            numerator = numerator + BigradedSeries.polynomial(
+                r, trunc, [(1, Bidegree(e - q.n, (sbar - q.i) % r))]
             )
         assert pfaffian_numerator(rels, Bidegree(e, sbar), r, trunc) == numerator
         p = infer_presentation(product(numerator, presentation(gens, (), r, trunc)))

@@ -53,8 +53,8 @@ def altinok_by_products(data, trunc):
     builder used to take, kept as an independent oracle for the division
     route."""
     n = trunc
-    t = BigradedSeries.monomial(1, n, Bidegree(1, 0))
-    t2 = BigradedSeries.monomial(1, n, Bidegree(2, 0))
+    t = BigradedSeries.polynomial(1, n, [(1, Bidegree(1, 0))])
+    t2 = BigradedSeries.polynomial(1, n, [(1, Bidegree(2, 0))])
     geom1 = geometric(Bidegree(1, 0), 1, n)
     geom1_sq = product(geom1, geom1)
     half_k = BigradedSeries(1, [[data.minus_k_cubed / 2] + [0] * n])
@@ -476,9 +476,11 @@ class TestModelOracles:
                 e = sum(cover.weights) - 1
                 numerator = BigradedSeries.one(1, trunc)
                 for d in cover.degrees:
-                    numerator = numerator - BigradedSeries.monomial(1, trunc, Bidegree(d, 0))
-                    numerator = numerator + BigradedSeries.monomial(1, trunc, Bidegree(e - d, 0))
-                numerator = numerator - BigradedSeries.monomial(1, trunc, Bidegree(e, 0))
+                    numerator = numerator - BigradedSeries.polynomial(1, trunc, [(1, Bidegree(d))])
+                    numerator = numerator + BigradedSeries.polynomial(
+                        1, trunc, [(1, Bidegree(e - d))]
+                    )
+                numerator = numerator - BigradedSeries.polynomial(1, trunc, [(1, Bidegree(e))])
                 expected = product(numerator, presentation(gens, (), 1, trunc))
                 assert pfaffian_series(cover.weights, cover.degrees, trunc) == expected
             else:

@@ -237,7 +237,7 @@ class TestBasket:
 
     def test_entries_must_be_marked(self):
         # a bare type has no marking; Basket.parse gives unmarked points l = 0
-        with pytest.raises(TypeError, match="not a singularity entry"):
+        with pytest.raises(MalformedInputError, match="not a singularity entry"):
             Basket((SingularityType(2, 1),))
 
     def test_sorted_on_construction(self):

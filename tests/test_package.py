@@ -1,11 +1,15 @@
 """The package namespace: every export resolves on first access to the
 object its home module defines."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import fano_enriques
+from fano_enriques import errors
 
 # each name the package exports, with the submodule that defines it
 HOMES = {
@@ -137,3 +141,20 @@ def test_unknown_attribute_raises(name):
     with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
         getattr(fano_enriques, name)
     assert not hasattr(fano_enriques, name)
+
+
+def test_every_raise_names_an_engine_error():
+    untyped = []
+    for path in sorted(Path(fano_enriques.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+            cls = vars(errors).get(name)
+            if not (isinstance(cls, type) and issubclass(cls, errors.EngineError)):
+                untyped.append(f"{path.name}:{node.lineno} raises {name}")
+    # the one exception: the package __getattr__ must raise AttributeError
+    # for an unknown name, as the import system requires
+    allowed = [u for u in untyped if re.fullmatch(r"__init__\.py:\d+ raises AttributeError", u)]
+    assert len(allowed) == 1 and untyped == allowed

@@ -202,7 +202,7 @@ class TestSeriesProperties:
     def test_collapse_commutes_with_peel(self, r, trunc):
         s = BigradedSeries.one(r, trunc)
         for k in range(r):
-            s = product(s, BigradedSeries.monomial(r, trunc, Bidegree(1, k), k + 1))
+            s = product(s, BigradedSeries.polynomial(r, trunc, [(k + 1, Bidegree(1, k))]))
         d = Bidegree(2, 0)
         assert s.peel(d).collapse() == s.collapse().peel(Bidegree(2, 0))
 

@@ -16,6 +16,7 @@ from fano_enriques.errors import (
     UnnormalizedResidualError,
 )
 from fano_enriques.exact import Rational
+from fano_enriques.gradedrings import presentation_series
 from fano_enriques.hilbert import wci_series
 from fano_enriques.orbifold import Basket
 from fano_enriques.quotient import CoverRecord
@@ -77,22 +78,32 @@ class TestConstruction:
             BigradedSeries(0, [])
         with pytest.raises(IncompatibleSeriesError):
             BigradedSeries(1, [[]])  # no constant term
+        with pytest.raises(IncompatibleSeriesError, match="grading modulus must be >= 1"):
+            BigradedSeries.polynomial(0, 3, [(1, Bidegree(0))])
 
     def test_basic_constructors(self):
         one = BigradedSeries.one(3, 4)
         assert one.coefficient(0, 0) == 1
         assert one.coefficient(0, 1) == 0
-        m = BigradedSeries.monomial(5, 6, Bidegree(2, 3))
+        m = BigradedSeries.polynomial(5, 6, [(1, Bidegree(2, 3))])
         assert m.coefficient(2, 3) == 1
         assert m.coefficient(2, 8) == 1  # e-degree wraps mod r
+        # repeated bidegrees add up, also across the wrap
+        terms = [(1, Bidegree(2, 1)), (Fraction(1, 2), Bidegree(2, 3))]
+        terms += [(-3, Bidegree(0)), (4, Bidegree(0))]
+        s = BigradedSeries.polynomial(2, 3, terms)
+        assert s == BigradedSeries(2, [[1, 0, 0, 0], [0, 0, Fraction(3, 2), 0]])
 
-    def test_monomial_beyond_truncation_is_zero(self):
-        assert BigradedSeries.monomial(2, 3, Bidegree(9, 1)) == BigradedSeries(2, [[0] * 4] * 2)
+    def test_polynomial_beyond_truncation_is_zero(self):
+        assert BigradedSeries.polynomial(2, 3, [(1, Bidegree(9, 1))]) == BigradedSeries(
+            2, [[0] * 4] * 2
+        )
 
     def test_immutability(self):
         s = BigradedSeries.one(1, 2)
         with pytest.raises(AttributeError):
             s.r = 5
+        assert not hasattr(s, "__dict__")
 
     def test_fractions_pass_through_and_ints_become_fractions(self):
         half = Fraction(1, 2)
@@ -109,6 +120,8 @@ class TestConstruction:
             BigradedSeries(1, [[1, bad]])
         with pytest.raises(MalformedInputError):
             BigradedSeries(2, [[1, Fraction(1, 2)], [Fraction(0), bad]])
+        with pytest.raises(MalformedInputError, match="Fraction or an int"):
+            BigradedSeries.polynomial(1, 2, [(bad, Bidegree(1))])
 
 
 class TestPickleAndCopy:
@@ -120,6 +133,34 @@ class TestPickleAndCopy:
             assert all(type(c) is Fraction for row in twin.coeffs for c in row)
         with pytest.raises(AttributeError):
             copy.copy(s).r = 5
+
+
+class TestHilbertDefect:
+    def test_presentation_series_is_a_hilbert_series(self):
+        gens = [Bidegree(1, 0), Bidegree(1, 1), Bidegree(2, 1), Bidegree(3, 0)]
+        rels = [Bidegree(6, 0)]
+        assert presentation_series(gens, rels, 2, 20).hilbert_defect() is None
+
+    def test_row_by_row(self):
+        # row 0's fraction at t^2 comes before row 1's constant
+        s = BigradedSeries(2, [[1, 1, Fraction(1, 2)], [1, 1, 1]])
+        assert s.hilbert_defect() == (Bidegree(2, 0), Fraction(1, 2))
+        # row 1's constant comes before its own coefficients
+        s = BigradedSeries(2, [[1, 1, 1], [Fraction(1, 3), -1, 1]])
+        assert s.hilbert_defect() == (Bidegree(0, 1), Fraction(1, 3))
+
+    def test_negative_coefficient(self):
+        s = BigradedSeries(3, [[1, 2, 3], [0, 1, 1], [0, 2, -1]])
+        assert s.hilbert_defect() == (Bidegree(2, 2), -1)
+
+    def test_fraction(self):
+        s = BigradedSeries(1, [[1, 4, Fraction(11, 2), -1]])
+        assert s.hilbert_defect() == (Bidegree(2, 0), Fraction(11, 2))
+
+    @pytest.mark.parametrize("constant", [0, 2, Fraction(1, 2)], ids=str)
+    def test_constant_other_than_one_at_e0(self, constant):
+        s = BigradedSeries(2, [[constant, 1], [0, 1]])
+        assert s.hilbert_defect() == (Bidegree(0, 0), constant)
 
 
 class TestArithmetic:
