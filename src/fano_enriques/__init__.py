@@ -47,7 +47,6 @@ _EXPORTS = {
         "Basket",
         "MarkedSingularity",
         "SingularityType",
-        "compose_actions",
         "forced_preimage",
         "inverse_weight",
         "normalize_type",

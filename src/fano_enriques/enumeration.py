@@ -29,10 +29,14 @@ cycles of hilbert._delta_cycle_scaled (computed directly from the local
 kernel, and the same cycles the series builders tile);
 check_restrictions evaluates the same conditions per n through the
 Fraction formula torsion_delta_at over one period, so the two are
-independent routes.  The plain census of each order is walked once per
-process and cached; the strict-R5 census is a filter over it, which is
-exact because strict R5 implies R5 and R4/R5 are invariant under
-sigma -> u*sigma and under reordering entries.
+independent routes.  Each order's walk owns its working set (items,
+costs, chosen prefix, found baskets and its own table of cycles), which
+is freed as soon as the walk returns; only the census itself is cached,
+once per process and order.  The walk records each basket's strict-R5
+verdict as it admits it, and the strict census keeps the baskets whose
+verdict holds.  That is exact because strict R5 implies R5 and R4/R5
+are invariant under sigma -> u*sigma and under reordering entries, so
+every representative of a canonical basket gets the same verdict.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .exact import MAX_TORSION, format_rational, is_integer, torsion_order, units
 from .hilbert import _delta_cycle_scaled, torsion_delta_at
@@ -183,42 +188,60 @@ def _admissible_items(r: int) -> list[MarkedSingularity]:
     return sorted(items)
 
 
-def _passes_numeric(entries: tuple[MarkedSingularity, ...], r: int, strict_chi: bool) -> bool:
-    """R4 + R5, short-circuiting.  R1-R3 are maintained by the search itself.
+class _CycleTable(dict):
+    """One order's hilbert._delta_cycle_scaled, by (r_Q, a, l'), filled on
+    first use."""
 
-    Works in integers: per-entry cycles are scaled by 12*r_Q, the candidate
-    total by d = 12*lcm(r_Q), so integrality is a single modulus test and
-    chi(i*sigma) >= 0 becomes total >= -d.
+    def __missing__(self, key: tuple[int, int, int]) -> tuple[int, ...]:
+        self[key] = cycle = _delta_cycle_scaled(*key)
+        return cycle
+
+
+def _numeric_verdict(
+    entries: tuple[MarkedSingularity, ...], r: int, cycles: _CycleTable
+) -> bool | None:
+    """R4 + R5, short-circuiting: None when either fails, else whether strict
+    R5 holds (chi(i*sigma) = 0 for every i != 0).  R1-R3 are maintained by
+    the search itself.
+
+    Works in integers: per-entry cycles, read from the order's own table,
+    are scaled by 12*r_Q, the candidate total by d = 12*lcm(r_Q), so
+    integrality is a single modulus test, chi(i*sigma) >= 0 becomes
+    total >= -d and chi(i*sigma) = 0 becomes total = -d.  A basket that
+    passes has had every i checked at n = 0, so its strict verdict costs
+    nothing more.
     """
     period = lcm(*(e.type.r for e in entries))
     d = 12 * period
+    strict = True
     for i in range(1, r):
         parts = []
         for e in entries:
             r_q = e.type.r
             lp = (i * e.l) % r_q
             if lp:
-                parts.append((_delta_cycle_scaled(r_q, e.type.a, lp), r_q, d // (12 * r_q)))
+                parts.append((cycles[r_q, e.type.a, lp], r_q, d // (12 * r_q)))
         for n in range(period):
             total = sum(cycle[n % r_q] * f for cycle, r_q, f in parts)
             if total % d:
-                return False
-            if n == 0 and (total < -d or (strict_chi and total != -d)):
-                return False
-    return True
+                return None
+            if n == 0:
+                if total < -d:
+                    return None
+                strict = strict and total == -d
+    return strict
 
 
 def enumerate_bt(r: int, strict_chi: bool = False) -> list[BtCandidate]:
     """All admissible marked baskets for torsion order r, canonical and sorted."""
     census = _census(torsion_order(r))
-    if strict_chi:
-        return [c for c in census if _passes_numeric(c.entries.entries, r, True)]
-    return list(census)
+    return [c for c, strict in census if strict or not strict_chi]
 
 
 @lru_cache(maxsize=None)
-def _census(r: int) -> tuple[BtCandidate, ...]:
-    """The plain-R5 census of order r, walked once per process."""
+def _census(r: int) -> tuple[tuple[BtCandidate, bool], ...]:
+    """The census of order r, walked once per process: each basket with its
+    strict-R5 verdict."""
     items = _admissible_items(r)
     # budget arithmetic in integers: costs scaled by lcm(1..24)
     scale = lcm(*range(1, MAX_INDEX + 1))
@@ -234,26 +257,47 @@ def _census(r: int) -> tuple[BtCandidate, ...]:
     for k in range(len(items) - 1, -1, -1):
         cheapest[k] = min(cheapest[k + 1], cost1[k]) if is_witness[k] else cheapest[k + 1]
 
-    found: set[tuple[MarkedSingularity, ...]] = set()
-    chosen: list[MarkedSingularity] = []
+    walk = _OrderWalk(r, items, cost1, cost2, is_witness, cheapest, budget, [], {}, _CycleTable())
+    _walk(walk, 0, 0, 0, False)
+    return tuple(
+        (BtCandidate(r, Basket(entries)), strict) for entries, strict in sorted(walk.found.items())
+    )
 
-    def walk(start: int, s1: int, s2: int, witness: bool):
-        for k in range(start, len(items)):
-            if not witness and s1 + cheapest[k] >= budget:
-                break  # R3 needs a witness from k on, and none is affordable
-            n1 = s1 + cost1[k]
-            if n1 >= budget:
-                break  # items are sorted by index, so cost1 only grows
-            n2 = s2 + cost2[k]
-            if n2 >= budget:
-                continue
-            chosen.append(items[k])
-            w = witness or is_witness[k]
-            if w and _passes_numeric(tuple(chosen), r, False):
-                canon = canonicalize(BtCandidate(r, Basket(tuple(chosen))))
-                found.add(canon.entries.entries)
-            walk(k, n1, n2, w)
-            chosen.pop()
 
-    walk(0, 0, 0, False)
-    return tuple(BtCandidate(r, Basket(entries)) for entries in sorted(found))
+class _OrderWalk(NamedTuple):
+    """The working set of one order's walk, dropped with it: the items and
+    their R1/R2 costs, the chosen prefix, the baskets found so far (canonical
+    entries -> strict-R5 verdict) and the order's own delta-cycle table."""
+
+    r: int
+    items: list[MarkedSingularity]
+    cost1: list[int]
+    cost2: list[int]
+    is_witness: list[bool]
+    cheapest: list[int]
+    budget: int
+    chosen: list[MarkedSingularity]
+    found: dict[tuple[MarkedSingularity, ...], bool]
+    cycles: _CycleTable
+
+
+def _walk(walk: _OrderWalk, start: int, s1: int, s2: int, witness: bool) -> None:
+    """Extend the chosen prefix, of R1/R2 costs s1/s2, by every affordable
+    item from start on, depth first, recording each admissible basket."""
+    r, items, cost1, cost2, is_witness, cheapest, budget, chosen, found, cycles = walk
+    for k in range(start, len(items)):
+        if not witness and s1 + cheapest[k] >= budget:
+            break  # R3 needs a witness from k on, and none is affordable
+        n1 = s1 + cost1[k]
+        if n1 >= budget:
+            break  # items are sorted by index, so cost1 only grows
+        n2 = s2 + cost2[k]
+        if n2 >= budget:
+            continue
+        chosen.append(items[k])
+        w = witness or is_witness[k]
+        if w and (strict := _numeric_verdict(tuple(chosen), r, cycles)) is not None:
+            canon = canonicalize(BtCandidate(r, Basket(tuple(chosen))))
+            found[canon.entries.entries] = strict
+        _walk(walk, k, n1, n2, w)
+        chosen.pop()

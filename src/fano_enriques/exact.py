@@ -51,14 +51,17 @@ def units(r: int) -> list[int]:
 
 
 def nonnegative(name: str, value: int) -> int:
-    """value itself, or OutOfRangeError naming it when it is negative."""
+    """value itself, or OutOfRangeError naming it when it is not an int (a
+    bool is none) or is negative."""
+    if type(value) is not int:
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise OutOfRangeError(f"{name} must be >= 0, got {value}")
     return value
 
 
 def truncation(name: str, value: int) -> int:
-    """A series truncation: within [0, MAX_TRUNC], else OutOfRangeError,
+    """A series truncation: an int within [0, MAX_TRUNC], else OutOfRangeError,
     before any list of its coefficients is asked for."""
     if nonnegative(name, value) > MAX_TRUNC:
         raise OutOfRangeError(f"{name} must be <= {MAX_TRUNC}, got {value}")
@@ -66,9 +69,11 @@ def truncation(name: str, value: int) -> int:
 
 
 def torsion_order(r: int) -> int:
-    """A torsion order: r itself when it lies in [2, MAX_TORSION], else
-    OutOfRangeError.  The one check of the order, for BtCandidate,
-    enumerate_bt and FanoEnriquesData alike."""
+    """A torsion order: r itself when it is an int (not a bool) in
+    [2, MAX_TORSION], else OutOfRangeError.  The one check of the order,
+    for BtCandidate, enumerate_bt and FanoEnriquesData alike."""
+    if type(r) is not int:
+        raise OutOfRangeError(f"torsion order must be an integer, got {r!r}")
     if not 2 <= r <= MAX_TORSION:
         raise OutOfRangeError(f"torsion order {r} outside [2, {MAX_TORSION}]")
     return r

@@ -19,11 +19,13 @@ Three series builders live here:
   h^0(-nK) coming from a torsion divisor sigma marked into the basket.
   It has period L = lcm r_Q in n and two routes: the per-n Fraction
   formula torsion_delta_at, and one integer cycle per point type
-  (r_Q, a, l') (_delta_cycle_scaled, which the census walk also reads).
+  (r_Q, a, l') (_delta_cycle_scaled, uncached: the census walk keeps each
+  order's cycles in a table of its own, dropped with the walk).
   _reconciled_cycle checks each cycle once against the one-point
-  torsion_delta_at, and torsion_delta_series sums the cycles over L and
-  tiles them; bigraded_series adds it to the untwisted series (the
-  kernel's +) for each twisted component.
+  torsion_delta_at and caches it for the series builders, and
+  torsion_delta_series sums the cycles over L and tiles them;
+  bigraded_series adds it to the untwisted series (the kernel's +) for
+  each twisted component.
 
 * wci_series / pfaffian_series -- independent oracles for covers: the
   Hilbert series a weighted complete intersection (or codimension-3
@@ -223,7 +225,6 @@ def torsion_delta_at(bt: Basket, i: int, n: int) -> Rational:
     return total
 
 
-@lru_cache(maxsize=None)
 def _delta_cycle_scaled(r_q: int, a: int, lp: int) -> tuple[int, ...]:
     """Per-entry torsion delta over one period of n, scaled by 12*r_q.
 

@@ -31,7 +31,6 @@ __all__ = [
     "normalize_type",
     "inverse_weight",
     "terminal_sum",
-    "compose_actions",
     "preimage_singularity",
     "forced_preimage",
 ]
@@ -250,26 +249,6 @@ def terminal_sum(points: Basket | Counter) -> Rational:
     such as forced_preimage returns; bounded by 24 for actual Fanos."""
     types = points.elements() if isinstance(points, Counter) else (e.type for e in points)
     return sum((Rational(s.r * s.r - 1, s.r) for s in types), Rational(0))
-
-
-def compose_actions(beta: int, ambient_exponents: tuple[int, int, int], point):
-    """Type of the image of `point` under a further quotient of order beta.
-
-    `ambient_exponents` are the exponents of the beta-action on the three
-    local coordinates; the composed stabilizer is cyclic of order beta*d
-    (d the index of `point`, with SMOOTH meaning d = 1).
-    """
-    if beta < 2:
-        raise NotTerminalError(f"quotient order must be >= 2, got {beta}")
-    if point is SMOOTH:
-        d, pexps = 1, (1, 1, 1)
-    else:
-        d, pexps = point.r, point.exponents
-    x, y, z = ambient_exponents
-    return normalize_type(
-        beta * d,
-        (x * d + pexps[0] * beta, y * d + pexps[1] * beta, z * d + pexps[2] * beta),
-    )
 
 
 def preimage_singularity(m: MarkedSingularity, r: int) -> tuple[int, object]:

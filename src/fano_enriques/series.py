@@ -74,6 +74,10 @@ class Bidegree:
     i: int = 0
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise OutOfRangeError(f"t-degree must be an integer, got {self.n!r}")
+        if type(self.i) is not int:
+            raise OutOfRangeError(f"e-degree must be an integer, got {self.i!r}")
         if self.n < 0:
             raise OutOfRangeError(f"t-degree must be >= 0, got {self.n}")
         if self.i < 0:
@@ -93,6 +97,8 @@ class BigradedSeries:
 
     def __post_init__(self):
         r = self.r
+        if type(r) is not int:
+            raise IncompatibleSeriesError(f"grading modulus must be an integer, got {r!r}")
         if r < 1:
             raise IncompatibleSeriesError(f"grading modulus must be >= 1, got {r}")
         rows = tuple(map(_row, self.coeffs))

@@ -50,7 +50,6 @@ from fano_enriques.orbifold import (
     Basket,
     MarkedSingularity,
     SingularityType,
-    compose_actions,
     forced_preimage,
     normalize_type,
     preimage_singularity,
@@ -350,11 +349,8 @@ def test_randomized_oracle_equivalence():
 def test_singularity_composition_and_preimage_identity():
     # composing the order-5 ambient action with the residual stabilizers
     assert normalize_type(5, (4, 2, 3)) == SingularityType(5, 2)
-    assert compose_actions(5, (4, 2, 3), SMOOTH) == SingularityType(5, 2)
-    assert compose_actions(5, (4, 2, 3), SingularityType(2, 1)) == SingularityType(10, 3)
     assert normalize_type(10, (13, 9, 11)) == SingularityType(10, 3)
     # order-4 action on a half-point: the composite is 1/4(1,1,3)
-    assert compose_actions(4, (1, 1, 3), SingularityType(2, 1)) == SingularityType(4, 1)
     assert normalize_type(8, (6, 6, 10)) == SingularityType(4, 1)
 
     # every shipped quotient row satisfies B_cover = preimage(bt) + r * be

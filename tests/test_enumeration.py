@@ -1,16 +1,25 @@
 """Tests for the admissible marked basket enumeration."""
 
+import gc
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
+import fano_enriques
 from fano_enriques.enumeration import (
     MAX_INDEX,
     MAX_TORSION,
     BtCandidate,
     _admissible_items,
+    _census,
+    _CycleTable,
+    _numeric_verdict,
     canonicalize,
     check_restrictions,
     enumerate_bt,
@@ -146,6 +155,11 @@ class TestEnumerateBt:
         assert enumerate_bt(7) == []
         assert enumerate_bt(11) == []
 
+    @pytest.mark.parametrize("r", [2.0, True], ids=["float", "bool"])
+    def test_order_must_be_an_int(self, r):
+        with pytest.raises(OutOfRangeError, match=f"torsion order must be an integer, got {r!r}"):
+            enumerate_bt(r)
+
     def test_all_results_canonical_and_admissible(self):
         for c in enumerate_bt(5) + enumerate_bt(6) + enumerate_bt(8):
             assert canonicalize(c) == c
@@ -202,6 +216,78 @@ class TestCensusCache:
         assert len(expected) == 4
 
 
+class TestWalkWorkingSet:
+    """Each order's walk owns its working set and records the strict-R5
+    verdict of every basket it admits."""
+
+    def test_each_walk_leaves_no_cyclic_garbage(self):
+        # refcounting alone frees a finished walk: nothing is left for the
+        # cyclic collector after any order
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _census.cache_clear()
+            gc.collect()
+            for r in range(2, MAX_TORSION + 1):
+                enumerate_bt(r)
+                assert gc.collect() == 0, r
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_walks_keep_nothing_but_the_census(self):
+        # in a fresh process, so no earlier walk has filled any cache; the
+        # 1368 delta cycles alone would take about 0.9 MB
+        script = (
+            "import gc, tracemalloc\n"
+            "from fano_enriques import enumerate_bt\n"
+            "gc.collect()\n"
+            "tracemalloc.start()\n"
+            "before = tracemalloc.take_snapshot()\n"
+            "for r in range(2, 25):\n"
+            "    enumerate_bt(r)\n"
+            "gc.collect()\n"
+            "after = tracemalloc.take_snapshot()\n"
+            "ours = [tracemalloc.Filter(True, '*fano_enriques*')]\n"
+            "diff = after.filter_traces(ours).compare_to(before.filter_traces(ours), 'filename')\n"
+            "print(sum(d.size_diff for d in diff))\n"
+        )
+        src = os.path.dirname(os.path.dirname(fano_enriques.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert int(run.stdout) < 200_000
+
+    @pytest.mark.parametrize(
+        "r, bt, verdict",
+        [
+            (2, "1/2(1,1,1)_1", None),  # chi(sigma) = 1/2: R5 fails
+            (4, "1/2(1,1,1)_1, 1/14(1,1,13)_7", False),  # chi(i*sigma) >= 0, not all 0
+            (5, "1/10(1,3,7)_6, 2x1/5(1,2,3)_1", True),
+        ],
+        ids=["fails", "plain-only", "strict"],
+    )
+    def test_numeric_verdict_is_check_restrictions(self, r, bt, verdict):
+        c = BtCandidate(r, Basket.parse(bt))
+        assert _numeric_verdict(c.entries.entries, r, _CycleTable()) is verdict
+        plain = check_restrictions(c)
+        strict = check_restrictions(c, strict_chi=True)
+        assert (plain["R4"][0] and plain["R5"][0]) == (verdict is not None)
+        assert strict["R5"][0] == (verdict is True)
+
+    def test_recorded_verdict_is_the_strict_restriction(self):
+        for r in range(2, MAX_TORSION + 1):
+            for c, strict in _census(r):
+                assert strict == check_restrictions(c, strict_chi=True).admissible, c
+
+    def test_recorded_verdict_matches_the_oracle(self):
+        for r in (2, 3, 4, 5, 7):
+            _, strict, _ = _oracle_census(r)
+            assert [c.entries.entries for c, verdict in _census(r) if verdict] == strict, r
+
+
+@lru_cache(maxsize=None)
 def _oracle_census(r):
     """(plain, strict) census of order r by brute force: every nondecreasing
     multiset of admissible items within the R1 and R2 budgets, summed in

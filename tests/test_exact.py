@@ -1,5 +1,7 @@
 """Tests for the exact arithmetic helpers."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,11 +16,17 @@ from fano_enriques.exact import (
     Rational,
     format_rational,
     is_integer,
+    nonnegative,
     parse_rational,
     rational_from_json,
+    torsion_order,
     truncation,
     units,
 )
+
+# values that pass a range test by value but are not ints
+NOT_INTS = [2.0, True, Rational(2)]
+NOT_INT_IDS = ["float", "bool", "fraction"]
 
 
 class TestUnits:
@@ -104,3 +112,26 @@ class TestTruncation:
         # refused before any list of value + 1 coefficients is asked for
         with pytest.raises(OutOfRangeError, match=message):
             truncation("trunc", value)
+
+    @pytest.mark.parametrize("value", NOT_INTS, ids=NOT_INT_IDS)
+    def test_truncation_must_be_an_int(self, value):
+        message = re.escape(f"trunc must be an integer, got {value!r}")
+        with pytest.raises(OutOfRangeError, match=message):
+            truncation("trunc", value)
+
+    @pytest.mark.parametrize("value", NOT_INTS, ids=NOT_INT_IDS)
+    def test_nonnegative_must_be_an_int(self, value):
+        message = re.escape(f"size must be an integer, got {value!r}")
+        with pytest.raises(OutOfRangeError, match=message):
+            nonnegative("size", value)
+
+
+class TestTorsionOrder:
+    def test_orders_in_range_pass(self):
+        assert torsion_order(2) == 2 and torsion_order(24) == 24
+
+    @pytest.mark.parametrize("value", NOT_INTS, ids=NOT_INT_IDS)
+    def test_must_be_an_int(self, value):
+        message = re.escape(f"torsion order must be an integer, got {value!r}")
+        with pytest.raises(OutOfRangeError, match=message):
+            torsion_order(value)

@@ -191,6 +191,10 @@ class TestAltinokSeries:
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
             altinok_series(FanoData(Rational(4)), -1)
 
+    def test_truncation_must_be_an_int(self):
+        with pytest.raises(OutOfRangeError, match="trunc must be an integer, got 2.0"):
+            altinok_series(FanoData(2, Basket()), 2.0)
+
 
 class TestTorsionDelta:
     BT = Basket.parse("1/2(1,1,1)_1 x5, 1/6(1,1,5)_3")
@@ -407,6 +411,11 @@ class TestBigradedSeries:
     def test_negative_truncation(self):
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
             bigraded_series(self.DATA, -1)
+
+    def test_torsion_order_must_be_an_int(self):
+        # refused by FanoEnriquesData, before any series is built
+        with pytest.raises(OutOfRangeError, match="torsion order must be an integer, got 2.0"):
+            bigraded_series(FanoEnriquesData(2.0, Rational(2), Basket()), 5)
 
 
 class TestModelOracles:

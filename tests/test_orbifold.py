@@ -14,7 +14,6 @@ from fano_enriques.orbifold import (
     Basket,
     MarkedSingularity,
     SingularityType,
-    compose_actions,
     inverse_weight,
     normalize_type,
     preimage_singularity,
@@ -102,25 +101,6 @@ class TestNormalizeType:
         assert normalize_type(r, scrambled) == SingularityType(r, a)
 
 
-class TestComposeActions:
-    def test_index_two_point_under_order_five_action(self):
-        got = compose_actions(5, (4, 2, 3), SingularityType(2, 1))
-        assert got == SingularityType(10, 3)
-        assert str(got) == "1/10(1,3,7)"
-
-    def test_smooth_point_under_order_five_action(self):
-        assert compose_actions(5, (4, 2, 3), SMOOTH) == SingularityType(5, 2)
-
-    def test_composition_collapsing_to_smaller_index(self):
-        # order 4*2 = 8 action that is faithful only on a Z/4 quotient
-        got = compose_actions(4, (1, 1, 3), SingularityType(2, 1))
-        assert got == SingularityType(4, 1)
-
-    def test_requires_nontrivial_quotient(self):
-        with pytest.raises(NotTerminalError):
-            compose_actions(1, (1, 1, 1), SMOOTH)
-
-
 class TestPreimageSingularity:
     def test_unmarked_entries_split_completely(self):
         count, fiber = preimage_singularity(mk(2, 1), 2)
@@ -163,10 +143,14 @@ class TestPreimageSingularity:
         assert checked == 212
 
     def test_inverts_composition(self):
-        # going down by compose_actions and back up must recover the point
+        # going down to the order-5 quotient and back up must recover the
+        # point: the composed action of order 5 * 2 on the fiber 1/2(1,1,1),
+        # with ambient exponents (4, 2, 3), has exponents (4*2 + 5, 2*2 + 5,
+        # 3*2 + 5) mod 10
         m = mk(10, 3, 6)
         count, fiber = preimage_singularity(m, 5)
-        assert compose_actions(5, (4, 2, 3), fiber) == m.type
+        assert fiber == SingularityType(2, 1)
+        assert normalize_type(5 * 2, (4 * 2 + 5, 2 * 2 + 5, 3 * 2 + 5)) == m.type
         assert count * m.alpha == 5 * 1
 
 

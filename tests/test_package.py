@@ -48,7 +48,6 @@ HOMES = {
             "Basket",
             "MarkedSingularity",
             "SingularityType",
-            "compose_actions",
             "forced_preimage",
             "inverse_weight",
             "normalize_type",

@@ -397,6 +397,10 @@ class TestNegativeSizes:
         with pytest.raises(OutOfRangeError, match=f"trunc must be <= {MAX_TRUNC}, got {10**30}"):
             search([Y4], census(5), trunc=10**30)
 
+    def test_search_truncation_must_be_an_int(self):
+        with pytest.raises(OutOfRangeError, match="trunc must be an integer, got 24.0"):
+            search([Y4], census(5), trunc=24.0)
+
     def test_cover_of_unindexable_degree(self):
         # -K^3 comes from the degrees by arithmetic, with no series to
         # t^(10^100 + 3)

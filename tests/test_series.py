@@ -49,6 +49,20 @@ class TestBidegree:
             Bidegree(0, -2)
 
     @pytest.mark.parametrize(
+        "n, i, message",
+        [
+            (1.5, 0, "t-degree must be an integer, got 1.5"),
+            (True, 0, "t-degree must be an integer, got True"),
+            (1, 0.0, "e-degree must be an integer, got 0.0"),
+            (1, False, "e-degree must be an integer, got False"),
+        ],
+        ids=["float-n", "bool-n", "float-i", "bool-i"],
+    )
+    def test_degrees_must_be_ints(self, n, i, message):
+        with pytest.raises(OutOfRangeError, match=message):
+            Bidegree(n, i)
+
+    @pytest.mark.parametrize(
         "build",
         [
             # a relation of degree 12 above the Pfaffian's top degree 8
@@ -80,6 +94,12 @@ class TestConstruction:
             BigradedSeries(1, [[]])  # no constant term
         with pytest.raises(IncompatibleSeriesError, match="grading modulus must be >= 1"):
             BigradedSeries.polynomial(0, 3, [(1, Bidegree(0))])
+
+    @pytest.mark.parametrize("r", [2.0, True, "2"], ids=["float", "bool", "str"])
+    def test_modulus_must_be_an_int(self, r):
+        message = f"grading modulus must be an integer, got {r!r}"
+        with pytest.raises(IncompatibleSeriesError, match=message):
+            BigradedSeries(r, [[1, 0], [0, 1]])
 
     def test_basic_constructors(self):
         one = BigradedSeries.one(3, 4)
