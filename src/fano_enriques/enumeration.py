@@ -24,15 +24,16 @@ items come in order of index, so R1 costs never fall, every extension
 needs a witness from k on, and a node without a witness is never a
 candidate.
 
-The walk tests R4/R5 in Python ints, from the per-entry integer delta
-cycles of hilbert._delta_cycle_scaled (computed directly from the local
-kernel, and the same cycles the series builders tile);
+The walk is one loop in _census over a stack of frames.  It tests R4/R5
+in Python ints, from the per-entry integer delta cycles of
+hilbert._delta_cycle_scaled (computed directly from the local kernel, and
+the same cycles the series builders tile), memoized per order;
 check_restrictions evaluates the same conditions per n through the
 Fraction formula torsion_delta_at over one period, so the two are
-independent routes.  Each order's walk owns its working set (items,
-costs, chosen prefix, found baskets and its own table of cycles), which
-is freed as soon as the walk returns; only the census itself is cached,
-once per process and order.  The walk records each basket's strict-R5
+independent routes.  Everything the walk uses (items, costs, the stack,
+the chosen prefix, the baskets found and the cycle memo) is a local of
+_census, freed by refcounting when it returns; only the census itself is
+cached, once per process and order.  The walk records each basket's strict-R5
 verdict as it admits it, and the strict census keeps the baskets whose
 verdict holds.  That is exact because strict R5 implies R5 and R4/R5
 are invariant under sigma -> u*sigma and under reordering entries, so
@@ -43,9 +44,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import Callable
 
 from .exact import MAX_TORSION, format_rational, is_integer, torsion_order, units
 from .hilbert import _delta_cycle_scaled, torsion_delta_at
@@ -188,28 +189,19 @@ def _admissible_items(r: int) -> list[MarkedSingularity]:
     return sorted(items)
 
 
-class _CycleTable(dict):
-    """One order's hilbert._delta_cycle_scaled, by (r_Q, a, l'), filled on
-    first use."""
-
-    def __missing__(self, key: tuple[int, int, int]) -> tuple[int, ...]:
-        self[key] = cycle = _delta_cycle_scaled(*key)
-        return cycle
-
-
 def _numeric_verdict(
-    entries: tuple[MarkedSingularity, ...], r: int, cycles: _CycleTable
+    entries: tuple[MarkedSingularity, ...], r: int, cycles: Callable[..., tuple[int, ...]]
 ) -> bool | None:
     """R4 + R5, short-circuiting: None when either fails, else whether strict
     R5 holds (chi(i*sigma) = 0 for every i != 0).  R1-R3 are maintained by
     the search itself.
 
-    Works in integers: per-entry cycles, read from the order's own table,
-    are scaled by 12*r_Q, the candidate total by d = 12*lcm(r_Q), so
-    integrality is a single modulus test, chi(i*sigma) >= 0 becomes
-    total >= -d and chi(i*sigma) = 0 becomes total = -d.  A basket that
-    passes has had every i checked at n = 0, so its strict verdict costs
-    nothing more.
+    Works in integers: per-entry cycles, cycles(r_Q, a, l') (the order's own
+    memo of hilbert._delta_cycle_scaled), are scaled by 12*r_Q, the
+    candidate total by d = 12*lcm(r_Q), so integrality is a single modulus
+    test, chi(i*sigma) >= 0 becomes total >= -d and chi(i*sigma) = 0
+    becomes total = -d.  A basket that passes has had every i checked at
+    n = 0, so its strict verdict costs nothing more.
     """
     period = lcm(*(e.type.r for e in entries))
     d = 12 * period
@@ -220,7 +212,7 @@ def _numeric_verdict(
             r_q = e.type.r
             lp = (i * e.l) % r_q
             if lp:
-                parts.append((cycles[r_q, e.type.a, lp], r_q, d // (12 * r_q)))
+                parts.append((cycles(r_q, e.type.a, lp), r_q, d // (12 * r_q)))
         for n in range(period):
             total = sum(cycle[n % r_q] * f for cycle, r_q, f in parts)
             if total % d:
@@ -241,12 +233,16 @@ def enumerate_bt(r: int, strict_chi: bool = False) -> list[BtCandidate]:
 @lru_cache(maxsize=None)
 def _census(r: int) -> tuple[tuple[BtCandidate, bool], ...]:
     """The census of order r, walked once per process: each basket with its
-    strict-R5 verdict."""
+    strict-R5 verdict.  The walk is depth first over a stack of frames (next
+    item, R1 cost, R2 cost, witness seen), a frame's depth in the stack being
+    the length of the chosen prefix it extends: a popped frame pushes its
+    next sibling, then the child that extends the prefix by its item."""
     items = _admissible_items(r)
     # budget arithmetic in integers: costs scaled by lcm(1..24)
     scale = lcm(*range(1, MAX_INDEX + 1))
     budget = 24 * scale
     cost1 = [(it.type.r * it.type.r - 1) * (scale // it.type.r) for it in items]
+    cost1.append(budget)  # a frame at the end of the items fails R1 and ends
     cost2 = [
         (r // it.alpha) * (it.d * it.d - 1) * (scale // it.d) if it.d > 1 else 0
         for it in items
@@ -257,47 +253,25 @@ def _census(r: int) -> tuple[tuple[BtCandidate, bool], ...]:
     for k in range(len(items) - 1, -1, -1):
         cheapest[k] = min(cheapest[k + 1], cost1[k]) if is_witness[k] else cheapest[k + 1]
 
-    walk = _OrderWalk(r, items, cost1, cost2, is_witness, cheapest, budget, [], {}, _CycleTable())
-    _walk(walk, 0, 0, 0, False)
-    return tuple(
-        (BtCandidate(r, Basket(entries)), strict) for entries, strict in sorted(walk.found.items())
-    )
-
-
-class _OrderWalk(NamedTuple):
-    """The working set of one order's walk, dropped with it: the items and
-    their R1/R2 costs, the chosen prefix, the baskets found so far (canonical
-    entries -> strict-R5 verdict) and the order's own delta-cycle table."""
-
-    r: int
-    items: list[MarkedSingularity]
-    cost1: list[int]
-    cost2: list[int]
-    is_witness: list[bool]
-    cheapest: list[int]
-    budget: int
-    chosen: list[MarkedSingularity]
-    found: dict[tuple[MarkedSingularity, ...], bool]
-    cycles: _CycleTable
-
-
-def _walk(walk: _OrderWalk, start: int, s1: int, s2: int, witness: bool) -> None:
-    """Extend the chosen prefix, of R1/R2 costs s1/s2, by every affordable
-    item from start on, depth first, recording each admissible basket."""
-    r, items, cost1, cost2, is_witness, cheapest, budget, chosen, found, cycles = walk
-    for k in range(start, len(items)):
-        if not witness and s1 + cheapest[k] >= budget:
-            break  # R3 needs a witness from k on, and none is affordable
+    cycles = cache(_delta_cycle_scaled)
+    found: dict[tuple[MarkedSingularity, ...], bool] = {}  # canonical entries -> strict R5
+    chosen: list[MarkedSingularity] = []
+    stack = [(0, 0, 0, False)]
+    while stack:
+        k, s1, s2, witness = stack.pop()
+        del chosen[len(stack):]
         n1 = s1 + cost1[k]
         if n1 >= budget:
-            break  # items are sorted by index, so cost1 only grows
+            continue  # items are sorted by index, so cost1 only grows
+        if not witness and s1 + cheapest[k] >= budget:
+            continue  # R3 needs a witness from k on, and none is affordable
+        stack.append((k + 1, s1, s2, witness))
         n2 = s2 + cost2[k]
         if n2 >= budget:
             continue
         chosen.append(items[k])
         w = witness or is_witness[k]
         if w and (strict := _numeric_verdict(tuple(chosen), r, cycles)) is not None:
-            canon = canonicalize(BtCandidate(r, Basket(tuple(chosen))))
-            found[canon.entries.entries] = strict
-        _walk(walk, k, n1, n2, w)
-        chosen.pop()
+            found[canonicalize(BtCandidate(r, Basket(tuple(chosen)))).entries.entries] = strict
+        stack.append((k, n1, n2, w))
+    return tuple((BtCandidate(r, Basket(e)), strict) for e, strict in sorted(found.items()))

@@ -91,6 +91,16 @@ def parse_rational(text: str) -> Rational:
         raise MalformedInputError(f"not a finite rational number: {text!r}") from None
 
 
+def exact_rational(value: Rational) -> Rational:
+    """A rational argument of the library, read exactly: an int or a
+    Fraction.  A float would be taken at its binary value (0.1 as
+    3602879701896397/36028797018963968) and a bool is no number, so both
+    are refused, as rational_from_json refuses them in JSON."""
+    if type(value) in (int, Rational):
+        return Rational(value)
+    raise MalformedInputError(f"not an exact rational: {value!r}; pass an int or a Fraction")
+
+
 def rational_from_json(value) -> Rational:
     """A rational field of parsed JSON, read exactly: an int, or a 'p/q' (or
     'p') string.  A JSON float has already been rounded to binary when it

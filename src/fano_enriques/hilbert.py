@@ -19,8 +19,8 @@ Three series builders live here:
   h^0(-nK) coming from a torsion divisor sigma marked into the basket.
   It has period L = lcm r_Q in n and two routes: the per-n Fraction
   formula torsion_delta_at, and one integer cycle per point type
-  (r_Q, a, l') (_delta_cycle_scaled, uncached: the census walk keeps each
-  order's cycles in a table of its own, dropped with the walk).
+  (r_Q, a, l') (_delta_cycle_scaled, uncached: the census walk memoizes
+  each order's cycles itself and drops them with the walk).
   _reconciled_cycle checks each cycle once against the one-point
   torsion_delta_at and caches it for the series builders, and
   torsion_delta_series sums the cycles over L and tiles them;
@@ -56,6 +56,7 @@ from .errors import (
 from .exact import (
     MAX_TORSION,
     Rational,
+    exact_rational,
     format_rational,
     is_integer,
     rational_from_json,
@@ -102,7 +103,7 @@ class FanoData:
     basket: Basket = field(default_factory=Basket)
 
     def __post_init__(self):
-        object.__setattr__(self, "minus_k_cubed", Rational(self.minus_k_cubed))
+        object.__setattr__(self, "minus_k_cubed", exact_rational(self.minus_k_cubed))
         if self.minus_k_cubed <= 0:
             raise InconsistentDataError(
                 f"-K^3 must be positive, got {self.minus_k_cubed}"

@@ -64,6 +64,10 @@ class SingularityType:
     a: int
 
     def __post_init__(self):
+        if type(self.r) is not int or type(self.a) is not int:
+            raise NotTerminalError(
+                f"index and weight must be integers, got {self.r!r}, {self.a!r}"
+            )
         if self.r < 2:
             raise NotTerminalError(f"index must be >= 2, got {self.r}")
         # canonical weight: 1 <= a <= r/2 and a a unit mod r
@@ -88,6 +92,8 @@ class MarkedSingularity:
     l: int = 0
 
     def __post_init__(self):
+        if type(self.l) is not int:
+            raise InconsistentMarkingError(f"marking must be an integer, got {self.l!r}")
         if not 0 <= self.l < self.type.r:
             raise InconsistentMarkingError(
                 f"marking {self.l} out of range for {self.type}"

@@ -43,7 +43,7 @@ from .errors import (
     MalformedInputError,
     OutOfRangeError,
 )
-from .exact import Rational, format_rational, rational_from_json, truncation
+from .exact import Rational, exact_rational, format_rational, rational_from_json, truncation
 from .gradedrings import Presentation, infer_presentation, pfaffian_terms
 from .hilbert import (
     FanoData,
@@ -99,7 +99,7 @@ class CoverRecord:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "degrees", tuple(self.degrees))
-        object.__setattr__(self, "minus_k_cubed", Rational(self.minus_k_cubed))
+        object.__setattr__(self, "minus_k_cubed", exact_rational(self.minus_k_cubed))
         if not isinstance(self.basket, Basket):
             object.__setattr__(self, "basket", Basket(tuple(self.basket)))
         if self.structure not in ("ci", "pfaffian"):

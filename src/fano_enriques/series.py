@@ -38,7 +38,7 @@ from .errors import (
     OutOfRangeError,
     UnnormalizedResidualError,
 )
-from .exact import Rational, format_rational, rational_from_json
+from .exact import Rational, format_rational, rational_from_json, truncation
 
 __all__ = ["Bidegree", "BigradedSeries"]
 
@@ -56,6 +56,16 @@ def _coefficient(c: Scalar) -> Rational:
     raise MalformedInputError(
         f"series coefficient must be a Fraction or an int, got {c!r}"
     )
+
+
+def _modulus(r: int) -> int:
+    """The grading modulus r itself: an int (not a bool) >= 1, else
+    IncompatibleSeriesError."""
+    if type(r) is not int:
+        raise IncompatibleSeriesError(f"grading modulus must be an integer, got {r!r}")
+    if r < 1:
+        raise IncompatibleSeriesError(f"grading modulus must be >= 1, got {r}")
+    return r
 
 
 def _row(row: Iterable[Scalar]) -> tuple[Rational, ...]:
@@ -96,11 +106,7 @@ class BigradedSeries:
     coeffs: tuple[tuple[Rational, ...], ...]
 
     def __post_init__(self):
-        r = self.r
-        if type(r) is not int:
-            raise IncompatibleSeriesError(f"grading modulus must be an integer, got {r!r}")
-        if r < 1:
-            raise IncompatibleSeriesError(f"grading modulus must be >= 1, got {r}")
+        r = _modulus(self.r)
         rows = tuple(map(_row, self.coeffs))
         if len(rows) != r:
             raise IncompatibleSeriesError(f"expected {r} rows, got {len(rows)}")
@@ -117,10 +123,12 @@ class BigradedSeries:
         cls, r: int, trunc: int, terms: Iterable[tuple[Scalar, Bidegree]]
     ) -> "BigradedSeries":
         """The sum of the terms c e^i t^n, given as (c, Bidegree(n, i)), below
-        t^(trunc+1): e-degrees wrap mod r and repeated bidegrees add up."""
-        rows = [[0] * (trunc + 1) for _ in range(r)]
+        t^(trunc+1): e-degrees wrap mod r and repeated bidegrees add up.  The
+        modulus and the truncation are checked before any row is built."""
+        r, width = _modulus(r), truncation("trunc", trunc) + 1
+        rows = [[0] * width for _ in range(r)]
         for c, d in terms:
-            if rows and d.n <= trunc:  # no rows: r < 1, refused by the constructor
+            if d.n <= trunc:
                 rows[d.i % r][d.n] += _coefficient(c)
         return cls(r, rows)
 

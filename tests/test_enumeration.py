@@ -12,13 +12,13 @@ from math import gcd
 import pytest
 
 import fano_enriques
+from fano_enriques import enumeration
 from fano_enriques.enumeration import (
     MAX_INDEX,
     MAX_TORSION,
     BtCandidate,
     _admissible_items,
     _census,
-    _CycleTable,
     _numeric_verdict,
     canonicalize,
     check_restrictions,
@@ -270,7 +270,7 @@ class TestWalkWorkingSet:
     )
     def test_numeric_verdict_is_check_restrictions(self, r, bt, verdict):
         c = BtCandidate(r, Basket.parse(bt))
-        assert _numeric_verdict(c.entries.entries, r, _CycleTable()) is verdict
+        assert _numeric_verdict(c.entries.entries, r, _delta_cycle_scaled) is verdict
         plain = check_restrictions(c)
         strict = check_restrictions(c, strict_chi=True)
         assert (plain["R4"][0] and plain["R5"][0]) == (verdict is not None)
@@ -327,3 +327,25 @@ class TestCensusCompleteness:
         assert visited == multisets
         assert [c.entries.entries for c in enumerate_bt(r)] == plain
         assert [c.entries.entries for c in enumerate_bt(r, strict_chi=True)] == strict
+
+    # _numeric_verdict calls of one walk per order, r = 2..24
+    VERDICT_CALLS = [
+        648, 1112, 3294, 1050, 4869, 1707, 4788, 3636, 3120, 1375, 3220, 72,
+        1278, 1472, 1088, 128, 360, 162, 192, 216, 100, 242, 32,
+    ]
+
+    def test_walk_tests_the_same_nodes(self, monkeypatch):
+        """The walk tests R4/R5 once at every node with a witness inside both
+        budgets: 34,161 calls over the census.  An incremental R4/R5 (ROADMAP
+        item 9(a)) will lower these counts on purpose."""
+        calls = Counter()
+
+        def counted(entries, r, cycles):
+            calls[r] += 1
+            return _numeric_verdict(entries, r, cycles)
+
+        monkeypatch.setattr(enumeration, "_numeric_verdict", counted)
+        for r in range(2, MAX_TORSION + 1):
+            _census.__wrapped__(r)
+        assert [calls[r] for r in range(2, MAX_TORSION + 1)] == self.VERDICT_CALLS
+        assert sum(self.VERDICT_CALLS) == 34_161

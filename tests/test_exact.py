@@ -14,6 +14,7 @@ from fano_enriques.errors import (
 from fano_enriques.exact import (
     MAX_TRUNC,
     Rational,
+    exact_rational,
     format_rational,
     is_integer,
     nonnegative,
@@ -93,6 +94,18 @@ class TestRationalFromJson:
     def test_bad_strings_refused(self):
         with pytest.raises(MalformedInputError, match="not a finite rational"):
             rational_from_json("1/0")
+
+
+class TestExactRational:
+    def test_ints_and_fractions_are_kept_exactly(self):
+        assert exact_rational(3) == 3 and type(exact_rational(3)) is Rational
+        half = Rational(1, 2)
+        assert exact_rational(half) == half
+
+    @pytest.mark.parametrize("value", [0.1, 2.5, True, "5/2", None], ids=repr)
+    def test_everything_else_refused(self, value):
+        with pytest.raises(MalformedInputError, match=re.escape(f"not an exact rational: {value!r}")):
+            exact_rational(value)
 
 
 class TestTruncation:

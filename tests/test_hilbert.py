@@ -124,6 +124,16 @@ class TestFanoData:
         with pytest.raises(InconsistentDataError):
             FanoData(Rational(3))
 
+    @pytest.mark.parametrize(
+        "k3, basket",
+        [(0.1, ""), (2.5, "1/2(1,1,1)"), (True, ""), ("4", "")],
+        ids=["0.1", "2.5", "bool", "str"],
+    )
+    def test_degree_must_be_exact(self, k3, basket):
+        # a float would be read at its binary value, a bool as 0 or 1
+        with pytest.raises(MalformedInputError, match=f"not an exact rational: {k3!r}"):
+            FanoData(k3, Basket.parse(basket))
+
     def test_rejects_nonpositive_degree(self):
         with pytest.raises(InconsistentDataError):
             FanoData(Rational(0))
@@ -360,6 +370,10 @@ class TestFanoEnriquesData:
         data = FanoEnriquesData(**self.GOOD)
         assert FanoEnriquesData.from_json(data.to_json()) == data
         assert data.to_json()["minusK3"] == "1/2"
+
+    def test_float_degree_refused(self):
+        with pytest.raises(MalformedInputError, match="not an exact rational: 0.5"):
+            FanoEnriquesData(**dict(self.GOOD, minus_k_cubed=0.5))
 
     @pytest.mark.parametrize("k3", [0.5, 1e-400, True], ids=repr)
     def test_json_float_refused(self, k3):

@@ -47,6 +47,11 @@ class TestSingularityType:
         with pytest.raises(NotTerminalError):
             SingularityType(1, 0)
 
+    @pytest.mark.parametrize("r, a", [(5.0, 2), (5, 2.0), (True, 1)], ids=repr)
+    def test_index_and_weight_must_be_ints(self, r, a):
+        with pytest.raises(NotTerminalError, match="must be integers"):
+            SingularityType(r, a)
+
     def test_ordering(self):
         assert SingularityType(2, 1) < SingularityType(3, 1)
         assert SingularityType(5, 1) < SingularityType(5, 2)
@@ -65,6 +70,11 @@ class TestMarkedSingularity:
             mk(5, 2, 5)
         with pytest.raises(InconsistentMarkingError):
             mk(5, 2, -1)
+
+    @pytest.mark.parametrize("l", [1.0, True], ids=repr)
+    def test_marking_must_be_an_int(self, l):
+        with pytest.raises(InconsistentMarkingError, match=f"marking must be an integer, got {l!r}"):
+            mk(5, 2, l)
 
 
 class TestNormalizeType:

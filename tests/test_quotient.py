@@ -196,6 +196,11 @@ class TestCoverRecord:
         assert "structure" not in Y5.to_json()
         assert STANDIN.to_json()["structure"] == "pfaffian"
 
+    @pytest.mark.parametrize("k3", [2.5, True], ids=repr)
+    def test_inexact_k3_refused(self, k3):
+        with pytest.raises(MalformedInputError, match=f"not an exact rational: {k3!r}"):
+            CoverRecord("bad", (1, 1, 1, 1, 2), (5,), Basket.parse("1/2(1,1,1)"), k3)
+
     def test_json_float_k3_refused(self):
         obj = Y5.to_json()
         obj["minusK3"] = 2.5

@@ -101,6 +101,20 @@ class TestConstruction:
         with pytest.raises(IncompatibleSeriesError, match=message):
             BigradedSeries(r, [[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: BigradedSeries.polynomial(2.0, 3, []), IncompatibleSeriesError,
+             "grading modulus must be an integer, got 2.0"),
+            (lambda: BigradedSeries.one(2, 3.0), OutOfRangeError, "trunc must be an integer, got 3.0"),
+            (lambda: BigradedSeries.polynomial(2, -2, []), OutOfRangeError, "trunc must be >= 0, got -2"),
+        ],
+        ids=["float-modulus", "float-trunc", "negative-trunc"],
+    )
+    def test_polynomial_checks_modulus_and_truncation_first(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
     def test_basic_constructors(self):
         one = BigradedSeries.one(3, 4)
         assert one.coefficient(0, 0) == 1
