@@ -21,6 +21,7 @@ the census, the search or the catalogs; search reads the census lazily.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import EngineError
@@ -141,10 +142,10 @@ def _cmd_infer(args) -> int:
     from .series import BigradedSeries
 
     if args.series == "-":
-        text, origin = sys.stdin.read(), "stdin"
+        source, origin = sys.stdin.buffer, "stdin"
     else:
-        text, origin = read_file(args.series), args.series
-    series = BigradedSeries.from_json(parse_json(text, origin))
+        source = origin = args.series
+    series = BigradedSeries.from_json(parse_json(read_file(source, origin), origin))
     presentation = infer_presentation(series)
     if args.json:
         _print_json(presentation.to_json())
@@ -288,10 +289,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _DISPATCH[args.command](args)
-    except (EngineError, OSError) as exc:
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a reader that is gone shows here, not at exit
+    except EngineError as exc:
         print(f"fano-enriques {args.command}: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout's reader is gone (`| head -1`): say nothing, and let what is
+        # still buffered go to devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -82,8 +82,7 @@ class BtCandidate:
 
     def __post_init__(self):
         torsion_order(self.r)
-        if not isinstance(self.entries, Basket):
-            object.__setattr__(self, "entries", Basket(tuple(self.entries)))
+        object.__setattr__(self, "entries", Basket.coerce(self.entries))
         object.__setattr__(self, "preimage", forced_preimage(self.entries, self.r))
 
     def __str__(self):

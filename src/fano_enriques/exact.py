@@ -123,15 +123,18 @@ def format_rational(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def read_file(source) -> str:
-    """The UTF-8 text of a path, a path string or a package resource; a file
-    that cannot be read or decoded is a CatalogError naming it."""
+def read_file(source, origin: str | None = None) -> str:
+    """The UTF-8 text of a path, a path string, a package resource or a
+    binary stream such as stdin's; what cannot be read or decoded is a
+    CatalogError naming `origin`, by default the source."""
     from pathlib import Path
 
     try:
+        if hasattr(source, "read"):
+            return source.read().decode("utf-8")
         return (Path(source) if isinstance(source, str) else source).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CatalogError(f"cannot read {source}: {exc}") from exc
+        raise CatalogError(f"cannot read {origin or source}: {exc}") from exc
 
 
 def parse_json(text: str, origin: str):

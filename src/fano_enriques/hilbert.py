@@ -104,6 +104,7 @@ class FanoData:
 
     def __post_init__(self):
         object.__setattr__(self, "minus_k_cubed", exact_rational(self.minus_k_cubed))
+        object.__setattr__(self, "basket", Basket.coerce(self.basket))
         if self.minus_k_cubed <= 0:
             raise InconsistentDataError(
                 f"-K^3 must be positive, got {self.minus_k_cubed}"
@@ -132,6 +133,8 @@ class FanoEnriquesData:
 
     def __post_init__(self):
         torsion_order(self.r)
+        object.__setattr__(self, "bt", Basket.coerce(self.bt))
+        object.__setattr__(self, "be", Basket.coerce(self.be))
         forced_preimage(self.bt, self.r)  # the one marking check; refuses bad bt
         for entry in self.be:
             if entry.l != 0:

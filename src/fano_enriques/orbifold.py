@@ -3,8 +3,10 @@
 A point of type 1/r(w1,w2,w3) is the quotient of C^3 by the diagonal
 action of the r-th roots of unity with the given weights.  The isolated
 terminal ones in dimension three are exactly those reducible to the
-canonical shape 1/r(1, a, r-a) with gcd(a, r) = 1; everything in this
-package funnels through that normal form.
+canonical shape 1/r(1, a, r-a) with gcd(a, r) = 1 (the terminal lemma);
+everything in this package, preimage fibers included, funnels through
+normalize_type, which reads that normal form off by modular inverses.
+A point with trivial action is SMOOTH, which is None.
 
 Baskets are multisets of such points, optionally carrying a marking
 l in [0, r): the coefficient expressing a fixed numerically trivial
@@ -21,7 +23,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import InconsistentMarkingError, MalformedInputError, NotTerminalError
-from .exact import Rational, units
+from .exact import Rational
 
 __all__ = [
     "SingularityType",
@@ -36,24 +38,8 @@ __all__ = [
 ]
 
 
-class _SmoothPoint:
-    """Singleton marker for a smooth point (index-1 'singularity')."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "SMOOTH"
-
-    def __str__(self):
-        return "smooth"
-
-
-SMOOTH = _SmoothPoint()
+# a point whose action is trivial once its non-faithful part is divided out
+SMOOTH = None
 
 
 @dataclass(frozen=True, order=True)
@@ -92,6 +78,8 @@ class MarkedSingularity:
     l: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.type, SingularityType):
+            raise MalformedInputError(f"not a singularity type: {self.type!r}")
         if type(self.l) is not int:
             raise InconsistentMarkingError(f"marking must be an integer, got {self.l!r}")
         if not 0 <= self.l < self.type.r:
@@ -132,6 +120,19 @@ class Basket:
             if not isinstance(e, MarkedSingularity):
                 raise MalformedInputError(f"not a singularity entry: {e!r}")
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+
+    @classmethod
+    def coerce(cls, value) -> "Basket":
+        """A record's basket field: a Basket as it is, a sequence of
+        MarkedSingularity as a Basket, anything else MalformedInputError."""
+        if isinstance(value, Basket):
+            return value
+        if isinstance(value, str) or not isinstance(value, Iterable):
+            raise MalformedInputError(
+                f"not a basket: {value!r}; pass a Basket or a sequence of "
+                f"MarkedSingularity, or read text with Basket.parse"
+            )
+        return cls(tuple(value))
 
     def __iter__(self) -> Iterator[MarkedSingularity]:
         return iter(self.entries)
@@ -204,45 +205,37 @@ class Basket:
         return cls(tuple(entries))
 
 
-def normalize_type(r: int, exponents: tuple[int, int, int]):
+def normalize_type(r: int, exponents: tuple[int, int, int]) -> SingularityType | None:
     """Bring 1/r(x, y, z) to the canonical form 1/r'(1, a, r'-a).
 
     First the non-faithful part of the action is divided out
     (g = gcd(r, x, y, z)); a trivial remaining action yields SMOOTH.
-    Then a unit u mod r' with {ux, uy, uz} = {1, a, r'-a} is searched for;
-    absence of such a unit means the point is not an isolated terminal
-    singularity and raises NotTerminalError.
+    Then each exponent e that is a unit mod r' is tried: e^-1 is the one
+    unit that sends it to 1, and when the other two exponents are units
+    summing to 0 it sends them to a and r'-a.  The least such a gives the
+    form; none means the point is not an isolated terminal singularity
+    and raises NotTerminalError.
     """
     if r < 1:
         raise NotTerminalError(f"index must be positive, got {r}")
     if len(exponents) != 3:
         raise NotTerminalError(f"need exactly three exponents, got {exponents!r}")
-    exps = tuple(e % r for e in exponents) if r > 1 else (0, 0, 0)
-    if r == 1:
-        return SMOOTH
-    g = gcd(r, gcd(gcd(exps[0], exps[1]), exps[2]))
+    g = gcd(r, *exponents)
     r2 = r // g
     if r2 == 1:
         return SMOOTH
-    exps = tuple((e // g) % r2 for e in exps)
-
-    best = None
-    for u in units(r2):
-        w = [(u * e) % r2 for e in exps]
-        for k in range(3):
-            if w[k] != 1:
-                continue
-            c1, c2 = w[(k + 1) % 3], w[(k + 2) % 3]
-            if c1 == 0 or (c1 + c2) % r2 != 0 or gcd(c1, r2) != 1:
-                continue
-            a = min(c1, c2)
-            if best is None or a < best:
-                best = a
-    if best is None:
+    exps = [(e // g) % r2 for e in exponents]
+    weights = []
+    for k, e in enumerate(exps):
+        b = exps[k - 1]
+        if gcd(e, r2) == gcd(b, r2) == 1 and (b + exps[k - 2]) % r2 == 0:
+            c = b * pow(e, -1, r2) % r2  # e^-1 sends the triple to (1, c, -c)
+            weights.append(min(c, r2 - c))
+    if not weights:
         raise NotTerminalError(
             f"1/{r}({exponents[0]},{exponents[1]},{exponents[2]}) is not terminal"
         )
-    return SingularityType(r2, best)
+    return SingularityType(r2, min(weights))
 
 
 def inverse_weight(s: SingularityType) -> int:
@@ -257,26 +250,20 @@ def terminal_sum(points: Basket | Counter) -> Rational:
     return sum((Rational(s.r * s.r - 1, s.r) for s in types), Rational(0))
 
 
-def preimage_singularity(m: MarkedSingularity, r: int) -> tuple[int, object]:
+def preimage_singularity(m: MarkedSingularity, r: int) -> tuple[int, SingularityType | None]:
     """Points of the degree-r cyclic cover lying over a marked point.
 
     Returns (count, fiber type).  The marking determines the stabilizer
     order alpha = r_Q/gcd(r_Q, l); alpha must divide the torsion order r,
     and the fiber consists of r/alpha identical points whose type is the
-    reduction of the exponent triple mod d = gcd(r_Q, l).  As gcd(a, r_Q)
-    = 1 and d | r_Q, 1/r_Q(1, a, r_Q - a) reduces to 1/d(1, a', d - a')
-    with a' = a mod d, canonical once a' <= d/2.
+    normal form of the exponent triple mod d = gcd(r_Q, l): SMOOTH for d = 1.
     """
-    d = m.d
     alpha = m.alpha
     if r % alpha != 0:
         raise InconsistentMarkingError(
             f"{m} has stabilizer order {alpha}, incompatible with torsion order {r}"
         )
-    count = r // alpha
-    a = m.type.a
-    fiber = SingularityType(d, min(a % d, d - a % d)) if d > 1 else SMOOTH
-    return count, fiber
+    return r // alpha, normalize_type(m.d, m.type.exponents)
 
 
 def forced_preimage(bt: Basket, r: int) -> Counter:

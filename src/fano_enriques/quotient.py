@@ -100,8 +100,7 @@ class CoverRecord:
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "degrees", tuple(self.degrees))
         object.__setattr__(self, "minus_k_cubed", exact_rational(self.minus_k_cubed))
-        if not isinstance(self.basket, Basket):
-            object.__setattr__(self, "basket", Basket(tuple(self.basket)))
+        object.__setattr__(self, "basket", Basket.coerce(self.basket))
         if self.structure not in ("ci", "pfaffian"):
             raise CatalogError(
                 f"{self.name}: unknown structure {self.structure!r}"

@@ -35,10 +35,9 @@ from .errors import (
     IncompatibleSeriesError,
     MalformedInputError,
     NonInvertibleFactorError,
-    OutOfRangeError,
     UnnormalizedResidualError,
 )
-from .exact import Rational, format_rational, rational_from_json, truncation
+from .exact import Rational, format_rational, nonnegative, rational_from_json, truncation
 
 __all__ = ["Bidegree", "BigradedSeries"]
 
@@ -84,14 +83,8 @@ class Bidegree:
     i: int = 0
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise OutOfRangeError(f"t-degree must be an integer, got {self.n!r}")
-        if type(self.i) is not int:
-            raise OutOfRangeError(f"e-degree must be an integer, got {self.i!r}")
-        if self.n < 0:
-            raise OutOfRangeError(f"t-degree must be >= 0, got {self.n}")
-        if self.i < 0:
-            raise OutOfRangeError(f"e-degree must be >= 0, got {self.i}")
+        nonnegative("t-degree", self.n)
+        nonnegative("e-degree", self.i)
 
     def __str__(self):
         return f"({self.n},{self.i})"

@@ -1,4 +1,4 @@
-"""Independent reference routes for the series kernel (not a test module).
+"""Independent reference routes for the engine (not a test module).
 
 The engine builds every series from two O(rN) binomial shifts,
 BigradedSeries.peel and BigradedSeries.divide_factor.  This module keeps
@@ -6,14 +6,17 @@ the general O(r^2 N^2) product and the geometric-series expansion that
 those shifts replaced, so the tests can check the kernel against a route
 that shares none of its code.  It also keeps the series route to a
 cover's -K^3 that CoverRecord.implied_k_cubed's integer arithmetic
-replaced.  The file name does not match test_*.py, so pytest imports it
-from the test modules but never collects it.
+replaced, and the search over the unit group that normalize_type's
+modular inverses replaced.  The file name does not match test_*.py, so
+pytest imports it from the test modules but never collects it.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
-from fano_enriques.errors import CatalogError
+from fano_enriques.errors import CatalogError, NotTerminalError
+from fano_enriques.exact import units
+from fano_enriques.orbifold import SMOOTH, SingularityType
 from fano_enriques.series import Bidegree, BigradedSeries
 
 
@@ -95,3 +98,39 @@ def series_k_cubed(cover) -> Fraction:
     if any(coeffs[top - c + 1 :]):
         raise CatalogError(f"{cover.name}: numerator does not vanish to order {c} at t = 1")
     return sum(coeffs) / prod(cover.weights)
+
+
+def normalize_type(r: int, exponents: tuple[int, int, int]):
+    """1/r(x, y, z) in the form 1/r'(1, a, r'-a) by searching the unit
+    group: every unit u mod r' and every exponent u sends to 1, keeping the
+    least a over all of them; SMOOTH or NotTerminalError as the engine."""
+    if r < 1:
+        raise NotTerminalError(f"index must be positive, got {r}")
+    if len(exponents) != 3:
+        raise NotTerminalError(f"need exactly three exponents, got {exponents!r}")
+    exps = tuple(e % r for e in exponents) if r > 1 else (0, 0, 0)
+    if r == 1:
+        return SMOOTH
+    g = gcd(r, gcd(gcd(exps[0], exps[1]), exps[2]))
+    r2 = r // g
+    if r2 == 1:
+        return SMOOTH
+    exps = tuple((e // g) % r2 for e in exps)
+
+    best = None
+    for u in units(r2):
+        w = [(u * e) % r2 for e in exps]
+        for k in range(3):
+            if w[k] != 1:
+                continue
+            c1, c2 = w[(k + 1) % 3], w[(k + 2) % 3]
+            if c1 == 0 or (c1 + c2) % r2 != 0 or gcd(c1, r2) != 1:
+                continue
+            a = min(c1, c2)
+            if best is None or a < best:
+                best = a
+    if best is None:
+        raise NotTerminalError(
+            f"1/{r}({exponents[0]},{exponents[1]},{exponents[2]}) is not terminal"
+        )
+    return SingularityType(r2, best)

@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import io
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +23,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdin_of(data):
+    """A stand-in for sys.stdin whose binary buffer holds data, text as UTF-8."""
+    return SimpleNamespace(buffer=io.BytesIO(data.encode() if isinstance(data, str) else data))
 
 
 class TestHilbert:
@@ -81,10 +88,8 @@ class TestInfer:
         assert obj["relations"] == [[5, 0]]
 
     def test_from_stdin(self, capsys, monkeypatch):
-        import io
-
         payload = {"r": 1, "trunc": 6, "coeffs": [["1", "5", "15", "35", "69", "121", "195"]]}
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(payload)))
         code, out, _ = run(capsys, "infer")
         assert code == 0
         assert "generators (1,0) (1,0) (1,0) (1,0) (1,0)" in out
@@ -339,10 +344,8 @@ class TestNotAHilbertSeries:
         ],
     )
     def test_refusal(self, capsys, monkeypatch, argv, stdin, message):
-        import io
-
         if stdin is not None:
-            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            monkeypatch.setattr("sys.stdin", stdin_of(stdin))
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -478,9 +481,7 @@ class TestBadInput:
     def test_infer_json_float_refused(self, capsys, monkeypatch, text, shown):
         # read through str(float), the first used to give 12345678901234567000
         # and the second 0
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         code, out, err = run(capsys, "infer")
         assert code == 1
         assert out == ""
@@ -491,10 +492,8 @@ class TestBadInput:
 
     def test_infer_unlistable_count(self, capsys, monkeypatch):
         # more generators than a list can hold: an OverflowError traceback before
-        import io
-
         text = '{"r":1,"coeffs":[[1,"12345678901234567891"]]}'
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         code, out, err = run(capsys, "infer")
         assert code == 1
         assert out == ""
@@ -505,11 +504,10 @@ class TestBadInput:
 
     def test_infer_count_past_the_listing_bound(self, capsys, monkeypatch):
         # listable, but a list of 2*10**18 generators ended in MemoryError
-        import io
         import time
 
         text = '{"r":1,"coeffs":[[1,"2000000000000000000"]]}'
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         start = time.perf_counter()
         code, out, err = run(capsys, "infer")
         assert time.perf_counter() - start < 1
@@ -546,8 +544,6 @@ class TestBadInput:
     @pytest.mark.parametrize("cmd", ["infer", "infer-stdin", "search"])
     def test_over_long_integer_literal(self, capsys, monkeypatch, tmp_path, cmd):
         # a ValueError traceback from json.loads before
-        import io
-
         path = tmp_path / "long.json"
         if cmd == "search":
             record = '{"name": "x", "weights": [1, 1, 1, 1, %s], "degrees": [4]}' % self.LONG
@@ -557,7 +553,7 @@ class TestBadInput:
             path.write_text('{"r": 1, "coeffs": [[1, %s]]}' % self.LONG)
             argv, origin = ("infer", "--series", str(path)), path
             if cmd == "infer-stdin":
-                monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+                monkeypatch.setattr("sys.stdin", stdin_of(path.read_text()))
                 argv, origin = ("infer",), "stdin"
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
@@ -576,6 +572,17 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert err.startswith(f"fano-enriques {cmd}: cannot read {path}: 'utf-8' codec")
         assert "Traceback" not in err
+
+    def test_stdin_that_is_not_utf8(self, capsys, monkeypatch):
+        # read as text by the locale before: a UnicodeDecodeError traceback
+        # under a strict UTF-8 locale, "invalid JSON" under a POSIX one
+        monkeypatch.setattr("sys.stdin", stdin_of(b"\xff\xfe{}"))
+        code, out, err = run(capsys, "infer")
+        assert (code, out) == (1, "")
+        assert err == (
+            "fano-enriques infer: cannot read stdin: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        )
 
     def test_corrupt_golden_is_named(self, capsys, monkeypatch, tmp_path, reproduction):
         # json.loads' error without the file name before
@@ -640,6 +647,64 @@ class TestBadInput:
             "status": "clean",
             "codim": 6,
         }
+
+
+class ClosedStdout:
+    """A stdout whose reader is gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    """`fano-enriques ... | head -1`: the reader closes the pipe early.
+    "[Errno 32] Broken pipe" on stderr before."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hilbert", "--k3", "2", "--trunc", "3"],
+            ["enumerate-bt", "--r", "5"],
+            ["search", "--catalog", "covers_codim1.json", "--r", "2"],
+        ],
+        ids=["hilbert", "enumerate-bt", "search"],
+    )
+    def test_ends_quietly(self, capsys, monkeypatch, tmp_path, argv):
+        out = tmp_path / "out"
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr("sys.stdout", ClosedStdout(fd))
+            code = main(argv)
+            os.write(fd, b"buffered")  # stdout's descriptor now leads to devnull
+        finally:
+            os.close(fd)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == b""
+
+    def test_nothing_is_ignored_at_exit(self):
+        # a pipe whose read end is closed before the command starts fails
+        # every write, with no race against the reader
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fano_enriques", "hilbert", "--k3", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(Path(fano_enriques.__file__).parents[1])},
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestColdStart:

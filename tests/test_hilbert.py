@@ -134,6 +134,15 @@ class TestFanoData:
         with pytest.raises(MalformedInputError, match=f"not an exact rational: {k3!r}"):
             FanoData(k3, Basket.parse(basket))
 
+    def test_basket_text_refused(self):
+        # an AttributeError on .type before
+        with pytest.raises(MalformedInputError, match="read text with Basket.parse"):
+            FanoData(2, "1/2(1,1,1)")
+
+    def test_basket_sequence_read(self):
+        entries = list(Basket.parse("1/2(1,1,1)"))
+        assert FanoData(Rational(5, 2), entries) == FanoData(Rational(5, 2), Basket(tuple(entries)))
+
     def test_rejects_nonpositive_degree(self):
         with pytest.raises(InconsistentDataError):
             FanoData(Rational(0))
@@ -365,6 +374,15 @@ class TestFanoEnriquesData:
     def test_rejects_parity_violation(self):
         with pytest.raises(InconsistentDataError):
             FanoEnriquesData(2, Rational(1), Basket.parse("1/2(1,1,1)_1"))
+
+    def test_bt_of_bare_entries_refused(self):
+        # an AttributeError on .l before
+        with pytest.raises(MalformedInputError, match="not a singularity entry: 1"):
+            FanoEnriquesData(2, 1, [1])
+
+    def test_basket_sequences_read(self):
+        data = FanoEnriquesData(**dict(self.GOOD, bt=list(self.GOOD["bt"]), be=[]))
+        assert data == FanoEnriquesData(**self.GOOD)
 
     def test_json_round_trip(self):
         data = FanoEnriquesData(**self.GOOD)

@@ -1,5 +1,7 @@
 """Tests for terminal quotient singularity algebra and baskets."""
 
+from collections import Counter
+from itertools import product
 from math import gcd
 
 import pytest
@@ -19,10 +21,19 @@ from fano_enriques.orbifold import (
     preimage_singularity,
     terminal_sum,
 )
+from oracle import normalize_type as unit_search
 
 
 def mk(r, a, l=0):
     return MarkedSingularity(SingularityType(r, a), l)
+
+
+def outcome(route, r, exponents):
+    """route's normal form of 1/r(exponents), or its NotTerminalError's message."""
+    try:
+        return route(r, exponents)
+    except NotTerminalError as exc:
+        return str(exc)
 
 
 def local(s, i):
@@ -71,6 +82,11 @@ class TestMarkedSingularity:
         with pytest.raises(InconsistentMarkingError):
             mk(5, 2, -1)
 
+    def test_type_must_be_a_singularity_type(self):
+        # an AttributeError on .r before
+        with pytest.raises(MalformedInputError, match=r"not a singularity type: \(5, 2\)"):
+            MarkedSingularity((5, 2), 1)
+
     @pytest.mark.parametrize("l", [1.0, True], ids=repr)
     def test_marking_must_be_an_int(self, l):
         with pytest.raises(InconsistentMarkingError, match=f"marking must be an integer, got {l!r}"):
@@ -101,6 +117,24 @@ class TestNormalizeType:
             normalize_type(0, (1, 1, 1))
         with pytest.raises(NotTerminalError):
             normalize_type(5, (1, 2))  # type: ignore[arg-type]
+
+    def test_unit_on_the_last_exponent(self):
+        # only the inverse of the third exponent sends (2, 3, 1) to the
+        # normal form, so a closed form that tries the first alone refuses it
+        assert normalize_type(5, (2, 3, 1)) == SingularityType(5, 2)
+
+    def test_matches_the_unit_group_search(self):
+        # every exponent triple mod r, and each again with its first exponent
+        # shifted by -r, for r = 1..16: the same type, SMOOTH or refusal
+        kinds = Counter()
+        for r in range(1, 17):
+            for triple in product(range(r), repeat=3):
+                for exponents in (triple, (triple[0] - r, *triple[1:])):
+                    got = outcome(normalize_type, r, exponents)
+                    assert got == outcome(unit_search, r, exponents), (r, exponents)
+                    kinds[type(got).__name__] += 1
+        assert set(kinds) == {"SingularityType", "NoneType", "str"}
+        assert sum(kinds.values()) == 2 * sum(r**3 for r in range(1, 17))
 
     @given(st.integers(2, 60), st.data())
     def test_unit_rescaling_invariance(self, r, data):
@@ -137,9 +171,9 @@ class TestPreimageSingularity:
             preimage_singularity(mk(3, 1, 1), 2)
 
     def test_fiber_type_is_the_reduced_exponent_triple(self):
-        # the closed form 1/d(1, a', d - a'), a' = a mod d, against the
-        # general reduction of 1/r_Q(1, a, r_Q - a) mod d: every canonical
-        # type with r_Q <= 24 and every divisor d > 1, marked l = d mod r_Q
+        # the fiber against the unit-group search's reduction of
+        # 1/r_Q(1, a, r_Q - a) mod d: every canonical type with r_Q <= 24
+        # and every divisor d > 1, marked l = d mod r_Q
         checked = 0
         for r_q in range(2, 25):
             for a in range(1, r_q // 2 + 1):
@@ -148,7 +182,7 @@ class TestPreimageSingularity:
                 for d in (d for d in range(2, r_q + 1) if r_q % d == 0):
                     count, fiber = preimage_singularity(mk(r_q, a, d % r_q), r_q // d)
                     assert count == 1
-                    assert fiber == normalize_type(d, (1, a, r_q - a)), (r_q, a, d)
+                    assert fiber == unit_search(d, (1, a, r_q - a)), (r_q, a, d)
                     checked += 1
         assert checked == 212
 
@@ -233,6 +267,24 @@ class TestBasket:
         # a bare type has no marking; Basket.parse gives unmarked points l = 0
         with pytest.raises(MalformedInputError, match="not a singularity entry"):
             Basket((SingularityType(2, 1),))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1/2(1,1,1)", "not a basket: .*read text with Basket.parse"),
+            (7, "not a basket: 7; pass a Basket or a sequence of MarkedSingularity"),
+            ([1], "not a singularity entry: 1"),
+        ],
+        ids=["text", "number", "bare-entry"],
+    )
+    def test_coerce_refuses_what_is_no_basket(self, value, message):
+        with pytest.raises(MalformedInputError, match=message):
+            Basket.coerce(value)
+
+    def test_coerce_keeps_a_basket_and_reads_a_sequence(self):
+        b = Basket.parse("1/2(1,1,1)_1, 1/3(1,1,2)")
+        assert Basket.coerce(b) is b
+        assert Basket.coerce([mk(3, 1), mk(2, 1, 1)]) == b
 
     def test_sorted_on_construction(self):
         b = Basket((mk(6, 1, 3), mk(2, 1, 1), mk(2, 1)))

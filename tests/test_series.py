@@ -48,6 +48,10 @@ class TestBidegree:
         with pytest.raises(OutOfRangeError, match="e-degree must be >= 0, got -2"):
             Bidegree(0, -2)
 
+    def test_t_degree_is_checked_first(self):
+        with pytest.raises(OutOfRangeError, match="t-degree must be >= 0, got -1"):
+            Bidegree(-1, 0.5)
+
     @pytest.mark.parametrize(
         "n, i, message",
         [
