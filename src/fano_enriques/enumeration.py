@@ -17,12 +17,12 @@ depth-first walk over nondecreasing item sequences with a running budget
 is exhaustive.  Candidates are reported up to rescaling of the torsion
 generator (sigma -> u*sigma multiplies every marking by u).
 
-The walk cuts on R3 as well (the witness bound): while the chosen prefix
-has no entry of stabilizer order r, it stops at item k once the R1 budget
-cannot pay for the cheapest such entry at or after k.  This is exact:
-items come in order of index, so R1 costs never fall, every extension
-needs a witness from k on, and a node without a witness is never a
-candidate.
+R3 holds by construction: the items list the witnesses (entries of
+stabilizer order r) first and the rest after, each block in order of
+index, so a basket with a witness starts with one, and the walk starts
+every basket at a witness.  R1 costs never fall within a block, so a
+frame whose item it cannot pay for ends, or, among the witnesses, goes
+on at the first non-witness item.
 
 The walk is one loop in _census over a stack of frames.  It tests R4/R5
 in Python ints, from the per-entry integer delta cycles of
@@ -164,14 +164,14 @@ def canonicalize(c: BtCandidate) -> BtCandidate:
     return BtCandidate(c.r, Basket(best or ()))
 
 
-def _admissible_items(r: int) -> list[MarkedSingularity]:
-    """Every marked point usable for torsion order r.
+def _admissible_items(r: int) -> tuple[list[MarkedSingularity], list[MarkedSingularity]]:
+    """The points usable for order r, sorted: witnesses (alpha = r), the rest.
 
     The stabilizer order alpha = r_Q/gcd(r_Q, l) of an entry must divide r
     and exceed 1 (markings are nonzero); writing r_Q = alpha*m, the valid
     markings are l = m*u with u a unit mod alpha.
     """
-    items = []
+    blocks = ([], [])  # the witnesses, the rest
     for alpha in range(2, r + 1):
         if r % alpha:
             continue
@@ -182,10 +182,10 @@ def _admissible_items(r: int) -> list[MarkedSingularity]:
                     continue
                 for u in range(1, alpha):
                     if gcd(u, alpha) == 1:
-                        items.append(
+                        blocks[alpha < r].append(
                             MarkedSingularity(SingularityType(r_q, a), m * u)
                         )
-    return sorted(items)
+    return sorted(blocks[0]), sorted(blocks[1])
 
 
 def _numeric_verdict(
@@ -233,10 +233,13 @@ def enumerate_bt(r: int, strict_chi: bool = False) -> list[BtCandidate]:
 def _census(r: int) -> tuple[tuple[BtCandidate, bool], ...]:
     """The census of order r, walked once per process: each basket with its
     strict-R5 verdict.  The walk is depth first over a stack of frames (next
-    item, R1 cost, R2 cost, witness seen), a frame's depth in the stack being
-    the length of the chosen prefix it extends: a popped frame pushes its
-    next sibling, then the child that extends the prefix by its item."""
-    items = _admissible_items(r)
+    item, R1 cost, R2 cost), a frame's depth in the stack being the length
+    of the chosen prefix it extends: a popped frame pushes its next sibling,
+    then the child that extends the prefix by its item.  A root frame past
+    the witnesses ends (R3), and a frame that cannot pay for its witness
+    goes on at the first non-witness item, if there is one."""
+    witnesses, rest = _admissible_items(r)
+    items, w = witnesses + rest, len(witnesses)
     # budget arithmetic in integers: costs scaled by lcm(1..24)
     scale = lcm(*range(1, MAX_INDEX + 1))
     budget = 24 * scale
@@ -246,31 +249,27 @@ def _census(r: int) -> tuple[tuple[BtCandidate, bool], ...]:
         (r // it.alpha) * (it.d * it.d - 1) * (scale // it.d) if it.d > 1 else 0
         for it in items
     ]
-    is_witness = [it.alpha == r for it in items]
-    # cheapest[k]: the least R1 cost of a witness item j >= k (budget if none)
-    cheapest = [budget] * (len(items) + 1)
-    for k in range(len(items) - 1, -1, -1):
-        cheapest[k] = min(cheapest[k + 1], cost1[k]) if is_witness[k] else cheapest[k + 1]
 
     cycles = cache(_delta_cycle_scaled)
     found: dict[tuple[MarkedSingularity, ...], bool] = {}  # canonical entries -> strict R5
     chosen: list[MarkedSingularity] = []
-    stack = [(0, 0, 0, False)]
+    stack = [(0, 0, 0)]
     while stack:
-        k, s1, s2, witness = stack.pop()
+        k, s1, s2 = stack.pop()
         del chosen[len(stack):]
+        if k == w and not chosen:
+            continue  # R3: a basket starts with a witness
         n1 = s1 + cost1[k]
         if n1 >= budget:
-            continue  # items are sorted by index, so cost1 only grows
-        if not witness and s1 + cheapest[k] >= budget:
-            continue  # R3 needs a witness from k on, and none is affordable
-        stack.append((k + 1, s1, s2, witness))
+            if rest and k < w:
+                stack.append((w, s1, s2))  # the rest may still be affordable
+            continue
+        stack.append((k + 1, s1, s2))
         n2 = s2 + cost2[k]
         if n2 >= budget:
             continue
         chosen.append(items[k])
-        w = witness or is_witness[k]
-        if w and (strict := _numeric_verdict(tuple(chosen), r, cycles)) is not None:
+        if (strict := _numeric_verdict(tuple(chosen), r, cycles)) is not None:
             found[canonicalize(BtCandidate(r, Basket(tuple(chosen)))).entries.entries] = strict
-        stack.append((k, n1, n2, w))
+        stack.append((k, n1, n2))
     return tuple((BtCandidate(r, Basket(e)), strict) for e, strict in sorted(found.items()))

@@ -316,25 +316,27 @@ def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int) -> Bi
 
     Anticanonical polarization (sum of weights minus sum of degrees = 1)
     is required; that is the only normalization the quotient search uses.
-    A degree 0 raises NonInvertibleFactorError.
+    A degree 0 raises NonInvertibleFactorError, and a weight or degree that
+    is no int an OutOfRangeError from Bidegree.
     """
     truncation("trunc", trunc)
+    gens, rels = [Bidegree(w) for w in weights], [Bidegree(d) for d in degrees]
     if sum(weights) - sum(degrees) != 1:
         raise InconsistentDataError(
             f"weights {tuple(weights)} and degrees {tuple(degrees)} are not "
             f"anticanonically polarized"
         )
-    return presentation_series(
-        [Bidegree(w) for w in weights], [Bidegree(d) for d in degrees], 1, trunc
-    )
+    return presentation_series(gens, rels, 1, trunc)
 
 
 def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int) -> BigradedSeries:
     """Series of a codimension-3 model cut out by the five Pfaffians of a
     skew 5x5 matrix: pfaffian_numerator, 1 - sum t^{d_k} + sum t^{e-d_k} - t^e
-    with e = sum(weights) - 1 = sum(degrees)/2, over prod (1 - t^w).
+    with e = sum(weights) - 1 = sum(degrees)/2, over prod (1 - t^w).  A
+    weight or degree that is no int is an OutOfRangeError from Bidegree.
     """
     truncation("trunc", trunc)
+    gens, rels = [Bidegree(w) for w in weights], [Bidegree(d) for d in degrees]
     if len(degrees) != 5:
         raise InconsistentDataError(
             f"a Pfaffian model needs 5 degrees, got {len(degrees)}"
@@ -347,7 +349,7 @@ def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int) 
         )
     if max(degrees) > e:
         raise InconsistentDataError(f"{mismatch}: degrees exceed e = {e}")
-    total = pfaffian_numerator([Bidegree(d) for d in degrees], Bidegree(e), 1, trunc)
-    for w in weights:
-        total = total.divide_factor(Bidegree(w))
+    total = pfaffian_numerator(rels, Bidegree(e), 1, trunc)
+    for g in gens:
+        total = total.divide_factor(g)
     return total

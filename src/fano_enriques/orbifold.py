@@ -20,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InconsistentMarkingError, MalformedInputError, NotTerminalError
 from .exact import Rational
@@ -116,23 +116,23 @@ class Basket:
     entries: tuple[MarkedSingularity, ...] = ()
 
     def __post_init__(self):
-        for e in self.entries:
+        entries = self.entries
+        if isinstance(entries, str) or not isinstance(entries, Iterable):
+            raise MalformedInputError(
+                f"not a basket: {entries!r}; pass a Basket or a sequence of "
+                f"MarkedSingularity, or read text with Basket.parse"
+            )
+        entries = tuple(entries)
+        for e in entries:
             if not isinstance(e, MarkedSingularity):
                 raise MalformedInputError(f"not a singularity entry: {e!r}")
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        object.__setattr__(self, "entries", tuple(sorted(entries)))
 
     @classmethod
     def coerce(cls, value) -> "Basket":
         """A record's basket field: a Basket as it is, a sequence of
         MarkedSingularity as a Basket, anything else MalformedInputError."""
-        if isinstance(value, Basket):
-            return value
-        if isinstance(value, str) or not isinstance(value, Iterable):
-            raise MalformedInputError(
-                f"not a basket: {value!r}; pass a Basket or a sequence of "
-                f"MarkedSingularity, or read text with Basket.parse"
-            )
-        return cls(tuple(value))
+        return value if isinstance(value, Basket) else cls(value)
 
     def __iter__(self) -> Iterator[MarkedSingularity]:
         return iter(self.entries)
@@ -182,6 +182,8 @@ class Basket:
     @classmethod
     def parse(cls, text: str) -> "Basket":
         """Parse "1/2(1,1,1), 2x1/5(1,2,3)_1" (or "... x2" suffix) notation."""
+        if not isinstance(text, str):
+            raise MalformedInputError(f"basket text must be a string, got {text!r}")
         text = text.strip()
         if not text or text == "(empty)":
             return cls()
@@ -214,8 +216,12 @@ def normalize_type(r: int, exponents: tuple[int, int, int]) -> SingularityType |
     unit that sends it to 1, and when the other two exponents are units
     summing to 0 it sends them to a and r'-a.  The least such a gives the
     form; none means the point is not an isolated terminal singularity
-    and raises NotTerminalError.
+    and raises NotTerminalError, as do an index or exponents that are no ints.
     """
+    if type(r) is not int or not isinstance(exponents, Sequence) or any(
+        type(e) is not int for e in exponents
+    ):
+        raise NotTerminalError(f"index and exponents must be integers, got {r!r}, {exponents!r}")
     if r < 1:
         raise NotTerminalError(f"index must be positive, got {r}")
     if len(exponents) != 3:

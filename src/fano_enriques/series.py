@@ -117,10 +117,13 @@ class BigradedSeries:
     ) -> "BigradedSeries":
         """The sum of the terms c e^i t^n, given as (c, Bidegree(n, i)), below
         t^(trunc+1): e-degrees wrap mod r and repeated bidegrees add up.  The
-        modulus and the truncation are checked before any row is built."""
+        modulus and the truncation are checked before any row is built, and a
+        term whose degree is no Bidegree is a MalformedInputError."""
         r, width = _modulus(r), truncation("trunc", trunc) + 1
         rows = [[0] * width for _ in range(r)]
         for c, d in terms:
+            if not isinstance(d, Bidegree):
+                raise MalformedInputError(f"series term {c!r}, {d!r}: degree is no Bidegree")
             if d.n <= trunc:
                 rows[d.i % r][d.n] += _coefficient(c)
         return cls(r, rows)

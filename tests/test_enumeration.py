@@ -293,7 +293,7 @@ def _oracle_census(r):
     multiset of admissible items within the R1 and R2 budgets, summed in
     Fractions with no break and no pruning, kept when check_restrictions
     admits it, canonicalized."""
-    items = _admissible_items(r)
+    items = [it for block in _admissible_items(r) for it in block]
     costs = [
         (Fraction(it.type.r**2 - 1, it.type.r), Fraction((r // it.alpha) * (it.d**2 - 1), it.d))
         for it in items
@@ -349,3 +349,27 @@ class TestCensusCompleteness:
             _census.__wrapped__(r)
         assert [calls[r] for r in range(2, MAX_TORSION + 1)] == self.VERDICT_CALLS
         assert sum(self.VERDICT_CALLS) == 34_161
+
+    def test_items_come_in_two_sorted_blocks(self):
+        for r in range(2, MAX_TORSION + 1):
+            witnesses, rest = _admissible_items(r)
+            assert witnesses and all(it.alpha == r for it in witnesses), r
+            assert all(it.alpha < r for it in rest), r
+            assert witnesses == sorted(witnesses) and rest == sorted(rest), r
+
+    def test_every_tested_node_starts_with_a_witness(self, monkeypatch):
+        """R3 by construction: every entry tuple the walk tests starts with
+        an entry of stabilizer order r."""
+        calls, strays = Counter(), []
+
+        def checked(entries, r, cycles):
+            calls[r] += 1
+            if entries[0].alpha != r:
+                strays.append((r, entries))
+            return _numeric_verdict(entries, r, cycles)
+
+        monkeypatch.setattr(enumeration, "_numeric_verdict", checked)
+        for r in range(2, MAX_TORSION + 1):
+            _census.__wrapped__(r)
+        assert strays == []
+        assert sum(calls.values()) == sum(self.VERDICT_CALLS)

@@ -498,6 +498,20 @@ class TestModelOracles:
         with pytest.raises(InconsistentDataError, match="exceed e = 8"):
             pfaffian_series((1, 1, 1, 1, 1, 1, 3), (1, 1, 1, 1, 12), 20)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: wci_series((1, 1, 1, 1, 1), "4", 5), "got '4'"),
+            (lambda: wci_series((1, 1, 1, 1, 1.0), (4,), 5), "got 1.0"),
+            (lambda: pfaffian_series((1, 1, 2, 2, 3, 3, 3), "55666", 5), "got '5'"),
+            (lambda: pfaffian_series((1, 1, 2, 2, 3, 3, True), (5, 5, 6, 6, 6), 5), "got True"),
+        ],
+        ids=["wci-text-degrees", "wci-float-weight", "pfaffian-text-degrees", "pfaffian-bool-weight"],
+    )
+    def test_weights_and_degrees_must_be_ints(self, build, message):
+        with pytest.raises(OutOfRangeError, match=f"t-degree must be an integer, {message}"):
+            build()
+
     def test_negative_truncation(self):
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
             wci_series((1, 1, 1, 1, 1), (4,), -1)

@@ -118,6 +118,15 @@ class TestNormalizeType:
         with pytest.raises(NotTerminalError):
             normalize_type(5, (1, 2))  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "r, exponents",
+        [(5.0, (1, 2, 3)), (5, (1.0, 2, 3)), (True, (1, 1, 1)), (5, 5)],
+        ids=["float-index", "float-exponent", "bool-index", "no-sequence"],
+    )
+    def test_index_and_exponents_must_be_ints(self, r, exponents):
+        with pytest.raises(NotTerminalError, match="index and exponents must be integers"):
+            normalize_type(r, exponents)
+
     def test_unit_on_the_last_exponent(self):
         # only the inverse of the third exponent sends (2, 3, 1) to the
         # normal form, so a closed form that tries the first alone refuses it
@@ -262,6 +271,16 @@ class TestBasket:
         # a count of 0 lists no point; dropping it would hide a typo
         with pytest.raises(NotTerminalError, match="cannot parse basket entry"):
             Basket.parse(text)
+
+    @pytest.mark.parametrize("text", [None, 5, b"1/2(1,1,1)"], ids=["none", "int", "bytes"])
+    def test_parse_refuses_what_is_no_text(self, text):
+        with pytest.raises(MalformedInputError, match="basket text must be a string"):
+            Basket.parse(text)
+
+    @pytest.mark.parametrize("entries", [5, "1/2(1,1,1)"], ids=["int", "text"])
+    def test_construction_refuses_what_is_no_sequence(self, entries):
+        with pytest.raises(MalformedInputError, match="not a basket"):
+            Basket(entries)
 
     def test_entries_must_be_marked(self):
         # a bare type has no marking; Basket.parse gives unmarked points l = 0

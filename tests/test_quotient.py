@@ -1,6 +1,8 @@
 """Tests for cover matching and the quotient search pipeline."""
 
 import dataclasses
+import hashlib
+import json
 import re
 from collections import Counter
 from math import prod
@@ -469,3 +471,22 @@ class TestModelDegree:
         rows = [c.to_json() for c in search([Y4], census(5), trunc=4)]
         assert rows == [c.to_json() for c in search([Y4], census(5))]
         assert rows[0]["relations"] == [[4, 0]]
+
+
+class TestSearchOutput:
+    """The whole of `search --json` over each bundled catalog, pinned by the
+    sha256 of its text: rows, special cases and every rejection with its
+    detail, in order.  A change that moves any of it must update the pin on
+    purpose."""
+
+    SHA256 = {
+        1: "fbee1f7ac62d7c4835290cf5fa1597fd4dba7fbdfae461ff078eac768bef483a",
+        2: "f1152fae8b4718c1bd4e96f553125d40c78cf95cf0da2d7fabfed2670bcea0a4",
+        3: "2b65bc3083f5312611076ef7c4bdf5deea7a2d3f6bb893617e5b74772259bdb3",
+    }
+
+    @pytest.mark.parametrize("codim", [1, 2, 3], ids=lambda c: f"covers_codim{c}")
+    def test_search_json_is_pinned(self, reproduction, codim):
+        # the reproduction searches covers_codim{c}.json against the whole census
+        text = json.dumps(reproduction.searches[f"quotients_codim{codim}.json"].to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256[codim]

@@ -119,6 +119,11 @@ class TestConstruction:
         with pytest.raises(error, match=message):
             build()
 
+    @pytest.mark.parametrize("degree", [2, (2, 0), None], ids=["int", "pair", "none"])
+    def test_polynomial_term_needs_a_bidegree(self, degree):
+        with pytest.raises(MalformedInputError, match="degree is no Bidegree"):
+            BigradedSeries.polynomial(1, 3, [(1, degree)])
+
     def test_basic_constructors(self):
         one = BigradedSeries.one(3, 4)
         assert one.coefficient(0, 0) == 1
