@@ -66,7 +66,7 @@ FORMAT_VERSION = "1"
 # The reproduction's fixed inputs: the cover catalog each quotient golden
 # searches (each at the search's default truncation TRUNC), and the two
 # worked examples (a quotient of order 5 and its cover), each a data set
-# whose series to t^9 is peeled by the listed bidegrees in turn.
+# whose series to t^9 is peeled by the product over the listed bidegrees.
 SEARCHES = {f"quotients_codim{c}.json": f"covers_codim{c}.json" for c in (1, 2, 3)}
 GOLDEN_FILES = tuple(SEARCHES)
 GOLDENS = ("series_examples.json", "torsion_baskets.json", *GOLDEN_FILES)
@@ -153,13 +153,12 @@ def resolve_catalog(source: str) -> list[CoverRecord]:
 def _worked_example(data, peel) -> dict:
     """A worked series example of FanoData (r = 1) or FanoEnriquesData as
     series_examples.json stores it: its inputs, its component rows, and the
-    nonzero coefficients left after peeling each (n, i) in turn, keyed "m"
-    or "m,i"."""
+    nonzero coefficients left after one peel by the product over its (n, i),
+    keyed "m" or "m,i"."""
     bigraded = isinstance(data, FanoEnriquesData)
     series = (bigraded_series if bigraded else altinok_series)(data, EXAMPLE_TRUNC)
     rows = [[format_rational(c) for c in series.component(i)] for i in range(series.r)]
-    for n, i in peel:
-        series = series.peel(Bidegree(n, i))
+    series = series.peel(*(Bidegree(n, i) for n, i in peel))
     peeled = {(f"{m},{i}" if bigraded else str(m)): format_rational(c)
               for i in range(series.r) for m, c in enumerate(series.component(i)) if c}
     peel = [list(d) for d in peel]

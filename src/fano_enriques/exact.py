@@ -13,6 +13,7 @@ line parser can read MAX_TORSION from here without loading a builder.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction as Rational
 from math import gcd
 
@@ -58,6 +59,14 @@ def nonnegative(name: str, value: int) -> int:
     if value < 0:
         raise OutOfRangeError(f"{name} must be >= 0, got {value}")
     return value
+
+
+def listed(name: str, value) -> tuple:
+    """value as a tuple, or MalformedInputError naming it when it is no
+    iterable: a builder's weights, degrees, bidegrees or terms."""
+    if not isinstance(value, Iterable):
+        raise MalformedInputError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
 
 
 def truncation(name: str, value: int) -> int:

@@ -3,8 +3,9 @@
 The series must first be a Hilbert series: infer_presentation refuses its
 first BigradedSeries.hilbert_defect.  The method then walks the series
 degree by degree.  A positive deviation of the residual from 1 at bidegree
-(n, i) means c new generators there (peel off (1 - e^i t^n)^c); a negative
-one means relations (divide the residual by the binomials).  Inference stops
+(n, i) means c new generators there (peel off (1 - e^i t^n)^c, one peel);
+a negative one means relations (divide the residual by the binomials, one
+divide_factor).  Inference stops
 
 * clean        -- the residual reaches 1 within the truncation,
 * special      -- a generator and a relation are forced at the same
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InconsistentDataError, InferenceFailureError, MalformedInputError
-from .exact import is_integer, nonnegative, truncation
+from .exact import is_integer, listed, nonnegative, truncation
 from .series import Bidegree, BigradedSeries
 
 __all__ = [
@@ -77,8 +78,8 @@ class Presentation:
 
 
 def _pfaffian_closure(residual: BigradedSeries, relations: Sequence[Bidegree]) -> Optional[int]:
-    """Try to read residual * prod(1 - e^s t^d) over the 5 relations as
-    the Pfaffian numerator.
+    """Try to read residual * prod(1 - e^s t^d) over the 5 relations, one
+    peel, as the Pfaffian numerator.
 
     Returns the top second degree on success, None if no match.
     """
@@ -87,9 +88,7 @@ def _pfaffian_closure(residual: BigradedSeries, relations: Sequence[Bidegree]) -
     e = total // 2
     if total % 2 or e > trunc or any(q.n > e for q in relations):
         return None
-    numerator = residual
-    for q in relations:
-        numerator = numerator.peel(q)
+    numerator = residual.peel(*relations)
     for sbar in range(r):
         if pfaffian_numerator(relations, Bidegree(e, sbar), r, trunc) == numerator:
             return sbar
@@ -103,8 +102,11 @@ def infer_presentation(s: BigradedSeries, max_degree: Optional[int] = None) -> P
     truncation or to max_degree if given; status clean means the residual was
     resolved by then.  Degrees are only trustworthy up to there -- callers must
     truncate generously.  Listing over MAX_LISTED generators and relations is
-    an InferenceFailureError.
+    an InferenceFailureError, and an s that is no BigradedSeries a
+    MalformedInputError.
     """
+    if not isinstance(s, BigradedSeries):
+        raise MalformedInputError(f"not a BigradedSeries: {s!r}")
     max_degree = s.trunc if max_degree is None else nonnegative("max_degree", max_degree)
     defect = s.hilbert_defect()
     if defect is not None:
@@ -139,14 +141,12 @@ def infer_presentation(s: BigradedSeries, max_degree: Optional[int] = None) -> P
             generators.extend([d] * c)
             if any(q.n == d.n for q in relations):
                 return Presentation(tuple(generators), tuple(relations), "special")
-            for _ in range(c):
-                residual = residual.peel(d)
+            residual = residual.peel(*[d] * c)
         else:
             relations.extend([d] * (-c))
             if any(g.n == d.n for g in generators):
                 return Presentation(tuple(generators), tuple(relations), "special")
-            for _ in range(-c):
-                residual = residual.divide_factor(d)
+            residual = residual.divide_factor(*[d] * -c)
 
 
 def pfaffian_terms(relations: Sequence[Bidegree], top: Bidegree, r: int) -> list:
@@ -175,12 +175,11 @@ def presentation_series(
 ) -> BigradedSeries:
     """The Hilbert series a presentation would have,
     prod(1 - e^s t^d) over relations / prod(1 - e^i t^n) over generators:
-    each relation peeled from 1, then each generator divided out, every
-    step one O(rN) binomial shift.  A bidegree of t-degree 0 raises
-    NonInvertibleFactorError."""
-    total = BigradedSeries.one(r, truncation("trunc", trunc))
-    for q in relations:
-        total = total.peel(q)
-    for g in generators:
-        total = total.divide_factor(g)
-    return total
+    1 peeled by the product over the relations, then divided by the
+    product over the generators: two kernel calls, each one pass with an
+    O(rN) shift per binomial.  A bidegree of t-degree 0 raises
+    NonInvertibleFactorError, and generators or relations that are no
+    sequence MalformedInputError."""
+    generators, relations = listed("generators", generators), listed("relations", relations)
+    one = BigradedSeries.one(r, truncation("trunc", trunc))
+    return one.peel(*relations).divide_factor(*generators)

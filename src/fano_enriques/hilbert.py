@@ -12,8 +12,9 @@ Three series builders live here:
   The polynomial Riemann-Roch part (chi(O), c2-term) is already folded
   into the first two summands, so the basket and -K^3 are the only inputs.
   Every summand is a polynomial (BigradedSeries.polynomial) over a
-  product of binomials (1 - t^w), so each is built by O(N) divisions
-  (BigradedSeries.divide_factor), never by expanding geometric series.
+  product of binomials (1 - t^w), so each is built by one
+  BigradedSeries.divide_factor by that product, an O(N) shift per binomial,
+  never by expanding geometric series.
 
 * torsion_delta_* -- the per-component correction h^0(-nK + i*sigma) -
   h^0(-nK) coming from a torsion divisor sigma marked into the basket.
@@ -32,9 +33,9 @@ Three series builders live here:
   Pfaffian model) must have, straight from weights and degrees, after
   checking that shape.  The complete intersection is
   gradedrings.presentation_series of its weights and degrees; the
-  Pfaffian model divides gradedrings.pfaffian_numerator by (1 - t^w) once
-  per weight.  CoverRecord reads -K^3 off the same numerators without
-  building either.
+  Pfaffian model divides gradedrings.pfaffian_numerator by the product of
+  the (1 - t^w) in one divide_factor.  CoverRecord reads -K^3 off the same
+  numerators without building either.
 
 Every builder takes its caller's truncation (no default); a negative one
 raises OutOfRangeError.  altinok_series and bigraded_series refuse a
@@ -59,6 +60,7 @@ from .exact import (
     exact_rational,
     format_rational,
     is_integer,
+    listed,
     rational_from_json,
     torsion_order,
     truncation,
@@ -173,13 +175,11 @@ def _local_weight(r: int, b: int, j: int) -> Rational:
 
 
 def _divided(numerator: Sequence[Scalar], trunc: int, *weights: int) -> BigradedSeries:
-    """numerator / prod_w (1 - t^w), truncated at t^trunc: one O(N) shift-and-add
-    division per weight, never a general product."""
+    """numerator / prod_w (1 - t^w), truncated at t^trunc: the polynomial
+    divided by the product of binomials in one divide_factor pass, an O(N)
+    shift per weight, never a general product."""
     terms = [(c, Bidegree(n)) for n, c in enumerate(numerator)]
-    total = BigradedSeries.polynomial(1, trunc, terms)
-    for w in weights:
-        total = total.divide_factor(Bidegree(w, 0))
-    return total
+    return BigradedSeries.polynomial(1, trunc, terms).divide_factor(*map(Bidegree, weights))
 
 
 def altinok_series(data: FanoData, trunc: int) -> BigradedSeries:
@@ -316,10 +316,12 @@ def wci_series(weights: Sequence[int], degrees: Sequence[int], trunc: int) -> Bi
 
     Anticanonical polarization (sum of weights minus sum of degrees = 1)
     is required; that is the only normalization the quotient search uses.
-    A degree 0 raises NonInvertibleFactorError, and a weight or degree that
-    is no int an OutOfRangeError from Bidegree.
+    A degree 0 raises NonInvertibleFactorError, a weight or degree that is
+    no int an OutOfRangeError from Bidegree, and weights or degrees that are
+    no sequence a MalformedInputError.
     """
     truncation("trunc", trunc)
+    weights, degrees = listed("weights", weights), listed("degrees", degrees)
     gens, rels = [Bidegree(w) for w in weights], [Bidegree(d) for d in degrees]
     if sum(weights) - sum(degrees) != 1:
         raise InconsistentDataError(
@@ -333,9 +335,11 @@ def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int) 
     """Series of a codimension-3 model cut out by the five Pfaffians of a
     skew 5x5 matrix: pfaffian_numerator, 1 - sum t^{d_k} + sum t^{e-d_k} - t^e
     with e = sum(weights) - 1 = sum(degrees)/2, over prod (1 - t^w).  A
-    weight or degree that is no int is an OutOfRangeError from Bidegree.
+    weight or degree that is no int is an OutOfRangeError from Bidegree, and
+    weights or degrees that are no sequence a MalformedInputError.
     """
     truncation("trunc", trunc)
+    weights, degrees = listed("weights", weights), listed("degrees", degrees)
     gens, rels = [Bidegree(w) for w in weights], [Bidegree(d) for d in degrees]
     if len(degrees) != 5:
         raise InconsistentDataError(
@@ -349,7 +353,4 @@ def pfaffian_series(weights: Sequence[int], degrees: Sequence[int], trunc: int) 
         )
     if max(degrees) > e:
         raise InconsistentDataError(f"{mismatch}: degrees exceed e = {e}")
-    total = pfaffian_numerator(rels, Bidegree(e), 1, trunc)
-    for g in gens:
-        total = total.divide_factor(g)
-    return total
+    return pfaffian_numerator(rels, Bidegree(e), 1, trunc).divide_factor(*gens)

@@ -8,8 +8,9 @@ represented throughout.
 
 Every series the engine handles is a polynomial over a product of
 binomials (1 - e^i t^n), so the container has exactly two ring operations
-beyond + and -: peel multiplies by such a binomial and divide_factor
-divides by one, each an O(rN) shift over the rows.  There is no general
+beyond + and -: peel multiplies by such a product and divide_factor
+divides by one, each in one pass that copies the rows once and applies
+every binomial in place, an O(rN) shift per factor.  There is no general
 product.  polynomial is the one constructor from terms (c, Bidegree).
 
 Coefficients are exact rationals, stored as Fractions: Hilbert series of
@@ -37,7 +38,7 @@ from .errors import (
     NonInvertibleFactorError,
     UnnormalizedResidualError,
 )
-from .exact import Rational, format_rational, nonnegative, rational_from_json, truncation
+from .exact import Rational, format_rational, listed, nonnegative, rational_from_json, truncation
 
 __all__ = ["Bidegree", "BigradedSeries"]
 
@@ -117,11 +118,17 @@ class BigradedSeries:
     ) -> "BigradedSeries":
         """The sum of the terms c e^i t^n, given as (c, Bidegree(n, i)), below
         t^(trunc+1): e-degrees wrap mod r and repeated bidegrees add up.  The
-        modulus and the truncation are checked before any row is built, and a
-        term whose degree is no Bidegree is a MalformedInputError."""
+        modulus and the truncation are checked before any row is built; terms
+        that are no sequence, a term that is no pair and one whose degree is no
+        Bidegree are each a MalformedInputError."""
         r, width = _modulus(r), truncation("trunc", trunc) + 1
         rows = [[0] * width for _ in range(r)]
-        for c, d in terms:
+        for term in listed("series terms", terms):
+            try:
+                c, d = term
+            except (TypeError, ValueError):
+                message = f"series term {term!r} is no pair (c, Bidegree)"
+                raise MalformedInputError(message) from None
             if not isinstance(d, Bidegree):
                 raise MalformedInputError(f"series term {c!r}, {d!r}: degree is no Bidegree")
             if d.n <= trunc:
@@ -195,33 +202,39 @@ class BigradedSeries:
 
     # -- the two binomial operations ------------------------------------
 
-    def peel(self, d: Bidegree) -> "BigradedSeries":
-        """Multiply by 1 - e^i t^n, cancelling a generator of bidegree d.
+    def _binomials(self, factors: tuple, name: str) -> list[tuple[int, int]]:
+        """Each factor as (n, i mod r), all checked before any row is copied:
+        one that is no Bidegree is a MalformedInputError, one of t-degree 0
+        (1 - e^i is no unit) a NonInvertibleFactorError."""
+        for d in factors:
+            if not isinstance(d, Bidegree):
+                raise MalformedInputError(f"{name} factor {d!r} is no Bidegree")
+            if d.n < 1:
+                raise NonInvertibleFactorError(f"{name} factor needs t-degree >= 1")
+        return [(d.n, d.i % self.r) for d in factors]
 
-        out[k][m] = a[k][m] - a[k - i][m - n], reading the old rows.
-        """
-        if d.n < 1:
-            raise NonInvertibleFactorError("peel factor needs t-degree >= 1")
-        r, nn, i = self.r, d.n, d.i % self.r
-        rows = [list(row) for row in self.coeffs]
-        for m in range(nn, self.trunc + 1):
-            for k in range(r):
-                rows[k][m] -= self.coeffs[(k - i) % r][m - nn]
+    def peel(self, *factors: Bidegree) -> "BigradedSeries":
+        """Multiply by prod (1 - e^i t^n) over the factors, cancelling a
+        generator of each bidegree: each factor in place on one copy of the
+        rows, from the top degree down, out[k][m] = a[k][m] - a[k - i][m - n]
+        reading the product of the factors before it."""
+        r, rows = self.r, [list(row) for row in self.coeffs]
+        for nn, i in self._binomials(factors, "peel"):
+            for m in range(self.trunc, nn - 1, -1):
+                for k in range(r):
+                    rows[k][m] -= rows[(k - i) % r][m - nn]
         return BigradedSeries(r, rows)
 
-    def divide_factor(self, d: Bidegree) -> "BigradedSeries":
-        """Divide by 1 - e^i t^n (exact in the truncated ring).
-
-        out[k][m] = a[k][m] + out[k - i][m - n], reading the rows being
-        built: the mirror image of peel.
-        """
-        if d.n < 1:
-            raise NonInvertibleFactorError("division factor needs t-degree >= 1")
-        r, nn, i = self.r, d.n, d.i % self.r
-        rows = [list(row) for row in self.coeffs]
-        for m in range(nn, self.trunc + 1):
-            for k in range(r):
-                rows[k][m] += rows[(k - i) % r][m - nn]
+    def divide_factor(self, *factors: Bidegree) -> "BigradedSeries":
+        """Divide by prod (1 - e^i t^n) over the factors (exact in the
+        truncated ring), the mirror image of peel: each factor in place from
+        the bottom degree up, out[k][m] = a[k][m] + out[k - i][m - n] reading
+        the rows being built."""
+        r, rows = self.r, [list(row) for row in self.coeffs]
+        for nn, i in self._binomials(factors, "division"):
+            for m in range(nn, self.trunc + 1):
+                for k in range(r):
+                    rows[k][m] += rows[(k - i) % r][m - nn]
         return BigradedSeries(r, rows)
 
     def first_deviation(self) -> Optional[tuple[Bidegree, Rational]]:

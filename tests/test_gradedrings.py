@@ -6,6 +6,7 @@ from fano_enriques.catalog import GOLDEN_FILES, bundled_json
 from fano_enriques.errors import (
     InconsistentDataError,
     InferenceFailureError,
+    MalformedInputError,
     NonInvertibleFactorError,
     OutOfRangeError,
 )
@@ -202,6 +203,22 @@ class TestRoundTrip:
             presentation_series(bd([(1, 0)] * 5), bd([(0, 1)]), 2, 10)
         with pytest.raises(NonInvertibleFactorError):
             presentation_series(bd([(0, 1)]), (), 2, 10)
+
+    @pytest.mark.parametrize(
+        "generators, relations, message",
+        [
+            (5, [], "generators must be a sequence, got 5"),
+            ([Bidegree(1)], 5, "relations must be a sequence, got 5"),
+        ],
+        ids=["int-generators", "int-relations"],
+    )
+    def test_presentation_series_needs_sequences(self, generators, relations, message):
+        with pytest.raises(MalformedInputError, match=message):
+            presentation_series(generators, relations, 1, 3)
+
+    def test_infer_needs_a_series(self):
+        with pytest.raises(MalformedInputError, match="not a BigradedSeries: 5"):
+            infer_presentation(5)
 
     GOLDEN_ROWS = [
         row

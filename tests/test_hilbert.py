@@ -512,6 +512,18 @@ class TestModelOracles:
         with pytest.raises(OutOfRangeError, match=f"t-degree must be an integer, {message}"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: wci_series(5, (4,), 5), "weights must be a sequence, got 5"),
+            (lambda: pfaffian_series((1,) * 7, 5, 5), "degrees must be a sequence, got 5"),
+        ],
+        ids=["wci-int-weights", "pfaffian-int-degrees"],
+    )
+    def test_weights_and_degrees_must_be_sequences(self, build, message):
+        with pytest.raises(MalformedInputError, match=message):
+            build()
+
     def test_negative_truncation(self):
         with pytest.raises(OutOfRangeError, match="trunc must be >= 0"):
             wci_series((1, 1, 1, 1, 1), (4,), -1)

@@ -16,7 +16,12 @@ from fano_enriques.enumeration import (
     check_restrictions,
     enumerate_bt,
 )
-from fano_enriques.errors import CatalogError, InconsistentDataError, InconsistentMarkingError
+from fano_enriques.errors import (
+    CatalogError,
+    InconsistentDataError,
+    InconsistentMarkingError,
+    NonInvertibleFactorError,
+)
 from fano_enriques.exact import Rational, units
 from fano_enriques.gradedrings import presentation_series
 from fano_enriques.hilbert import (
@@ -257,6 +262,42 @@ class TestExactCoefficientsProperty:
         generators = [Bidegree(n, i) for n, i in row["generators"]]
         relations = [Bidegree(n, i) for n, i in row["relations"]]
         assert all_fractions(presentation_series(generators, relations, data.r, trunc))
+
+
+class TestBinomialProductProperty:
+    """peel and divide_factor apply a product of binomials in one call, with
+    the same result as one factor per call in turn."""
+
+    @staticmethod
+    def factors(r, trunc, data):
+        factor = st.builds(Bidegree, st.integers(1, trunc + 2), st.integers(0, 2 * r))
+        return data.draw(st.lists(factor, max_size=5))
+
+    @settings(max_examples=50)
+    @given(st.integers(1, 6), st.integers(0, 24), st.data())
+    def test_one_call_is_the_factors_in_turn(self, r, trunc, data):
+        rows = st.lists(
+            st.lists(coefficients, min_size=trunc + 1, max_size=trunc + 1),
+            min_size=r, max_size=r,
+        )
+        s, ds = BigradedSeries(r, data.draw(rows)), self.factors(r, trunc, data)
+        peeled = divided = s
+        for d in ds:
+            peeled, divided = peeled.peel(d), divided.divide_factor(d)
+        assert s.peel(*ds) == peeled
+        assert s.divide_factor(*ds) == divided
+        assert s.peel(*ds).divide_factor(*ds) == s
+        assert s.peel() == s
+
+    @settings(max_examples=50)
+    @given(st.integers(1, 6), st.integers(0, 24), st.data())
+    def test_a_factor_of_t_degree_0_anywhere_is_refused(self, r, trunc, data):
+        s, ds = BigradedSeries.one(r, trunc), self.factors(r, trunc, data)
+        ds.insert(data.draw(st.integers(0, len(ds))), Bidegree(0, data.draw(st.integers(0, r))))
+        with pytest.raises(NonInvertibleFactorError):
+            s.peel(*ds)
+        with pytest.raises(NonInvertibleFactorError):
+            s.divide_factor(*ds)
 
 
 FULL_CENSUS = [c for r in range(2, MAX_TORSION + 1) for c in enumerate_bt(r)]

@@ -124,6 +124,19 @@ class TestConstruction:
         with pytest.raises(MalformedInputError, match="degree is no Bidegree"):
             BigradedSeries.polynomial(1, 3, [(1, degree)])
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (5, "series terms must be a sequence, got 5"),
+            ([5], r"series term 5 is no pair \(c, Bidegree\)"),
+            ([(1, Bidegree(1), 2)], r"series term \(1, Bidegree\(n=1, i=0\), 2\) is no pair"),
+        ],
+        ids=["int-terms", "int-term", "triple-term"],
+    )
+    def test_polynomial_terms_must_be_pairs(self, terms, message):
+        with pytest.raises(MalformedInputError, match=message):
+            BigradedSeries.polynomial(1, 3, terms)
+
     def test_basic_constructors(self):
         one = BigradedSeries.one(3, 4)
         assert one.coefficient(0, 0) == 1
@@ -241,6 +254,15 @@ class TestPeelAndDivide:
             s.peel(Bidegree(0, 1))
         with pytest.raises(NonInvertibleFactorError):
             s.divide_factor(Bidegree(0, 0))
+
+    def test_factors_must_be_bidegrees(self):
+        s = BigradedSeries.one(2, 5)
+        with pytest.raises(MalformedInputError, match="peel factor 5 is no Bidegree"):
+            s.peel(5)
+        with pytest.raises(MalformedInputError, match=r"division factor \(1, 0\) is no Bidegree"):
+            s.divide_factor((1, 0))
+        with pytest.raises(MalformedInputError, match="peel factor None is no Bidegree"):
+            s.peel(Bidegree(1), Bidegree(2, 1), None)
 
     @settings(max_examples=60)
     @given(series_strategy(), st.integers(1, 3), st.integers(0, 3))
