@@ -10,105 +10,52 @@ equalities, and the two independent routes to each quantity (integer
 period vs pointwise, orbifold series vs model series) are reconciled
 rather than trusted individually.
 
-Importing the package loads no submodule: each name below, and each
-submodule, is imported on first access (PEP 562), so the command line
-can build its parser without loading the engine.
+Each submodule's __all__ is the one list of the names it exports, and
+the package's __all__ is their union.  Importing the package loads no
+submodule: a name is looked up on first access (PEP 562) by importing
+the exporting submodules in order until one's __all__ holds it, so the
+command line can build its parser without loading the engine.
 """
 
 from importlib import import_module
 
-# every exported name, by the submodule that defines it
-_EXPORTS = {
-    "errors": (
-        "CatalogError",
-        "EngineError",
-        "IncompatibleSeriesError",
-        "InconsistentDataError",
-        "InconsistentMarkingError",
-        "InferenceFailureError",
-        "InternalConsistencyError",
-        "InvalidModulusError",
-        "MalformedInputError",
-        "NonInvertibleFactorError",
-        "NotTerminalError",
-        "OutOfRangeError",
-        "UnnormalizedResidualError",
-    ),
-    "exact": (
-        "MAX_TORSION",
-        "Rational",
-        "format_rational",
-        "is_integer",
-        "parse_rational",
-        "units",
-    ),
-    "orbifold": (
-        "SMOOTH",
-        "Basket",
-        "MarkedSingularity",
-        "SingularityType",
-        "forced_preimage",
-        "inverse_weight",
-        "normalize_type",
-        "preimage_singularity",
-        "terminal_sum",
-    ),
-    "series": ("Bidegree", "BigradedSeries"),
-    "hilbert": (
-        "FanoData",
-        "FanoEnriquesData",
-        "altinok_series",
-        "bigraded_series",
-        "parity_defect",
-        "pfaffian_series",
-        "torsion_delta_at",
-        "torsion_delta_series",
-        "wci_series",
-    ),
-    "gradedrings": ("Presentation", "infer_presentation", "presentation_series"),
-    "enumeration": (
-        "MAX_INDEX",
-        "BtCandidate",
-        "RestrictionReport",
-        "canonicalize",
-        "check_restrictions",
-        "enumerate_bt",
-    ),
-    "quotient": (
-        "CROSS_CODIMENSION",
-        "CoverRecord",
-        "QuotientCandidate",
-        "Rejection",
-        "SearchResult",
-        "match_cover",
-        "search",
-    ),
-    "catalog": (
-        "bundled_catalog",
-        "bundled_json",
-        "load_catalog",
-        "resolve_catalog",
-        "save_catalog",
-        "verify_fixtures",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli")
+# the submodules whose __all__ the package re-exports, in import order
+_EXPORTERS = (
+    "errors",
+    "exact",
+    "orbifold",
+    "series",
+    "hilbert",
+    "gradedrings",
+    "enumeration",
+    "quotient",
+    "catalog",
+)
+_SUBMODULES = (*_EXPORTERS, "cli")
 
-__all__ = list(_HOME)
 __version__ = "0.1.0"
 
 
+def _exporters():
+    for name in _EXPORTERS:
+        yield import_module(f".{name}", __name__)
+
+
 def __getattr__(name: str):
-    if name in _HOME:
-        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    if name == "__all__":
+        value = [export for module in _exporters() for export in module.__all__]
     elif name in _SUBMODULES:
         value = import_module(f".{name}", __name__)
     else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        # no private name is exported, so none loads the engine
+        exported = () if name.startswith("_") else _exporters()
+        home = next((module for module in exported if name in module.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
     globals()[name] = value  # later lookups skip this hook
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__getattr__("__all__"), *_SUBMODULES})

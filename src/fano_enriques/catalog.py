@@ -50,15 +50,12 @@ from .quotient import TRUNC, CoverRecord, SearchResult, search
 from .series import Bidegree
 
 __all__ = [
-    "FORMAT_VERSION",
     "load_catalog",
     "save_catalog",
     "bundled_catalog",
     "bundled_json",
+    "resolve_catalog",
     "verify_fixtures",
-    "curated_payload",
-    "Reproduction",
-    "reproduce",
 ]
 
 FORMAT_VERSION = "1"

@@ -53,6 +53,7 @@ from .hilbert import _delta_cycle_scaled, torsion_delta_at
 from .orbifold import Basket, MarkedSingularity, SingularityType, forced_preimage, terminal_sum
 
 __all__ = [
+    "MAX_INDEX",
     "BtCandidate",
     "RestrictionReport",
     "check_restrictions",

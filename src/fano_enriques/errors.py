@@ -6,6 +6,22 @@ exception to the rule in spirit: it signals a bug in the engine itself
 (two routes to the same quantity disagreed), not bad user input.
 """
 
+__all__ = [
+    "EngineError",
+    "InvalidModulusError",
+    "NotTerminalError",
+    "InconsistentMarkingError",
+    "IncompatibleSeriesError",
+    "NonInvertibleFactorError",
+    "UnnormalizedResidualError",
+    "InconsistentDataError",
+    "InternalConsistencyError",
+    "InferenceFailureError",
+    "OutOfRangeError",
+    "MalformedInputError",
+    "CatalogError",
+]
+
 
 class EngineError(Exception):
     """Base class for all errors raised by this package."""

@@ -30,11 +30,7 @@ __all__ = [
     "units",
     "is_integer",
     "parse_rational",
-    "rational_from_json",
     "format_rational",
-    "torsion_order",
-    "read_file",
-    "parse_json",
 ]
 
 # R3 of the census (a fixed point of the covering) bounds the torsion order

@@ -37,8 +37,6 @@ from .series import Bidegree, BigradedSeries
 __all__ = [
     "Presentation",
     "infer_presentation",
-    "pfaffian_numerator",
-    "pfaffian_terms",
     "presentation_series",
 ]
 

@@ -55,7 +55,6 @@ from .errors import (
     InternalConsistencyError,
 )
 from .exact import (
-    MAX_TORSION,
     Rational,
     exact_rational,
     format_rational,
@@ -70,7 +69,6 @@ from .orbifold import Basket, MarkedSingularity, SingularityType, forced_preimag
 from .series import Bidegree, BigradedSeries, Scalar
 
 __all__ = [
-    "MAX_TORSION",
     "FanoData",
     "FanoEnriquesData",
     "parity_defect",

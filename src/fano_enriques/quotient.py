@@ -64,7 +64,6 @@ __all__ = [
     "match_cover",
     "search",
     "CROSS_CODIMENSION",
-    "TRUNC",
 ]
 
 TRUNC = 24  # search's default truncation, recorded in the goldens

@@ -339,10 +339,9 @@ class TestFanoEnriquesData:
 
     def test_rejects_torsion_order_beyond_bound(self):
         # R3 bounds r by MAX_TORSION, defined once in exact
-        assert fano_enriques.MAX_TORSION == enumeration.MAX_TORSION == hilbert.MAX_TORSION
-        assert hilbert.MAX_TORSION == exact.MAX_TORSION == 24
-        FanoEnriquesData(hilbert.MAX_TORSION, Rational(2), Basket())
-        for r in (hilbert.MAX_TORSION + 1, 10**9):
+        assert fano_enriques.MAX_TORSION == enumeration.MAX_TORSION == exact.MAX_TORSION == 24
+        FanoEnriquesData(exact.MAX_TORSION, Rational(2), Basket())
+        for r in (exact.MAX_TORSION + 1, 10**9):
             with pytest.raises(OutOfRangeError, match=f"torsion order {r} outside \\[2, 24\\]"):
                 FanoEnriquesData(r, Rational(2), Basket())
 
