@@ -96,7 +96,7 @@ def _records_from(obj, origin: str) -> list[CoverRecord]:
         label = f"{origin} entry {idx}"
         try:
             record = CoverRecord.from_json(raw)
-        except (KeyError, TypeError, ValueError, CatalogError) as exc:
+        except EngineError as exc:
             problems.append(f"{label}: unreadable record ({exc})")
             continue
         label = f"{label} ({record.name})"
@@ -255,7 +255,7 @@ def _by_key(field: str, entries: list) -> dict:
             elif "r" in entry and "bt" in entry:
                 try:
                     bt = str(Basket.from_json(entry["bt"]))
-                except (EngineError, LookupError, TypeError):
+                except EngineError:
                     bt = json.dumps(entry["bt"])
                 key = f"{entry['cover']} r={entry['r']} bt {{{bt}}}"
         out[f"{key}, again at {k}" if key in out else key] = entry

@@ -121,6 +121,21 @@ def rational_from_json(value) -> Rational:
     )
 
 
+def json_object(what: str, obj, *fields: str) -> dict:
+    """Parsed JSON that must be an object holding the given fields: obj
+    itself, else MalformedInputError naming the wrong kind or the first
+    missing field."""
+    if not isinstance(obj, dict):
+        listing = f"{', '.join(fields[:-1])} and {fields[-1]}"
+        raise MalformedInputError(
+            f"{what} JSON must be an object with fields {listing}, got {type(obj).__name__}"
+        )
+    for field in fields:
+        if field not in obj:
+            raise MalformedInputError(f"{what} JSON has no field {field!r}")
+    return obj
+
+
 def format_rational(q: Rational) -> str:
     """Render as 'p/q', or 'p' when integral."""
     if q.denominator == 1:

@@ -43,6 +43,16 @@ __all__ = [
 MAX_LISTED = 10**4  # generators and relations in all; the searches infer a dozen
 
 
+def _bidegrees(name: str, values) -> tuple:
+    """values as a tuple, else MalformedInputError naming them: when they
+    are no sequence, or one is no Bidegree."""
+    values = listed(name, values)
+    for d in values:
+        if not isinstance(d, Bidegree):
+            raise MalformedInputError(f"{name} entry {d!r} is no Bidegree")
+    return values
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Inferred generator and relation bidegrees for Proj of a graded ring."""
@@ -52,8 +62,8 @@ class Presentation:
     status: str
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(sorted(self.generators)))
-        object.__setattr__(self, "relations", tuple(sorted(self.relations)))
+        for field in ("generators", "relations"):
+            object.__setattr__(self, field, tuple(sorted(_bidegrees(field, getattr(self, field)))))
         if self.status not in ("clean", "special", "inconclusive"):
             raise MalformedInputError(f"unknown status {self.status!r}")
 
@@ -153,8 +163,13 @@ def pfaffian_terms(relations: Sequence[Bidegree], top: Bidegree, r: int) -> list
 
         1 - sum e^s t^d + sum e^{sbar - s} t^{e - d} - e^sbar t^e,
 
-    the middle sum being the syzygies.  Every relation needs d <= e.
+    the middle sum being the syzygies.  Every relation needs d <= e;
+    relations that are no sequence of Bidegrees, or a top that is no
+    Bidegree, are a MalformedInputError.
     """
+    relations = _bidegrees("relations", relations)
+    if not isinstance(top, Bidegree):
+        raise MalformedInputError(f"top degree {top!r} is no Bidegree")
     terms = [(1, Bidegree(0)), (-1, top)]
     for q in relations:
         terms += [(-1, q), (1, Bidegree(top.n - q.n, (top.i - q.i) % r))]

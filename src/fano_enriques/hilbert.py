@@ -59,6 +59,7 @@ from .exact import (
     exact_rational,
     format_rational,
     is_integer,
+    json_object,
     listed,
     rational_from_json,
     torsion_order,
@@ -158,6 +159,7 @@ class FanoEnriquesData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FanoEnriquesData":
+        obj = json_object("Fano-Enriques data", obj, "r", "minusK3", "bt")
         return cls(
             r=obj["r"],
             minus_k_cubed=rational_from_json(obj["minusK3"]),

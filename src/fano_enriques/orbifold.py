@@ -23,7 +23,7 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InconsistentMarkingError, MalformedInputError, NotTerminalError
-from .exact import Rational
+from .exact import Rational, json_object, listed
 
 __all__ = [
     "SingularityType",
@@ -168,8 +168,11 @@ class Basket:
 
     @classmethod
     def from_json(cls, records: Iterable[dict]) -> "Basket":
+        """A list of {"r", "a", "l"} objects, l 0 when absent; anything else
+        is a MalformedInputError."""
         entries = []
-        for rec in records:
+        for rec in listed("basket JSON", records):
+            rec = json_object("basket entry", rec, "r", "a")
             r, a, l = rec["r"], rec["a"], rec.get("l", 0)
             # exactly int: 0.5 or true would pass the point types' range checks
             if any(type(x) is not int for x in (r, a, l)):

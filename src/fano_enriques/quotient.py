@@ -43,7 +43,15 @@ from .errors import (
     MalformedInputError,
     OutOfRangeError,
 )
-from .exact import Rational, exact_rational, format_rational, rational_from_json, truncation
+from .exact import (
+    Rational,
+    exact_rational,
+    format_rational,
+    json_object,
+    listed,
+    rational_from_json,
+    truncation,
+)
 from .gradedrings import Presentation, infer_presentation, pfaffian_terms
 from .hilbert import (
     FanoData,
@@ -96,8 +104,8 @@ class CoverRecord:
     notes: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "degrees", tuple(self.degrees))
+        object.__setattr__(self, "weights", listed("weights", self.weights))
+        object.__setattr__(self, "degrees", listed("degrees", self.degrees))
         object.__setattr__(self, "minus_k_cubed", exact_rational(self.minus_k_cubed))
         object.__setattr__(self, "basket", Basket.coerce(self.basket))
         if self.structure not in ("ci", "pfaffian"):
@@ -224,10 +232,11 @@ class CoverRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CoverRecord":
+        obj = json_object("cover", obj, "name", "weights", "degrees", "minusK3")
         return cls(
             name=str(obj["name"]),
-            weights=tuple(obj["weights"]),
-            degrees=tuple(obj["degrees"]),
+            weights=obj["weights"],
+            degrees=obj["degrees"],
             basket=Basket.from_json(obj.get("basket", [])),
             minus_k_cubed=rational_from_json(obj["minusK3"]),
             structure=obj.get("structure", "ci"),

@@ -38,7 +38,15 @@ from .errors import (
     NonInvertibleFactorError,
     UnnormalizedResidualError,
 )
-from .exact import Rational, format_rational, listed, nonnegative, rational_from_json, truncation
+from .exact import (
+    Rational,
+    format_rational,
+    json_object,
+    listed,
+    nonnegative,
+    rational_from_json,
+    truncation,
+)
 
 __all__ = ["Bidegree", "BigradedSeries"]
 
@@ -178,6 +186,8 @@ class BigradedSeries:
     def _coefficientwise(self, other: "BigradedSeries", op) -> "BigradedSeries":
         """op on each pair of coefficients, to the lesser truncation: the
         one body of + and -."""
+        if not isinstance(other, BigradedSeries):
+            raise MalformedInputError(f"not a BigradedSeries: {other!r}")
         if self.r != other.r:
             raise IncompatibleSeriesError(
                 f"grading moduli differ: {self.r} vs {other.r}"
@@ -280,14 +290,7 @@ class BigradedSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BigradedSeries":
-        if not isinstance(obj, dict):
-            raise MalformedInputError(
-                f"series JSON must be an object with fields r and coeffs, "
-                f"got {type(obj).__name__}"
-            )
-        for field in ("r", "coeffs"):
-            if field not in obj:
-                raise MalformedInputError(f"series JSON has no field {field!r}")
+        obj = json_object("series", obj, "r", "coeffs")
         r, coeffs = obj["r"], obj["coeffs"]
         if type(r) is not int:
             raise MalformedInputError(f"series JSON field r must be an integer, got {r!r}")

@@ -112,6 +112,24 @@ class TestSaveLoad:
         assert message.startswith(f"{path} entry 0: unreadable record")
         assert complaint in message
 
+    def test_engine_errors_are_reported_per_entry(self, tmp_path):
+        # a non-terminal point and an out-of-range marking each ended the load
+        # with the bare engine error, naming no file, no entry and no other problem
+        path = tmp_path / "bad.json"
+        entries = [
+            dict(Y5.to_json(), basket=[{"r": 4, "a": 2}]),
+            dict(Y4.to_json(), basket=[{"r": 2, "a": 1, "l": 5}]),
+            {k: v for k, v in Y4.to_json().items() if k != "weights"},
+        ]
+        path.write_text(json.dumps({"format_version": FORMAT_VERSION, "entries": entries}))
+        with pytest.raises(CatalogError) as err:
+            load_catalog(path)
+        assert str(err.value) == (
+            f"{path} entry 0: unreadable record (1/4(1,2,2) is not in canonical terminal form)\n"
+            f"{path} entry 1: unreadable record (marking 5 out of range for 1/2(1,1,1))\n"
+            f"{path} entry 2: unreadable record (cover JSON has no field 'weights')"
+        )
+
     def test_problems_are_aggregated(self, tmp_path):
         bad1 = dict(Y4.to_json(), minusK3="5")
         bad2 = dict(Y5.to_json(), name="Y_{4} in P(1,1,1,1,1)")

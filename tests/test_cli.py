@@ -536,6 +536,25 @@ class TestBadInput:
             f'(not an exact rational: 2.5; write an integer or a "p/q" string)\n'
         )
 
+    def test_search_reports_each_unreadable_entry(self, capsys, tmp_path):
+        # the non-terminal point used to end the search with its bare message
+        records = [
+            {"name": "Y_{5} in P(1,1,1,1,2)", "weights": [1, 1, 1, 1, 2], "degrees": [5],
+             "basket": [{"r": 4, "a": 2}], "minusK3": "5/2"},
+            {"name": "Y_{4} in P(1,1,1,1,1)", "weights": [1, 1, 1, 1, 1], "degrees": [4],
+             "basket": [{"r": 2, "a": 1, "l": 5}], "minusK3": "4"},
+        ]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format_version": "1", "entries": records}))
+        code, out, err = run(capsys, "search", "--catalog", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"fano-enriques search: {path} entry 0: unreadable record "
+            f"(1/4(1,2,2) is not in canonical terminal form)\n"
+            f"{path} entry 1: unreadable record (marking 5 out of range for 1/2(1,1,1))\n"
+        )
+
     LONG = "7" * 5000  # an integer literal past the interpreter's digit limit
 
     @pytest.mark.skipif(

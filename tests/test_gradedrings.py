@@ -46,6 +46,18 @@ class TestPresentation:
         with pytest.raises(ValueError):
             Presentation((), (), "unsure")
 
+    @pytest.mark.parametrize(
+        "generators, relations, message",
+        [
+            (5, (), "generators must be a sequence, got 5"),
+            ((), [(4, 0)], r"relations entry \(4, 0\) is no Bidegree"),
+        ],
+        ids=["int-generators", "pair-relation"],
+    )
+    def test_degrees_must_be_bidegrees(self, generators, relations, message):
+        with pytest.raises(MalformedInputError, match=message):
+            Presentation(generators, relations, "clean")
+
     def test_codimension(self):
         assert Presentation(bd([(1, 0)] * 5), bd([(4, 0)]), "clean").codimension == 1
         assert Presentation(bd([(1, 0)] * 7), bd([(2, 0)] * 3), "clean").codimension == 3
@@ -215,6 +227,19 @@ class TestRoundTrip:
     def test_presentation_series_needs_sequences(self, generators, relations, message):
         with pytest.raises(MalformedInputError, match=message):
             presentation_series(generators, relations, 1, 3)
+
+    @pytest.mark.parametrize(
+        "relations, top, message",
+        [
+            (5, Bidegree(4), "relations must be a sequence, got 5"),
+            ([Bidegree(1)] * 5, 4, "top degree 4 is no Bidegree"),
+            ([1] * 5, Bidegree(4), "relations entry 1 is no Bidegree"),
+        ],
+        ids=["int-relations", "int-top", "int-relation"],
+    )
+    def test_pfaffian_numerator_needs_bidegrees(self, relations, top, message):
+        with pytest.raises(MalformedInputError, match=message):
+            pfaffian_numerator(relations, top, 1, 3)
 
     def test_infer_needs_a_series(self):
         with pytest.raises(MalformedInputError, match="not a BigradedSeries: 5"):

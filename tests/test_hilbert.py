@@ -399,6 +399,19 @@ class TestFanoEnriquesData:
         with pytest.raises(MalformedInputError, match="not an exact rational"):
             FanoEnriquesData.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({}, "Fano-Enriques data JSON has no field 'r'"),
+            ({"r": 5, "minusK3": "1/2"}, "Fano-Enriques data JSON has no field 'bt'"),
+            (5, "Fano-Enriques data JSON must be an object with fields r, minusK3 and bt, got int"),
+        ],
+        ids=["empty", "no-bt", "int"],
+    )
+    def test_from_json_refuses_what_is_no_data(self, obj, message):
+        with pytest.raises(MalformedInputError, match=message):
+            FanoEnriquesData.from_json(obj)
+
 
 class TestBigradedSeries:
     DATA = FanoEnriquesData(

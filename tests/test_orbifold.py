@@ -341,6 +341,19 @@ class TestBasket:
         with pytest.raises(MalformedInputError, match="r, a and l must be integers"):
             Basket.from_json([rec])
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([{"r": 2}], "basket entry JSON has no field 'a'"),
+            (5, "basket JSON must be a sequence, got 5"),
+            ([5], "basket entry JSON must be an object with fields r and a, got int"),
+        ],
+        ids=["missing-a", "int-basket", "int-entry"],
+    )
+    def test_from_json_refuses_what_is_no_basket(self, records, message):
+        with pytest.raises(MalformedInputError, match=message):
+            Basket.from_json(records)
+
     def test_concatenation_and_views(self):
         b = Basket.parse("1/2(1,1,1)_1") + Basket.parse("1/3(1,1,2)")
         assert len(b) == 2

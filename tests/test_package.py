@@ -3,7 +3,10 @@ object its home module defines."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,13 @@ def test_export_is_its_home_modules_object(name):
     assert getattr(fano_enriques, name) is getattr(home, name)
 
 
+@pytest.mark.parametrize("module", sorted(set(HOMES.values())))
+def test_each_modules_all_lists_exactly_its_exports(module):
+    # the package re-exports each __all__, so these lists are its API
+    home = importlib.import_module(f"fano_enriques.{module}")
+    assert sorted(home.__all__) == sorted(name for name in HOMES if HOMES[name] == module)
+
+
 def test_star_import_binds_every_export():
     namespace = {}
     exec("from fano_enriques import *", namespace)
@@ -140,6 +150,29 @@ def test_unknown_attribute_raises(name):
     with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
         getattr(fano_enriques, name)
     assert not hasattr(fano_enriques, name)
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_HOME_", "__wrapped__"])
+def test_unknown_attribute_caches_nothing(name):
+    for _ in range(2):
+        with pytest.raises(AttributeError):
+            getattr(fano_enriques, name)
+        assert name not in vars(fano_enriques)
+
+
+def test_private_name_loads_no_submodule():
+    script = (
+        "import sys, fano_enriques\n"
+        "assert not hasattr(fano_enriques, '_HOME')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('fano_enriques')))\n"
+    )
+    src = str(Path(fano_enriques.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.stdout == "['fano_enriques']\n"
 
 
 def test_every_raise_names_an_engine_error():

@@ -209,6 +209,21 @@ class TestCoverRecord:
         with pytest.raises(MalformedInputError, match="not an exact rational: 2.5"):
             CoverRecord.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({}, "cover JSON has no field 'name'"),
+            ({k: v for k, v in Y5.to_json().items() if k != "weights"},
+             "cover JSON has no field 'weights'"),
+            ([], "cover JSON must be an object with fields name, weights, degrees and minusK3"),
+            (dict(Y5.to_json(), degrees=5), "degrees must be a sequence, got 5"),
+        ],
+        ids=["empty", "no-weights", "list", "int-degrees"],
+    )
+    def test_from_json_refuses_what_is_no_cover(self, obj, message):
+        with pytest.raises(MalformedInputError, match=message):
+            CoverRecord.from_json(obj)
+
     def test_str(self):
         assert str(Y4) == "Y_{4} in P(1,1,1,1,1) = (4) in P(1,1,1,1,1)"
 

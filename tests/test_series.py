@@ -230,6 +230,13 @@ class TestArithmetic:
         with pytest.raises(IncompatibleSeriesError):
             BigradedSeries.one(2, 3) + BigradedSeries.one(3, 3)
 
+    @pytest.mark.parametrize("other", [5, None, [[1, 0, 0, 0]]], ids=repr)
+    def test_operand_must_be_a_series(self, other):
+        with pytest.raises(MalformedInputError, match="not a BigradedSeries"):
+            BigradedSeries.one(1, 3) + other
+        with pytest.raises(MalformedInputError, match="not a BigradedSeries"):
+            BigradedSeries.one(1, 3) - other
+
     def test_collapse_sums_rows(self):
         s = BigradedSeries(2, [[1, 2], [0, 5]])
         c = s.collapse()
