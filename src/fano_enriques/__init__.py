@@ -13,20 +13,21 @@ rather than trusted individually.
 Each submodule's __all__ is the one list of the names it exports, and
 the package's __all__ is their union.  Importing the package loads no
 submodule: a name is looked up on first access (PEP 562) by importing
-the exporting submodules in order until one's __all__ holds it, so the
-command line can build its parser without loading the engine.
+the exporting submodules in dependency order until one's __all__ holds
+it, so the command line can build its parser without loading the engine.
 """
 
 from importlib import import_module
 
-# the submodules whose __all__ the package re-exports, in import order
+# the submodules whose __all__ the package re-exports, each after every
+# submodule it imports, so a lookup loads little beyond the home it finds
 _EXPORTERS = (
     "errors",
     "exact",
     "orbifold",
     "series",
-    "hilbert",
     "gradedrings",
+    "hilbert",
     "enumeration",
     "quotient",
     "catalog",
