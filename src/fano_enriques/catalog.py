@@ -43,7 +43,7 @@ from typing import Sequence, Union
 
 from .enumeration import BtCandidate, enumerate_bt
 from .errors import CatalogError, EngineError
-from .exact import MAX_TORSION, Rational, format_rational, parse_json, read_file
+from .exact import MAX_TORSION, Rational, format_rational, instance, listed, parse_json, read_file
 from .hilbert import FanoData, FanoEnriquesData, altinok_series, bigraded_series
 from .orbifold import Basket
 from .quotient import TRUNC, CoverRecord, SearchResult, search
@@ -114,15 +114,15 @@ def _records_from(obj, origin: str) -> list[CoverRecord]:
 def load_catalog(path: Union[str, Path]) -> list[CoverRecord]:
     """Read and validate a catalog file; raises CatalogError listing every
     problem found rather than stopping at the first."""
-    return _records_from(parse_json(read_file(path), str(path)), str(path))
+    origin = str(instance("catalog path", path, str, Path))
+    return _records_from(parse_json(read_file(path), origin), origin)
 
 
 def save_catalog(records: Sequence[CoverRecord], path: Union[str, Path]):
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "entries": [r.to_json() for r in records],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    records = [instance("record", r, CoverRecord) for r in listed("records", records)]
+    payload = {"format_version": FORMAT_VERSION, "entries": [r.to_json() for r in records]}
+    path = Path(instance("catalog path", path, str, Path))
+    path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
 def _data_root():
@@ -130,7 +130,7 @@ def _data_root():
 
 
 def bundled_json(name: str) -> dict:
-    node = _data_root() / name
+    node = _data_root() / instance("bundled file name", name, str)
     if not node.is_file():
         raise CatalogError(f"no bundled file {name!r}")
     return parse_json(read_file(node), name)
@@ -142,7 +142,7 @@ def bundled_catalog(name: str) -> list[CoverRecord]:
 
 def resolve_catalog(source: str) -> list[CoverRecord]:
     """A path if it exists on disk, else a bundled file name."""
-    if Path(source).exists():
+    if Path(instance("catalog source", source, str)).exists():
         return load_catalog(source)
     return bundled_catalog(source)
 

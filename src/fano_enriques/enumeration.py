@@ -48,16 +48,14 @@ from functools import cache, lru_cache
 from math import gcd, lcm
 from typing import Callable
 
-from .exact import MAX_TORSION, format_rational, is_integer, torsion_order, units
+from .exact import MAX_TORSION, format_rational, instance, is_integer, torsion_order, units
 from .hilbert import _delta_cycle_scaled, torsion_delta_at
 from .orbifold import Basket, MarkedSingularity, SingularityType, forced_preimage, terminal_sum
 
 __all__ = [
     "MAX_INDEX",
     "BtCandidate",
-    "RestrictionReport",
     "check_restrictions",
-    "canonicalize",
     "enumerate_bt",
 ]
 
@@ -115,6 +113,8 @@ class RestrictionReport:
 
 def check_restrictions(c: BtCandidate, strict_chi: bool = False) -> RestrictionReport:
     """Evaluate R1-R5 for a candidate; all five must pass for admissibility."""
+    instance("candidate", c, BtCandidate)
+    instance("strict_chi", strict_chi, bool)
     results: dict[str, tuple[bool, str]] = {}
 
     s1 = terminal_sum(c.entries)
@@ -226,8 +226,8 @@ def _numeric_verdict(
 
 def enumerate_bt(r: int, strict_chi: bool = False) -> list[BtCandidate]:
     """All admissible marked baskets for torsion order r, canonical and sorted."""
-    census = _census(torsion_order(r))
-    return [c for c, strict in census if strict or not strict_chi]
+    instance("strict_chi", strict_chi, bool)
+    return [c for c, strict in _census(torsion_order(r)) if strict or not strict_chi]
 
 
 @lru_cache(maxsize=None)

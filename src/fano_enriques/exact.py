@@ -1,4 +1,4 @@
-"""Exact arithmetic helpers, the engine's range checks and its input readers.
+"""Exact arithmetic helpers, the engine's kind and range checks, its input readers.
 
 All computations in this package are over Q; floating point never
 appears.  Rational is an alias for the stdlib Fraction, re-exported so
@@ -27,8 +27,6 @@ from .errors import (
 __all__ = [
     "MAX_TORSION",
     "Rational",
-    "units",
-    "is_integer",
     "parse_rational",
     "format_rational",
 ]
@@ -40,11 +38,20 @@ MAX_TRUNC = 10**5  # the longest truncation, far past any golden's or benchmark'
 
 def units(r: int) -> list[int]:
     """Units of Z/r in increasing order."""
-    if not isinstance(r, int) or r <= 0:
+    if type(r) is not int or r <= 0:
         raise InvalidModulusError(f"modulus must be a positive integer, got {r!r}")
     if r == 1:
         return [0]
     return [u for u in range(1, r) if gcd(u, r) == 1]
+
+
+def instance(name: str, value, *kinds: type):
+    """value itself when it is of one of the kinds (a bool is no int), else
+    MalformedInputError naming it: the one kind rule of the public callables."""
+    if isinstance(value, kinds) and (type(value) is not bool or bool in kinds):
+        return value
+    listing = " or ".join(kind.__name__ for kind in kinds)
+    raise MalformedInputError(f"{name} must be {listing}, got {value!r}")
 
 
 def nonnegative(name: str, value: int) -> int:
@@ -90,6 +97,7 @@ def is_integer(q: Rational) -> bool:
 
 def parse_rational(text: str) -> Rational:
     """Parse 'p/q' or 'p' into a Rational.  Whitespace around tokens is fine."""
+    text = instance("rational text", text, str)
     try:
         return Rational(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -138,7 +146,7 @@ def json_object(what: str, obj, *fields: str) -> dict:
 
 def format_rational(q: Rational) -> str:
     """Render as 'p/q', or 'p' when integral."""
-    if q.denominator == 1:
+    if instance("rational", q, int, Rational).denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InconsistentDataError, InferenceFailureError, MalformedInputError
-from .exact import is_integer, listed, nonnegative, truncation
+from .exact import instance, is_integer, listed, nonnegative, truncation
 from .series import Bidegree, BigradedSeries
 
 __all__ = [
@@ -46,11 +46,7 @@ MAX_LISTED = 10**4  # generators and relations in all; the searches infer a doze
 def _bidegrees(name: str, values) -> tuple:
     """values as a tuple, else MalformedInputError naming them: when they
     are no sequence, or one is no Bidegree."""
-    values = listed(name, values)
-    for d in values:
-        if not isinstance(d, Bidegree):
-            raise MalformedInputError(f"{name} entry {d!r} is no Bidegree")
-    return values
+    return tuple(instance(f"{name} entry", d, Bidegree) for d in listed(name, values))
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,7 @@ def infer_presentation(s: BigradedSeries, max_degree: Optional[int] = None) -> P
     an InferenceFailureError, and an s that is no BigradedSeries a
     MalformedInputError.
     """
-    if not isinstance(s, BigradedSeries):
-        raise MalformedInputError(f"not a BigradedSeries: {s!r}")
+    s = instance("series", s, BigradedSeries)
     max_degree = s.trunc if max_degree is None else nonnegative("max_degree", max_degree)
     defect = s.hilbert_defect()
     if defect is not None:
@@ -168,9 +163,7 @@ def pfaffian_terms(relations: Sequence[Bidegree], top: Bidegree, r: int) -> list
     Bidegree, are a MalformedInputError.
     """
     relations = _bidegrees("relations", relations)
-    if not isinstance(top, Bidegree):
-        raise MalformedInputError(f"top degree {top!r} is no Bidegree")
-    terms = [(1, Bidegree(0)), (-1, top)]
+    terms = [(1, Bidegree(0)), (-1, instance("top degree", top, Bidegree))]
     for q in relations:
         terms += [(-1, q), (1, Bidegree(top.n - q.n, (top.i - q.i) % r))]
     return terms

@@ -58,6 +58,7 @@ from .exact import (
     Rational,
     exact_rational,
     format_rational,
+    instance,
     is_integer,
     json_object,
     listed,
@@ -72,9 +73,7 @@ from .series import Bidegree, BigradedSeries, Scalar
 __all__ = [
     "FanoData",
     "FanoEnriquesData",
-    "parity_defect",
     "altinok_series",
-    "torsion_delta_at",
     "torsion_delta_series",
     "bigraded_series",
     "wci_series",
@@ -189,7 +188,7 @@ def altinok_series(data: FanoData, trunc: int) -> BigradedSeries:
     nonnegative integers: the basket / -K^3 pair then belongs to no
     actual variety (a sharper sieve than the parity check).
     """
-    n = truncation("trunc", trunc)
+    data, n = instance("data", data, FanoData), truncation("trunc", trunc)
     half_k = data.minus_k_cubed / 2
     total = _divided([1, 1], n, 1, 1) + _divided([0, half_k, half_k], n, 1, 1, 1, 1)
 
@@ -271,7 +270,7 @@ def torsion_delta_series(bt: Basket, i: int, trunc: int) -> BigradedSeries:
     """Series sum_n (chi(-nK + i*sigma) - chi(-nK)) t^n: the entries'
     reconciled cycles at l' = [i*l]_{r_Q}, summed over L = lcm r_Q and tiled:
     the one tiling, which bigraded_series reads for each twisted component."""
-    trunc = truncation("trunc", trunc)
+    bt, i, trunc = Basket.coerce(bt), instance("i", i, int), truncation("trunc", trunc)
     parts = [
         (entry.type.r, _reconciled_cycle(entry.type.r, entry.type.a, lp))
         for entry in bt if (lp := (i * entry.l) % entry.type.r)
@@ -290,6 +289,7 @@ def bigraded_series(data: FanoEnriquesData, trunc: int) -> BigradedSeries:
     term sits entirely in component 0 (h^0 of a nontrivial torsion class
     vanishes); anything else raises InconsistentDataError.
     """
+    data = instance("data", data, FanoEnriquesData)
     base = altinok_series(FanoData(data.minus_k_cubed, data.combined_basket), trunc)
     series = BigradedSeries(data.r, [base.component(0)] + [
         (base + torsion_delta_series(data.bt, i, trunc)).component(0)

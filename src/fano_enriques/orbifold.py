@@ -23,7 +23,7 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InconsistentMarkingError, MalformedInputError, NotTerminalError
-from .exact import Rational, json_object, listed
+from .exact import Rational, instance, json_object, listed
 
 __all__ = [
     "SingularityType",
@@ -31,10 +31,6 @@ __all__ = [
     "SMOOTH",
     "Basket",
     "normalize_type",
-    "inverse_weight",
-    "terminal_sum",
-    "preimage_singularity",
-    "forced_preimage",
 ]
 
 
@@ -78,8 +74,7 @@ class MarkedSingularity:
     l: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.type, SingularityType):
-            raise MalformedInputError(f"not a singularity type: {self.type!r}")
+        instance("singularity type", self.type, SingularityType)
         if type(self.l) is not int:
             raise InconsistentMarkingError(f"marking must be an integer, got {self.l!r}")
         if not 0 <= self.l < self.type.r:
@@ -122,10 +117,7 @@ class Basket:
                 f"not a basket: {entries!r}; pass a Basket or a sequence of "
                 f"MarkedSingularity, or read text with Basket.parse"
             )
-        entries = tuple(entries)
-        for e in entries:
-            if not isinstance(e, MarkedSingularity):
-                raise MalformedInputError(f"not a singularity entry: {e!r}")
+        entries = [instance("basket entry", e, MarkedSingularity) for e in entries]
         object.__setattr__(self, "entries", tuple(sorted(entries)))
 
     @classmethod
@@ -185,9 +177,7 @@ class Basket:
     @classmethod
     def parse(cls, text: str) -> "Basket":
         """Parse "1/2(1,1,1), 2x1/5(1,2,3)_1" (or "... x2" suffix) notation."""
-        if not isinstance(text, str):
-            raise MalformedInputError(f"basket text must be a string, got {text!r}")
-        text = text.strip()
+        text = instance("basket text", text, str).strip()
         if not text or text == "(empty)":
             return cls()
         # split on commas outside the exponent parentheses

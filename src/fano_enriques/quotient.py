@@ -30,9 +30,10 @@ rejections `search --json` prints.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb, prod
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .enumeration import BtCandidate
 from .errors import (
@@ -47,6 +48,7 @@ from .exact import (
     Rational,
     exact_rational,
     format_rational,
+    instance,
     json_object,
     listed,
     rational_from_json,
@@ -104,6 +106,8 @@ class CoverRecord:
     notes: str = ""
 
     def __post_init__(self):
+        instance("name", self.name, str)
+        instance("notes", self.notes, str)
         object.__setattr__(self, "weights", listed("weights", self.weights))
         object.__setattr__(self, "degrees", listed("degrees", self.degrees))
         object.__setattr__(self, "minus_k_cubed", exact_rational(self.minus_k_cubed))
@@ -234,7 +238,7 @@ class CoverRecord:
     def from_json(cls, obj: dict) -> "CoverRecord":
         obj = json_object("cover", obj, "name", "weights", "degrees", "minusK3")
         return cls(
-            name=str(obj["name"]),
+            name=obj["name"],
             weights=obj["weights"],
             degrees=obj["degrees"],
             basket=Basket.from_json(obj.get("basket", [])),
@@ -268,6 +272,8 @@ class Rejection:
     )
 
     def __post_init__(self):
+        for field, kind in (("cover", str), ("r", int), ("bt", Basket), ("detail", str)):
+            instance(field, getattr(self, field), kind)
         if self.reason not in self.REASONS:
             raise MalformedInputError(f"unknown rejection reason {self.reason!r}")
 
@@ -294,6 +300,9 @@ class QuotientCandidate:
     diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self):
+        instance("cover", self.cover, CoverRecord)
+        instance("data", self.data, FanoEnriquesData)
+        instance("presentation", self.presentation, Presentation)
         if self.data.minus_k_cubed * self.data.r != self.cover.minus_k_cubed:
             raise InconsistentDataError(
                 f"{self.cover.name}: -K^3 = "
@@ -301,7 +310,7 @@ class QuotientCandidate:
                 f"1/{self.data.r} of the cover's "
                 f"{format_rational(self.cover.minus_k_cubed)}"
             )
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
+        object.__setattr__(self, "diagnostics", listed("diagnostics", self.diagnostics))
 
     @property
     def status(self) -> str:
@@ -340,6 +349,8 @@ def match_cover(
 ) -> Union[FanoEnriquesData, Rejection]:
     """Assemble quotient data for the cover and a census candidate, whose
     forced preimage the candidate carries, or say why there is none."""
+    instance("cover", cover, CoverRecord)
+    instance("candidate", candidate, BtCandidate)
     r, bt, need = candidate.r, candidate.entries, candidate.preimage
     have = Counter(e.type for e in cover.basket)
     for s, m in sorted(need.items()):
@@ -375,8 +386,8 @@ class SearchResult(list):
         candidates: Iterable[QuotientCandidate] = (),
         rejections: Iterable[Rejection] = (),
     ):
-        super().__init__(candidates)
-        self.rejections = list(rejections)
+        super().__init__(listed("candidates", candidates))
+        self.rejections = list(listed("rejections", rejections))
 
     def clean(self) -> list[QuotientCandidate]:
         return [c for c in self if c.status == "clean"]
@@ -418,6 +429,8 @@ def search(
     engine guard, not a data filter.
     """
     truncation("trunc", trunc)
+    instance("census", census, Iterable)
+    catalog = [instance("catalog entry", c, CoverRecord) for c in listed("catalog", catalog)]
     short = [
         f"{cover.name}: model needs trunc >= {cover.model_degree}, got {trunc}"
         for cover in catalog if cover.model_degree > trunc
@@ -437,7 +450,7 @@ def search(
     candidates: list[QuotientCandidate] = []
     rejections: list[Rejection] = []
     for bt_candidate in census:
-        r, bt = bt_candidate.r, bt_candidate.entries
+        r, bt = instance("census entry", bt_candidate, BtCandidate).r, bt_candidate.entries
         for cover, cover_series in zip(catalog, orbifold):
             outcome = match_cover(cover, bt_candidate)
             if isinstance(outcome, Rejection):

@@ -41,6 +41,7 @@ from .errors import (
 from .exact import (
     Rational,
     format_rational,
+    instance,
     json_object,
     listed,
     nonnegative,
@@ -78,7 +79,7 @@ def _modulus(r: int) -> int:
 
 def _row(row: Iterable[Scalar]) -> tuple[Rational, ...]:
     """One coefficient row; a row of Fractions only is kept as it is."""
-    row = tuple(row)
+    row = listed("series row", row)
     if not _FRACTIONS.issuperset(map(type, row)):
         row = tuple(map(_coefficient, row))
     return row
@@ -109,7 +110,7 @@ class BigradedSeries:
 
     def __post_init__(self):
         r = _modulus(self.r)
-        rows = tuple(map(_row, self.coeffs))
+        rows = tuple(map(_row, listed("series rows", self.coeffs)))
         if len(rows) != r:
             raise IncompatibleSeriesError(f"expected {r} rows, got {len(rows)}")
         if not rows[0]:
@@ -137,9 +138,7 @@ class BigradedSeries:
             except (TypeError, ValueError):
                 message = f"series term {term!r} is no pair (c, Bidegree)"
                 raise MalformedInputError(message) from None
-            if not isinstance(d, Bidegree):
-                raise MalformedInputError(f"series term {c!r}, {d!r}: degree is no Bidegree")
-            if d.n <= trunc:
+            if instance("series term degree", d, Bidegree).n <= trunc:
                 rows[d.i % r][d.n] += _coefficient(c)
         return cls(r, rows)
 
@@ -186,9 +185,7 @@ class BigradedSeries:
     def _coefficientwise(self, other: "BigradedSeries", op) -> "BigradedSeries":
         """op on each pair of coefficients, to the lesser truncation: the
         one body of + and -."""
-        if not isinstance(other, BigradedSeries):
-            raise MalformedInputError(f"not a BigradedSeries: {other!r}")
-        if self.r != other.r:
+        if self.r != instance("operand", other, BigradedSeries).r:
             raise IncompatibleSeriesError(
                 f"grading moduli differ: {self.r} vs {other.r}"
             )
@@ -217,9 +214,7 @@ class BigradedSeries:
         one that is no Bidegree is a MalformedInputError, one of t-degree 0
         (1 - e^i is no unit) a NonInvertibleFactorError."""
         for d in factors:
-            if not isinstance(d, Bidegree):
-                raise MalformedInputError(f"{name} factor {d!r} is no Bidegree")
-            if d.n < 1:
+            if instance(f"{name} factor", d, Bidegree).n < 1:
                 raise NonInvertibleFactorError(f"{name} factor needs t-degree >= 1")
         return [(d.n, d.i % self.r) for d in factors]
 
@@ -291,9 +286,7 @@ class BigradedSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "BigradedSeries":
         obj = json_object("series", obj, "r", "coeffs")
-        r, coeffs = obj["r"], obj["coeffs"]
-        if type(r) is not int:
-            raise MalformedInputError(f"series JSON field r must be an integer, got {r!r}")
+        r, coeffs = instance("series JSON field r", obj["r"], int), obj["coeffs"]
         if not isinstance(coeffs, list) or not all(isinstance(row, list) for row in coeffs):
             raise MalformedInputError("series JSON field coeffs must be a list of rows")
         rows = [[rational_from_json(c) for c in row] for row in coeffs]

@@ -555,6 +555,20 @@ class TestBadInput:
             f"{path} entry 1: unreadable record (marking 5 out of range for 1/2(1,1,1))\n"
         )
 
+    def test_search_refuses_a_name_that_is_no_string(self, capsys, tmp_path):
+        # the name used to be read through str() and searched as "['x']"
+        record = {"name": ["x"], "weights": [1, 1, 1, 1, 2], "degrees": [5],
+                  "basket": [{"r": 2, "a": 1}], "minusK3": "5/2"}
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"format_version": "1", "entries": [record]}))
+        code, out, err = run(capsys, "search", "--catalog", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"fano-enriques search: {path} entry 0: unreadable record "
+            f"(name must be str, got ['x'])\n"
+        )
+
     LONG = "7" * 5000  # an integer literal past the interpreter's digit limit
 
     @pytest.mark.skipif(

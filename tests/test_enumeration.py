@@ -24,7 +24,7 @@ from fano_enriques.enumeration import (
     check_restrictions,
     enumerate_bt,
 )
-from fano_enriques.errors import InconsistentMarkingError, OutOfRangeError
+from fano_enriques.errors import InconsistentMarkingError, MalformedInputError, OutOfRangeError
 from fano_enriques.hilbert import _delta_cycle_scaled, torsion_delta_at
 from fano_enriques.orbifold import Basket, MarkedSingularity, SingularityType
 
@@ -81,6 +81,12 @@ class TestCheckRestrictions:
     def test_strict_variant_on_admissible_candidate(self):
         assert check_restrictions(BtCandidate(2, NO13_BT), strict_chi=True).admissible
         assert check_restrictions(BtCandidate(5, WORKED_BT), strict_chi=True).admissible
+
+    @pytest.mark.parametrize("flag", ["no", 0, None], ids=repr)
+    def test_strict_flag_must_be_a_bool(self, flag):
+        # a truthy "no" used to run the strict variant
+        with pytest.raises(MalformedInputError, match=f"strict_chi must be bool, got {flag!r}"):
+            check_restrictions(BtCandidate(2, NO13_BT), strict_chi=flag)
 
     def test_r1_basket_too_heavy(self):
         c = BtCandidate(2, (mk(24, 1, 12), mk(24, 1, 12)))
@@ -160,6 +166,12 @@ class TestEnumerateBt:
         with pytest.raises(OutOfRangeError, match=f"torsion order must be an integer, got {r!r}"):
             enumerate_bt(r)
 
+    @pytest.mark.parametrize("flag", [5, "", None], ids=repr)
+    def test_strict_flag_must_be_a_bool(self, flag):
+        # strict_chi=5 used to give the strict census, and "" the plain one
+        with pytest.raises(MalformedInputError, match=f"strict_chi must be bool, got {flag!r}"):
+            enumerate_bt(2, strict_chi=flag)
+
     def test_all_results_canonical_and_admissible(self):
         for c in enumerate_bt(5) + enumerate_bt(6) + enumerate_bt(8):
             assert canonicalize(c) == c
@@ -192,6 +204,21 @@ class TestDeltaCycleScaled:
                         )
                     keys += 1
         assert keys == 1368
+
+    def test_serre_duality_on_every_cycle(self):
+        # X is Cohen-Macaulay with omega_X = O(K_X), so chi(D) = -chi(K_X - D);
+        # D = -nK + i*sigma gives each point delta_l'(n) = -delta_{r_Q - l'}(-n - 1),
+        # for every terminal type with r_Q <= 24, every marking l' and one period
+        checks = 0
+        for r_q in range(2, MAX_INDEX + 1):
+            for a in (a for a in range(1, r_q // 2 + 1) if gcd(a, r_q) == 1):
+                for lp in range(r_q):
+                    cycle = _delta_cycle_scaled(r_q, a, lp)
+                    dual = _delta_cycle_scaled(r_q, a, (r_q - lp) % r_q)
+                    for n in range(r_q):
+                        assert cycle[n] == -dual[(-n - 1) % r_q], (r_q, a, lp, n)
+                        checks += 1
+        assert checks == 26574
 
 
 class TestCensusCache:

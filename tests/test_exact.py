@@ -44,6 +44,12 @@ class TestUnits:
         with pytest.raises(InvalidModulusError):
             units(0)
 
+    @pytest.mark.parametrize("r", [True, 2.0], ids=repr)
+    def test_modulus_must_be_an_int(self, r):
+        # units(True) was units(1), [0], as no other integer boundary reads a bool
+        with pytest.raises(InvalidModulusError, match=f"got {r!r}"):
+            units(r)
+
     @given(st.integers(2, 300))
     def test_closed_under_product(self, r):
         us = set(units(r))

@@ -50,7 +50,7 @@ class TestPresentation:
         "generators, relations, message",
         [
             (5, (), "generators must be a sequence, got 5"),
-            ((), [(4, 0)], r"relations entry \(4, 0\) is no Bidegree"),
+            ((), [(4, 0)], r"relations entry must be Bidegree, got \(4, 0\)"),
         ],
         ids=["int-generators", "pair-relation"],
     )
@@ -232,8 +232,8 @@ class TestRoundTrip:
         "relations, top, message",
         [
             (5, Bidegree(4), "relations must be a sequence, got 5"),
-            ([Bidegree(1)] * 5, 4, "top degree 4 is no Bidegree"),
-            ([1] * 5, Bidegree(4), "relations entry 1 is no Bidegree"),
+            ([Bidegree(1)] * 5, 4, "top degree must be Bidegree, got 4"),
+            ([1] * 5, Bidegree(4), "relations entry must be Bidegree, got 1"),
         ],
         ids=["int-relations", "int-top", "int-relation"],
     )
@@ -242,7 +242,7 @@ class TestRoundTrip:
             pfaffian_numerator(relations, top, 1, 3)
 
     def test_infer_needs_a_series(self):
-        with pytest.raises(MalformedInputError, match="not a BigradedSeries: 5"):
+        with pytest.raises(MalformedInputError, match="series must be BigradedSeries, got 5"):
             infer_presentation(5)
 
     GOLDEN_ROWS = [

@@ -376,7 +376,8 @@ class TestFanoEnriquesData:
 
     def test_bt_of_bare_entries_refused(self):
         # an AttributeError on .l before
-        with pytest.raises(MalformedInputError, match="not a singularity entry: 1"):
+        message = "basket entry must be MarkedSingularity, got 1"
+        with pytest.raises(MalformedInputError, match=message):
             FanoEnriquesData(2, 1, [1])
 
     def test_basket_sequences_read(self):

@@ -1,5 +1,6 @@
 """Tests for terminal quotient singularity algebra and baskets."""
 
+import re
 from collections import Counter
 from itertools import product
 from math import gcd
@@ -84,7 +85,8 @@ class TestMarkedSingularity:
 
     def test_type_must_be_a_singularity_type(self):
         # an AttributeError on .r before
-        with pytest.raises(MalformedInputError, match=r"not a singularity type: \(5, 2\)"):
+        message = r"singularity type must be SingularityType, got \(5, 2\)"
+        with pytest.raises(MalformedInputError, match=message):
             MarkedSingularity((5, 2), 1)
 
     @pytest.mark.parametrize("l", [1.0, True], ids=repr)
@@ -274,7 +276,8 @@ class TestBasket:
 
     @pytest.mark.parametrize("text", [None, 5, b"1/2(1,1,1)"], ids=["none", "int", "bytes"])
     def test_parse_refuses_what_is_no_text(self, text):
-        with pytest.raises(MalformedInputError, match="basket text must be a string"):
+        message = re.escape(f"basket text must be str, got {text!r}")
+        with pytest.raises(MalformedInputError, match=message):
             Basket.parse(text)
 
     @pytest.mark.parametrize("entries", [5, "1/2(1,1,1)"], ids=["int", "text"])
@@ -284,7 +287,8 @@ class TestBasket:
 
     def test_entries_must_be_marked(self):
         # a bare type has no marking; Basket.parse gives unmarked points l = 0
-        with pytest.raises(MalformedInputError, match="not a singularity entry"):
+        message = r"basket entry must be MarkedSingularity, got SingularityType\(r=2, a=1\)"
+        with pytest.raises(MalformedInputError, match=message):
             Basket((SingularityType(2, 1),))
 
     @pytest.mark.parametrize(
@@ -292,7 +296,7 @@ class TestBasket:
         [
             ("1/2(1,1,1)", "not a basket: .*read text with Basket.parse"),
             (7, "not a basket: 7; pass a Basket or a sequence of MarkedSingularity"),
-            ([1], "not a singularity entry: 1"),
+            ([1], "basket entry must be MarkedSingularity, got 1"),
         ],
         ids=["text", "number", "bare-entry"],
     )

@@ -39,9 +39,7 @@ HOMES = {
             "MAX_TORSION",
             "Rational",
             "format_rational",
-            "is_integer",
             "parse_rational",
-            "units",
         ],
         "exact",
     ),
@@ -51,11 +49,7 @@ HOMES = {
             "Basket",
             "MarkedSingularity",
             "SingularityType",
-            "forced_preimage",
-            "inverse_weight",
             "normalize_type",
-            "preimage_singularity",
-            "terminal_sum",
         ],
         "orbifold",
     ),
@@ -66,9 +60,7 @@ HOMES = {
             "FanoEnriquesData",
             "altinok_series",
             "bigraded_series",
-            "parity_defect",
             "pfaffian_series",
-            "torsion_delta_at",
             "torsion_delta_series",
             "wci_series",
         ],
@@ -79,8 +71,6 @@ HOMES = {
         [
             "MAX_INDEX",
             "BtCandidate",
-            "RestrictionReport",
-            "canonicalize",
             "check_restrictions",
             "enumerate_bt",
         ],
@@ -110,17 +100,32 @@ HOMES = {
         "catalog",
     ),
 }
+# helpers that left the API: each is still a name of its home module, where
+# the engine and the benchmark's tracer find it, but the package exports none
+HELPERS = {
+    **dict.fromkeys(["is_integer", "units"], "exact"),
+    **dict.fromkeys(
+        ["forced_preimage", "inverse_weight", "preimage_singularity", "terminal_sum"], "orbifold"
+    ),
+    **dict.fromkeys(["parity_defect", "torsion_delta_at"], "hilbert"),
+    **dict.fromkeys(["RestrictionReport", "canonicalize"], "enumeration"),
+}
 SUBMODULES = sorted({*HOMES.values(), "cli"})
 
 
 def test_all_lists_exactly_the_exports():
     assert sorted(fano_enriques.__all__) == sorted(HOMES)
+    assert len(HOMES) == 51
 
 
-@pytest.mark.parametrize("name", sorted(HOMES))
+@pytest.mark.parametrize("name", sorted({**HOMES, **HELPERS}))
 def test_export_is_its_home_modules_object(name):
-    home = importlib.import_module(f"fano_enriques.{HOMES[name]}")
-    assert getattr(fano_enriques, name) is getattr(home, name)
+    # an export is its home's object; a helper stays at home, unexported
+    home = importlib.import_module(f"fano_enriques.{HOMES.get(name) or HELPERS[name]}")
+    if name in HOMES:
+        assert getattr(fano_enriques, name) is getattr(home, name)
+    else:
+        assert hasattr(home, name) and not hasattr(fano_enriques, name)
 
 
 @pytest.mark.parametrize("module", sorted(set(HOMES.values())))

@@ -224,6 +224,22 @@ class TestCoverRecord:
         with pytest.raises(MalformedInputError, match=message):
             CoverRecord.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("name", ["x"], r"name must be str, got \['x'\]"),
+            ("name", 5, "name must be str, got 5"),
+            ("notes", 5, "notes must be str, got 5"),
+        ],
+        ids=["list-name", "int-name", "int-notes"],
+    )
+    def test_name_and_notes_must_be_strings(self, field, value, message):
+        # the reader used to pass the name through str() and keep any notes
+        with pytest.raises(MalformedInputError, match=message):
+            CoverRecord.from_json(dict(Y5.to_json(), **{field: value}))
+        with pytest.raises(MalformedInputError, match=message):
+            dataclasses.replace(Y5, **{field: value})
+
     def test_str(self):
         assert str(Y4) == "Y_{4} in P(1,1,1,1,1) = (4) in P(1,1,1,1,1)"
 
