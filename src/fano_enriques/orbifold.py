@@ -136,7 +136,7 @@ class Basket:
         return bool(self.entries)
 
     def __add__(self, other: "Basket") -> "Basket":
-        return Basket(self.entries + tuple(other))
+        return Basket(self.entries + Basket.coerce(other).entries)
 
     def counts(self) -> Counter:
         return Counter(self.entries)
@@ -165,12 +165,8 @@ class Basket:
         entries = []
         for rec in listed("basket JSON", records):
             rec = json_object("basket entry", rec, "r", "a")
-            r, a, l = rec["r"], rec["a"], rec.get("l", 0)
             # exactly int: 0.5 or true would pass the point types' range checks
-            if any(type(x) is not int for x in (r, a, l)):
-                raise MalformedInputError(
-                    f"basket entry {rec!r}: r, a and l must be integers"
-                )
+            r, a, l = (instance(f"basket entry field {k}", rec.get(k, 0), int) for k in "ral")
             entries.append(MarkedSingularity(SingularityType(r, a), l))
         return cls(tuple(entries))
 

@@ -386,8 +386,10 @@ class SearchResult(list):
         candidates: Iterable[QuotientCandidate] = (),
         rejections: Iterable[Rejection] = (),
     ):
-        super().__init__(listed("candidates", candidates))
-        self.rejections = list(listed("rejections", rejections))
+        super().__init__(instance("candidate", c, QuotientCandidate)
+                         for c in listed("candidates", candidates))
+        self.rejections = [instance("rejection", r, Rejection)
+                           for r in listed("rejections", rejections)]
 
     def clean(self) -> list[QuotientCandidate]:
         return [c for c in self if c.status == "clean"]

@@ -79,7 +79,7 @@ def _modulus(r: int) -> int:
 
 def _row(row: Iterable[Scalar]) -> tuple[Rational, ...]:
     """One coefficient row; a row of Fractions only is kept as it is."""
-    row = listed("series row", row)
+    row = tuple(row)
     if not _FRACTIONS.issuperset(map(type, row)):
         row = tuple(map(_coefficient, row))
     return row
@@ -110,7 +110,11 @@ class BigradedSeries:
 
     def __post_init__(self):
         r = _modulus(self.r)
-        rows = tuple(map(_row, listed("series rows", self.coeffs)))
+        try:
+            rows = tuple(map(_row, self.coeffs))
+        except TypeError:  # coeffs or a row is no iterable
+            message = f"series rows must be a sequence of rows, got {self.coeffs!r}"
+            raise MalformedInputError(message) from None
         if len(rows) != r:
             raise IncompatibleSeriesError(f"expected {r} rows, got {len(rows)}")
         if not rows[0]:
@@ -153,11 +157,11 @@ class BigradedSeries:
         return len(self.coeffs[0]) - 1
 
     def coefficient(self, n: int, i: int = 0) -> Rational:
-        return self.coeffs[i % self.r][n]
+        return self.component(i)[instance("t-degree", n, int)]
 
     def component(self, i: int) -> tuple[Rational, ...]:
         """Coefficient row of e^i."""
-        return self.coeffs[i % self.r]
+        return self.coeffs[instance("e-degree", i, int) % self.r]
 
     def __repr__(self):
         return f"BigradedSeries(r={self.r}, trunc={self.trunc})"

@@ -94,10 +94,10 @@ class TestSaveLoad:
     @pytest.mark.parametrize(
         "point, complaint",
         [
-            ({"r": 2, "a": 1, "l": 0.5}, "r, a and l must be integers"),
+            ({"r": 2, "a": 1, "l": 0.5}, "basket entry field l must be int, got 0.5"),
             ({"r": 2, "a": 1, "l": 1}, "basket entry 1/2(1,1,1)_1 is marked"),
-            ({"r": 2, "a": 1, "l": True}, "r, a and l must be integers"),
-            ({"r": 2, "a": True}, "r, a and l must be integers"),
+            ({"r": 2, "a": 1, "l": True}, "basket entry field l must be int, got True"),
+            ({"r": 2, "a": True}, "basket entry field a must be int, got True"),
         ],
         ids=["fractional-l", "marked", "bool-l", "bool-a"],
     )

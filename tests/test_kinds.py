@@ -71,6 +71,13 @@ ELEMENT_CALLS = [
     "enumerate_bt(2, strict_chi=5)",
     "search([5], [])",
     "BigradedSeries(1, [5])",
+    "BigradedSeries(1, 5)",
+    'BigradedSeries.one(1, 3).coefficient("a")',
+    "BigradedSeries.one(1, 3).component(object())",
+    'Basket.parse("1/2(1,1,1)") + 5',
+    'Basket.from_json([{"r": 2, "a": 1, "l": 0.5}])',
+    "SearchResult([5])",
+    "SearchResult([], [5])",
 ]
 
 
@@ -121,7 +128,7 @@ def test_the_sweep_reaches_every_callable_that_takes_an_argument():
     # the 51 exports less 13 error classes, 4 constants and Rational
     assert len(list(public_callables())) == 33
     swept = {call.partition("(")[0] for call, _ in calls()}
-    assert {name for name, _ in public_callables()} - swept == {"SearchResult", "verify_fixtures"}
+    assert {name for name, _ in public_callables()} - swept == {"verify_fixtures"}
 
 
 @pytest.mark.parametrize("call, may_return", [pytest.param(*c, id=c[0]) for c in calls()])

@@ -342,7 +342,9 @@ class TestBasket:
     )
     def test_from_json_requires_int_fields(self, rec):
         # 0.5 and true pass the range checks, so only the type keeps them out
-        with pytest.raises(MalformedInputError, match="r, a and l must be integers"):
+        field = next(k for k in "ral" if type(rec.get(k, 0)) is not int)
+        message = f"basket entry field {field} must be int, got {rec[field]!r}"
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
             Basket.from_json([rec])
 
     @pytest.mark.parametrize(
@@ -364,3 +366,6 @@ class TestBasket:
         assert tuple(e.type for e in b) == (SingularityType(2, 1), SingularityType(3, 1))
         assert b.counts() == {mk(2, 1, 1): 1, mk(3, 1): 1}
         assert bool(Basket()) is False
+        assert b + [mk(2, 1)] == Basket.parse("1/2(1,1,1)_1, 1/2(1,1,1), 1/3(1,1,2)")
+        with pytest.raises(MalformedInputError, match="^not a basket: 5; pass a Basket"):
+            b + 5

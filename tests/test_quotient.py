@@ -381,6 +381,13 @@ class TestSearch:
         res = SearchResult()
         assert res.clean() == [] and res.special() == [] and res.rejections == []
         assert res.to_json() == {"rows": [], "special_cases": [], "rejections": []}
+        for args, message in [
+            (([5],), "candidate must be QuotientCandidate, got 5"),
+            (([], [5]), "rejection must be Rejection, got 5"),
+            ((5,), "candidates must be a sequence, got 5"),
+        ]:
+            with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+                SearchResult(*args)
 
     def test_cover_whose_basket_contradicts_its_model(self):
         # -K^3 and parity hold, so only the series tells: the quartic's

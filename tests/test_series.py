@@ -100,6 +100,14 @@ class TestConstruction:
         with pytest.raises(IncompatibleSeriesError, match="grading modulus must be >= 1"):
             BigradedSeries.polynomial(0, 3, [(1, Bidegree(0))])
 
+    @pytest.mark.parametrize(
+        "coeffs", [5, [5], [[1], 5]], ids=["int-rows", "int-row", "int-second-row"]
+    )
+    def test_rows_must_be_sequences(self, coeffs):
+        message = f"series rows must be a sequence of rows, got {coeffs!r}"
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+            BigradedSeries(len(coeffs) if isinstance(coeffs, list) else 1, coeffs)
+
     @pytest.mark.parametrize("r", [2.0, True, "2"], ids=["float", "bool", "str"])
     def test_modulus_must_be_an_int(self, r):
         message = f"grading modulus must be an integer, got {r!r}"
@@ -239,6 +247,18 @@ class TestArithmetic:
             BigradedSeries.one(1, 3) + other
         with pytest.raises(MalformedInputError, match=message):
             BigradedSeries.one(1, 3) - other
+
+    def test_coefficient_and_component_take_int_degrees(self):
+        s = BigradedSeries.one(2, 3)
+        assert s.coefficient(0) == 1 and s.coefficient(0, 3) == 0
+        assert s.component(2) == (1, 0, 0, 0)
+        for call, message in [
+            (lambda: s.coefficient("a"), "t-degree must be int, got 'a'"),
+            (lambda: s.coefficient(1, 1.0), "e-degree must be int, got 1.0"),
+            (lambda: s.component(True), "e-degree must be int, got True"),
+        ]:
+            with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+                call()
 
     def test_collapse_sums_rows(self):
         s = BigradedSeries(2, [[1, 2], [0, 5]])
